@@ -130,6 +130,7 @@ def build_parser() -> _Parser:
     boo.add_argument("--seed", type=int, default=0)
     boo.add_argument("--mode", choices=("local", "entangled"))
     boo.add_argument("--m", type=int)
+    boo.add_argument("--use-extra-rows", action="store_true")
     boo.set_defaults(func=cmd_bootstrap)
     return p
 
@@ -292,7 +293,7 @@ def cmd_bootstrap(args) -> int:
     data = read_counts(args.infile)
     mode, m = _infer_mode_m(data, args.mode, args.m)
     target = _load_target(args.target, data.n)
-    opts = ReconstructionOptions(mode=mode, m=m, family=tuple(data.family))
+    opts = ReconstructionOptions(mode=mode, m=m, family=tuple(data.family), use_extra_rows=args.use_extra_rows)
     point, lo, hi = bootstrap_ci(data.records, data.n, opts, target, args.resamples, args.seed)
     print(f"fidelity {point:.12g} ci16 {lo:.12g} ci84 {hi:.12g}")
     return 0

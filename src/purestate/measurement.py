@@ -170,10 +170,9 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
     """
     if record.shots == 0:
         raise ValueError("exact probability records are not serialized as counts")
-    counts = {}
-    for k, c in enumerate(np.asarray(record.counts)):
-        if c:
-            counts[_bitstring(k, n)] = int(c)
+    vec = np.asarray(record.counts)
+    nz = np.flatnonzero(vec)
+    counts = {_bitstring(k, n): int(c) for k, c in zip(nz.tolist(), vec[nz].tolist())}
     return {"basis": basis_id_to_dict(record.basis), "shots": int(record.shots), "counts": counts}
 
 

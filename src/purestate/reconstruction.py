@@ -18,6 +18,11 @@ yields the full estimate up to an (unobservable) global phase.
 Each child block enters later systems with whatever global phase it was
 assembled with; the equations are built from the children as produced, so
 this is self-consistent.
+
+reconstruct solves each level in one batched pass over all its blocks.
+build_system and solve_phase are the per-block definition of the same
+estimator; reconstruct runs them only on the blocks the batch flags as
+other than plain least squares, so those take exactly the per-block branch.
 """
 
 from __future__ import annotations
@@ -165,21 +170,11 @@ def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = N
     return np.sqrt(p)
 
 
-_TAIL_CACHE: dict = {}
-
-
 def _tail_state(qb: QubitBasis, tail: tuple) -> np.ndarray:
     """Tensor product of |+_a>/|-_a> kets over the tail signs (qubits j-2 .. 0); scalar 1 for level 1."""
-    key = (qb.u, qb.v, qb.phi, tail)
-    w = _TAIL_CACHE.get(key)
-    if w is None:
-        w = np.ones(1, dtype=np.complex128)
-        for s in tail:
-            w = np.kron(w, qb.plus_ket() if s == 1 else qb.minus_ket())
-        w.setflags(write=False)
-        # unbounded growth is only possible with extra rows at large j
-        if len(_TAIL_CACHE) < 4096:
-            _TAIL_CACHE[key] = w
+    w = np.ones(1, dtype=np.complex128)
+    for s in tail:
+        w = np.kron(w, qb.plus_ket() if s == 1 else qb.minus_ket())
     return w
 
 
@@ -357,6 +352,122 @@ def _system_equations(
     return [(outcome_role(id, k, n), float(emp[k]))]
 
 
+class _FamilyArrays:
+    """The family's per-basis constants, stacked along a leading basis axis of length m."""
+
+    def __init__(self, family: list[QubitBasis]):
+        self.u = np.array([qb.u for qb in family])[:, None]
+        self.v = np.array([qb.v for qb in family])[:, None]
+        self.e = np.exp(-1j * np.array([qb.phi for qb in family]))[:, None]
+        self.u_dagger = np.array([qb.unitary().conj().T for qb in family])
+        self.minus_bra = np.array([np.conj(qb.minus_ket()) for qb in family])
+        # A = ca <W|childA>, B = cb <W|childB> for pivot sign + (column 0) and - (column 1)
+        self.ca = np.hstack([self.u, self.v])
+        self.cb = np.hstack([self.v * self.e, -self.u * self.e])
+
+
+def _rotate_low(blocks: np.ndarray, k: int, M: np.ndarray) -> np.ndarray:
+    """Apply M[a] to each of the low k qubits of a contiguous amplitude array, for every a.
+
+    blocks has N entries; the result is (len(M), N) in the same index order.
+    """
+    out = blocks.reshape(1, -1)
+    for q in range(k):
+        t = out.reshape(out.shape[0], -1, 2, 1 << q)
+        out = np.empty((len(M), t.shape[1], 2, 1 << q), dtype=np.complex128)
+        for r in range(2):
+            out[:, :, r] = M[:, r, 0, None, None] * t[:, :, 0] + M[:, r, 1, None, None] * t[:, :, 1]
+    return np.broadcast_to(out.reshape(-1, blocks.size), (len(M), blocks.size))
+
+
+def _canonical_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
+    """Rows and rhs (stacked on axis 0) of canonical outcomes (pivot +, all-minus tail).
+
+    wa, wb, p are (m, L); the 1/(2uv) weight matches build_system.
+    """
+    x = fam.e * np.conj(wa) * wb
+    rhs = (p - fam.u**2 * np.abs(wa) ** 2 - fam.v**2 * np.abs(wb) ** 2) / (2.0 * fam.u * fam.v)
+    return np.stack([x.real, -x.imag, rhs])
+
+
+def _pattern_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
+    """Rows and rhs (stacked on axis 0) of every outcome, each shaped like p: (m, L, pivot sign, tail).
+
+    wa, wb are (m, L, h): <W_w|childA>, <W_w|childB> for every tail pattern w.
+    """
+    a = fam.ca[:, None, :, None] * wa[:, :, None, :]
+    b = fam.cb[:, None, :, None] * wb[:, :, None, :]
+    x = np.conj(a) * b
+    out = np.stack([2.0 * x.real, -2.0 * x.imag, p - np.abs(a) ** 2 - np.abs(b) ** 2])
+    c = wa.shape[2] - 1  # all-minus tail
+    out[:, :, :, 0, c] = _canonical_rows(wa[:, :, c], wb[:, :, c], p[:, :, 0, c], fam)
+    return out
+
+
+def _normal_equations(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
+    """Gram entries g11, g12, g22 and right sides b1, b2 of every block's phase system, shape (5, L).
+
+    blocks is (L, 2, h): the two children of each block.  p holds the
+    outcome probabilities per family basis: (m, L, 2, h) with extra rows,
+    else the canonical outcome's (m, L).
+    """
+    L, _, h = blocks.shape
+    k = h.bit_length() - 1
+    m = len(fam.u)
+    if extra:
+        w = _rotate_low(blocks, k, fam.u_dagger).reshape(m, L, 2, h)
+        rows = _pattern_rows(w[:, :, 0], w[:, :, 1], p, fam)
+    else:
+        w = blocks.reshape(1, -1)
+        for _ in range(k):
+            t = w.reshape(w.shape[0], -1, 2)
+            w = fam.minus_bra[:, 0, None] * t[:, :, 0] + fam.minus_bra[:, 1, None] * t[:, :, 1]
+        w = np.broadcast_to(w, (m, w.shape[1])).reshape(m, L, 2)
+        rows = _canonical_rows(w[:, :, 0], w[:, :, 1], p, fam)
+    rows = rows.reshape(3, m, L, -1)
+    gram = np.einsum("imlk,jmlk->ijl", rows[:2], rows)
+    return np.stack([gram[0, 0], gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]])
+
+
+# Relative rounding error of the Gram-based condition number and of the
+# normal-equation solution, per unit cond^2.
+_GRAM_ERR = 64 * np.finfo(np.float64).eps
+# Thresholds above this enter the batch's cond cut as this value; blocks with
+# cond between the cut and a larger threshold take the per-block path.
+_CUT_CAP = 1e6
+# Least-squares radii below this are left to the per-block path.
+_RADIUS_FLAG = 1e-6
+# Rows whose squared norm is below this share of |childA|^2 |childB|^2 are
+# rounding residue of cancelling overlaps, not phase information.
+_ROW_FLOOR = 1e-20
+
+
+def _solve_normal(g: np.ndarray, scale: np.ndarray, cond_threshold: float) -> tuple:
+    """Batched closed-form 2x2 solve: (cond, cos, sin, flagged) per block.
+
+    scale is |childA|^2 |childB|^2 per block.  A block is flagged, and its
+    entries left for the per-block path, unless it is clearly a plain
+    least-squares case: rows above rounding level, condition number below the
+    threshold and solution away from the origin by more than their rounding
+    error, so solve_phase would take the same branch on the same data.
+    """
+    g11, g12, g22, b1, b2 = g
+    half = 0.5 * (g11 + g22)
+    disc = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
+    hi, lo = half + disc, half - disc
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = np.where((lo > 0.0) & (hi > 0.0), np.sqrt(hi / lo), np.inf)
+        det = g11 * g22 - g12 * g12
+        x = (g22 * b1 - g12 * b2) / det
+        y = (g11 * b2 - g12 * b1) / det
+        r = np.hypot(x, y)
+        t = min(cond_threshold, _CUT_CAP)
+        cut = t / (1.0 + 1e-6 + _GRAM_ERR * t * t)
+        clean = (cond <= cut) & (det > 0.0) & np.isfinite(det) & np.isfinite(r) & (g11 + g22 >= _ROW_FLOOR * scale)
+        clean &= r >= np.maximum(_RADIUS_FLAG, _GRAM_ERR * cond * cond)
+        return cond, x / r, y / r, ~clean
+
+
 def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions) -> tuple[PureState, Diagnostics]:
     """Estimate the n-qubit state from one record per required basis.
 
@@ -365,6 +476,12 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     Blocks with a null child produce no system (the surviving child embeds
     with phase 0).  The estimate is renormalized and global-phase normalized;
     the whole procedure is deterministic.
+
+    Each level is one batched pass over all its live blocks: rows, Gram
+    entries, condition numbers and 2x2 solves for every block at once.  A
+    block the batch cannot settle as plain least squares (see _solve_normal)
+    is rebuilt by build_system and solved by solve_phase, which then decide
+    its fallback, default phase or AmbiguityError.
     """
     family = opts.resolved_family()
     by_id = _records_by_id(records, n)
@@ -385,35 +502,49 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
 
     diag = Diagnostics(n=n)
     work = amplitudes_from_counts(comp, n, opts.null_threshold).astype(np.complex128)
+    extra = opts.mode == "local" and opts.use_extra_rows
+    fam = _FamilyArrays(family[: opts.m])
     for j in range(1, n + 1):
         half = 1 << (j - 1)
+        view = work.reshape(-1, 2, half)
+        live = view.any(axis=2).all(axis=1)
+        diag.null_branches.extend((j, beta) for beta in np.flatnonzero(~live).tolist())
+        betas = np.flatnonzero(live)
+        if betas.size == 0:
+            continue
         if opts.mode == "local":
             level_ids = [needed[a][j - 1] for a in range(1, opts.m + 1)]
+            p = np.stack([emp[str(id)] for id in level_ids]).reshape(opts.m, -1, 2, half)[:, betas]
+            if not extra:
+                p = p[:, :, 0, half - 1]
         else:
             level_ids = [needed[a][0] for a in range(1, opts.m + 1)]
-        for beta in range(1 << (n - j)):
-            lo = beta << j
-            a_amps = work[lo : lo + half]
-            b_amps = work[lo + half : lo + 2 * half]
-            null_a = not a_amps.any()
-            null_b = not b_amps.any()
-            if null_a or null_b:
-                diag.null_branches.append((j, beta))
-                continue
-            childA = ReducedState(j=j - 1, beta=2 * beta, amps=a_amps, is_null=False)
-            childB = ReducedState(j=j - 1, beta=2 * beta + 1, amps=b_amps, is_null=False)
+            off = (1 << n) - (1 << (n - j + 1))
+            p = np.stack([emp[str(id)] for id in level_ids])[:, off + betas]
+        blocks = view[betas]
+        sq = (blocks.real**2 + blocks.imag**2).sum(axis=2)
+        g = _normal_equations(blocks, p, fam, extra)
+        cond, cos_d, sin_d, flagged = _solve_normal(g, sq[:, 0] * sq[:, 1], opts.cond_threshold)
+        ok = ~flagged
+        view[betas[ok], 1] *= (cos_d[ok] + 1j * sin_d[ok])[:, None]
+        for i in np.flatnonzero(flagged).tolist():
+            beta = int(betas[i])
+            childA = ReducedState(j=j - 1, beta=2 * beta, amps=view[beta, 0], is_null=False)
+            childB = ReducedState(j=j - 1, beta=2 * beta + 1, amps=view[beta, 1], is_null=False)
             equations = []
             for id in level_ids:
                 equations.extend(_system_equations(id, emp[str(id)], j, beta, n, opts.use_extra_rows))
             sys = build_system(j, beta, childA, childB, equations, family)
-            diag.conds[(j, beta)] = sys.cond
-            cos_d, sin_d, flags = solve_phase(sys, opts)
-            diag.phases[(j, beta)] = (cos_d, sin_d)
+            cos_i, sin_i, flags = solve_phase(sys, opts)
+            cond[i], cos_d[i], sin_d[i] = sys.cond, cos_i, sin_i
             if flags.fallback:
                 diag.fallbacks.append((j, beta))
             if flags.default_phase:
                 diag.default_phases.append((j, beta))
-            b_amps *= cos_d + 1j * sin_d
+            view[beta, 1] *= cos_i + 1j * sin_i
+        keys = [(j, beta) for beta in betas.tolist()]
+        diag.conds.update(zip(keys, cond.tolist()))
+        diag.phases.update(zip(keys, zip(cos_d.tolist(), sin_d.tolist())))
     norm = float(np.linalg.norm(work))
     if norm == 0.0:
         raise ValueError("all amplitudes clamped to zero; nothing to reconstruct")

@@ -169,15 +169,11 @@ def global_phase_normalize(state: PureState) -> PureState:
     return PureState(n=state.n, amps=_freeze(amps * (abs(pivot) / pivot)))
 
 
-def _sig17(x: float) -> float:
-    # round-trips exactly for float64; keeps emitted text at 17 significant digits
-    return float(f"{x:.17g}")
-
-
 def state_to_dict(state: PureState) -> dict:
+    # float repr round-trips float64 exactly (17 significant digits at most)
     return {
         "n": state.n,
-        "amps": [[_sig17(z.real), _sig17(z.imag)] for z in state.amps],
+        "amps": [[re, im] for re, im in zip(state.amps.real.tolist(), state.amps.imag.tolist())],
     }
 
 

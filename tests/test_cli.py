@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import purestate
-from purestate import load_state, named_state, read_counts
+from purestate import ReconstructionOptions, bootstrap_ci, load_state, named_state, read_counts
 from purestate.cli import cli_main, parse_n_range, read_config
 
 
@@ -252,6 +252,26 @@ class TestBootstrap:
         assert toks[0] == "fidelity" and toks[2] == "ci16" and toks[4] == "ci84"
         point, lo, hi = float(toks[1]), float(toks[3]), float(toks[5])
         assert lo <= point <= hi
+
+    def test_extra_rows_flag_bands_the_reconstruct_estimator(self, tmp_path, capsys):
+        counts, state = tmp_path / "c.json", tmp_path / "s.json"
+        run_cli("simulate", "--state", "haar", "--n", "3", "--shots", "512", "--seed", "7",
+                "--out", str(counts), "--save-state", str(state))
+        assert run_cli("reconstruct", "--in", str(counts), "--use-extra-rows", "--target", str(state)) == 0
+        plug_in = fidelity_from(capsys.readouterr().out)
+        bands = {}
+        for flags in ((), ("--use-extra-rows",)):
+            assert run_cli("bootstrap", "--in", str(counts), "--target", str(state), "--resamples", "100", *flags) == 0
+            toks = capsys.readouterr().out.split()
+            bands[flags] = (float(toks[1]), float(toks[3]), float(toks[5]))
+        data = read_counts(counts)
+        opts = ReconstructionOptions(mode="local", m=2, family=tuple(data.family), use_extra_rows=True)
+        want = bootstrap_ci(data.records, 3, opts, load_state(state), 100, 0)
+        point, lo, hi = bands[("--use-extra-rows",)]
+        assert (point, lo, hi) == pytest.approx(want, abs=1e-11)
+        # canonical rows alone collapse on this record; the flag's band sits by the plug-in value
+        assert bands[()][0] < 0.5 < lo
+        assert abs(point - plug_in) < 0.01
 
     def test_zero_shot_file_is_data_error(self, tmp_path, capsys):
         counts = tmp_path / "c.json"

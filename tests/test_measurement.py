@@ -254,6 +254,26 @@ class TestCountsIO:
         for ra, rb in zip(back.records, data.records):
             assert np.array_equal(ra.counts, rb.counts)
 
+    def test_json_text_matches_a_plain_reference(self):
+        # the emitted text is pinned: nonzero outcomes only, ascending, as bitstring -> int
+        data = random_counts_data(4, "local", 3, 40, seed=92)
+        want = {
+            "n": 4,
+            "family": [{"u": qb.u, "v": qb.v, "phi": qb.phi} for qb in data.family],
+            "records": [
+                {
+                    "basis": {"tag": r.basis.tag, "a": r.basis.a, "b": r.basis.b} if r.basis.tag == "local"
+                    else {"tag": "computational"},
+                    "shots": 40,
+                    "counts": {format(k, "04b"): int(c) for k, c in enumerate(list(r.counts)) if c != 0},
+                }
+                for r in data.records
+            ],
+        }
+        assert json.dumps(counts_data_to_dict(data), indent=1) == json.dumps(want, indent=1)
+        rec = CountsRecord(basis=COMPUTATIONAL, shots=6, counts=np.array([0, 5, 0, 1]))
+        assert json.dumps(counts_to_dict(rec, 2)) == '{"basis": {"tag": "computational"}, "shots": 6, "counts": {"01": 5, "11": 1}}'
+
     def test_omitted_outcomes_read_as_zero(self):
         rec = counts_from_dict({"basis": {"tag": "computational"}, "shots": 10, "counts": {"00": 10}}, 2)
         assert np.array_equal(rec.counts, [10, 0, 0, 0])

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import purestate.reconstruction as reconstruction
 from purestate import (
     COMPUTATIONAL,
     AmbiguityError,
@@ -24,16 +27,19 @@ from purestate import (
     fidelity,
     haar_random,
     local_id,
+    make_qubit_basis,
     make_reduced,
     make_state,
     merge_children,
     named_state,
     outcome_role,
     phase_ls,
+    random_separable,
     reconstruct,
     reconstruct_from_probs,
     reduced_slice,
     role_state,
+    seeded_rng,
     simulate_counts,
     solve_phase,
     to_empirical,
@@ -50,9 +56,10 @@ def exact_tables(state, mode, m):
     return [born_probs(state, id, fam) for id in ids]
 
 
-def sampled_records(state, mode, m, shots, seed):
+def sampled_records(state, mode, m, shots, seed, family=None, noise_lambda=0.0):
     ids = estimation_basis_ids(state.n, m, mode)
-    return simulate_counts(state, ids, default_family(m), shots, seed=seed).records
+    family = default_family(m) if family is None else family
+    return simulate_counts(state, ids, family, shots, seed=seed, noise_lambda=noise_lambda).records
 
 
 def make_system(rows, rhs, cond=None):
@@ -556,3 +563,195 @@ class TestOptionsValidation:
         fam = opts.resolved_family()
         assert len(fam) == 3
         assert fam[1].phi == pytest.approx(np.pi / 3, abs=1e-15)
+
+
+def reference_reconstruct(records, n, opts):
+    """The per-block estimator: one build_system + solve_phase per non-null block, in (j, beta) order.
+
+    reconstruct must agree with it: same null / fallback / default-phase
+    lists, same systems, and the same amplitudes up to rounding.
+    """
+    family = opts.resolved_family()
+    emp = {str(rec.basis): to_empirical(rec) for rec in records}
+    work = amplitudes_from_counts(next(r for r in records if r.basis == COMPUTATIONAL), n, opts.null_threshold)
+    work = work.astype(np.complex128)
+    diag = Diagnostics(n=n)
+    for j in range(1, n + 1):
+        half = 1 << (j - 1)
+        for beta in range(1 << (n - j)):
+            lo = beta << j
+            if not work[lo : lo + half].any() or not work[lo + half : lo + 2 * half].any():
+                diag.null_branches.append((j, beta))
+                continue
+            equations = []
+            for a in range(1, opts.m + 1):
+                if opts.mode == "local":
+                    id = local_id(a, j)
+                    ks = range(lo, lo + 2 * half) if opts.use_extra_rows else [lo + half - 1]
+                else:
+                    id = entangled_id(a)
+                    ks = [(1 << n) - (1 << (n - j + 1)) + beta]
+                equations += [(outcome_role(id, k, n), float(emp[str(id)][k])) for k in ks]
+            childA = make_reduced(j - 1, 2 * beta, work[lo : lo + half])
+            childB = make_reduced(j - 1, 2 * beta + 1, work[lo + half : lo + 2 * half])
+            sys = build_system(j, beta, childA, childB, equations, family)
+            cos_d, sin_d, flags = solve_phase(sys, opts)
+            diag.conds[(j, beta)] = sys.cond
+            diag.phases[(j, beta)] = (cos_d, sin_d)
+            if flags.fallback:
+                diag.fallbacks.append((j, beta))
+            if flags.default_phase:
+                diag.default_phases.append((j, beta))
+            work[lo + half : lo + 2 * half] *= cos_d + 1j * sin_d
+    work /= np.linalg.norm(work)
+    idx = np.flatnonzero(np.abs(work) > 1e-10)[0]
+    return work * (abs(work[idx]) / work[idx]), diag
+
+
+def assert_matches_reference(records, n, opts, amp_tol):
+    est, diag = reconstruct(records, n, opts)
+    ref_amps, ref = reference_reconstruct(records, n, opts)
+    assert diag.null_branches == ref.null_branches
+    assert diag.fallbacks == ref.fallbacks
+    assert diag.default_phases == ref.default_phases
+    assert list(diag.conds) == list(ref.conds)
+    assert list(diag.phases) == list(ref.phases)
+    for key, want in ref.conds.items():
+        got = diag.conds[key]
+        assert type(got) is float
+        # a Gram-based condition number carries a relative rounding error of about eps * cond^2
+        big = max(got, want)
+        assert got == want or abs(got - want) <= (1e-8 + 64 * np.finfo(float).eps * big**2) * big, (key, got, want)
+    for cos_d, sin_d in diag.phases.values():
+        assert type(cos_d) is float and type(sin_d) is float
+    assert np.max(np.abs(est.amps - ref_amps)) <= amp_tol
+    return diag
+
+
+UNBALANCED = (
+    make_qubit_basis(0.6, 0.8, 0.4),
+    make_qubit_basis(0.8, 0.6, 2.0),
+    make_qubit_basis(np.sqrt(0.3), np.sqrt(0.7), 4.1),
+)
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_haar_exact_and_sampled(self, n, mode, m, extra):
+        st = haar_random(n, seed=1000 + 10 * n + m)
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
+        exact = [exact_record(t) for t in exact_tables(st, mode, m)]
+        assert_matches_reference(exact, n, opts, 1e-12)
+        assert_matches_reference(sampled_records(st, mode, m, 2048, seed=n + m), n, opts, 1e-9)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unbalanced_family_keeps_canonical_scaling(self, n, extra):
+        # u != v makes the canonical rows' 1/(2uv) weight visible in conds and solutions
+        st = haar_random(n, seed=1100 + n)
+        opts = ReconstructionOptions(mode="local", m=3, family=UNBALANCED, use_extra_rows=extra)
+        exact = [exact_record(born_probs(st, id, list(UNBALANCED))) for id in estimation_basis_ids(n, 3, "local")]
+        assert_matches_reference(exact, n, opts, 1e-12)
+        records = sampled_records(st, "local", 3, 1024, seed=n, family=list(UNBALANCED))
+        assert_matches_reference(records, n, opts, 1e-9)
+
+    @pytest.mark.parametrize("kind", ["Phi1", "Phi2", "Phi3", "Phi4", "separable"])
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    def test_structured_states_through_the_flagged_path(self, kind, mode):
+        flagged = 0
+        for n in (4, 5, 6):
+            st = random_separable(n, seed=n) if kind == "separable" else named_state(kind, n)
+            for extra in (False, True):
+                opts = ReconstructionOptions(mode=mode, m=2, use_extra_rows=extra)
+                exact = [exact_record(t) for t in exact_tables(st, mode, 2)]
+                diag = assert_matches_reference(exact, n, opts, 1e-12)
+                flagged += diag.n_fallbacks + diag.n_default_phases
+                for lam in (0.0, 0.06):
+                    records = sampled_records(st, mode, 2, 1024, seed=n, noise_lambda=lam)
+                    diag = assert_matches_reference(records, n, opts, 1e-9)
+                    flagged += diag.n_fallbacks + diag.n_default_phases
+        if kind in ("Phi3", "Phi4"):
+            assert flagged > 0
+
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, 5.0, 20.0, 1e9, np.inf])
+    def test_fail_policy_raises_at_the_same_block(self, threshold):
+        raised = 0
+        for seed in range(6):
+            st = haar_random(5, seed=1200 + seed)
+            records = sampled_records(st, "local", 2, 1024, seed=seed)
+            opts = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold, ambiguity_policy="fail")
+            try:
+                reference_reconstruct(records, 5, opts)
+            except AmbiguityError as e:
+                with pytest.raises(AmbiguityError) as got:
+                    reconstruct(records, 5, opts)
+                assert (got.value.j, got.value.beta) == (e.j, e.beta)
+                raised += 1
+            else:
+                assert_matches_reference(records, 5, opts, 1e-9)
+        if threshold < 5.0:
+            assert raised > 0
+
+    def test_per_block_path_runs_only_for_flagged_blocks(self, monkeypatch):
+        calls = []
+        build = reconstruction.build_system
+        monkeypatch.setattr(reconstruction, "build_system", lambda *a, **k: calls.append(a[:2]) or build(*a, **k))
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=True)
+        st = haar_random(6, seed=1300)
+        reconstruct_from_probs(exact_tables(st, "local", 2), 6, opts)
+        assert calls == []
+        _, diag = reconstruct_from_probs(exact_tables(named_state("Phi3", 6), "local", 2), 6, opts)
+        assert diag.fallbacks
+        assert calls == sorted(diag.fallbacks + diag.default_phases)
+
+    @pytest.mark.parametrize("threshold", [1e9, 1e12, np.inf])
+    def test_thresholds_above_the_default(self, threshold, monkeypatch):
+        # a large (or infinite) threshold must neither flood the per-block path nor change any result
+        calls = []
+        build = reconstruction.build_system
+        monkeypatch.setattr(reconstruction, "build_system", lambda *a, **k: calls.append(a[:2]) or build(*a, **k))
+        for extra in (False, True):
+            opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=threshold)
+            for seed in range(3):
+                st = haar_random(6, seed=1400 + seed)
+                reconstruct_from_probs(exact_tables(st, "local", 2), 6, opts)
+                reconstruct(sampled_records(st, "local", 2, 2048, seed=seed), 6, opts)
+        assert calls == []
+        for extra in (False, True):
+            opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=threshold)
+            for kind in ("Phi3", "Phi4"):
+                st = named_state(kind, 6)
+                assert_matches_reference([exact_record(t) for t in exact_tables(st, "local", 2)], 6, opts, 1e-12)
+                assert_matches_reference(sampled_records(st, "local", 2, 1024, seed=6, noise_lambda=0.06), 6, opts, 1e-9)
+            st = haar_random(5, seed=1410)
+            assert_matches_reference([exact_record(t) for t in exact_tables(st, "local", 2)], 5, opts, 1e-12)
+
+    def test_no_module_level_caches(self):
+        state = [k for k, v in vars(reconstruction).items() if not k.startswith("__") and isinstance(v, (dict, list, set))]
+        assert state == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 6),
+        shots=hst.integers(1, 20000),
+        m=hst.integers(2, 4),
+        mode=hst.sampled_from(["local", "entangled"]),
+        extra=hst.booleans(),
+    )
+    def test_random_haar_data(self, seed, n, shots, m, mode, extra):
+        st = haar_random(n, seed=seed)
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
+        assert_matches_reference(sampled_records(st, mode, m, shots, seed=seed), n, opts, 1e-9)
+
+
+class TestLargeSystems:
+    def test_exact_recovery_at_sixteen_qubits_with_extra_rows(self):
+        st = haar_random(16, seeded_rng(100000, (16, 0)))
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=True)
+        est, diag = reconstruct_from_probs(exact_tables(st, "local", 2), 16, opts)
+        assert fidelity(st, est) >= 1 - 1e-8
+        assert len(diag.conds) + diag.n_null_branches == (1 << 16) - 1

@@ -231,6 +231,12 @@ class TestSerialization:
         back = state_from_dict(json.loads(json.dumps(state_to_dict(st))))
         assert np.array_equal(back.amps, st.amps)
 
+    def test_json_text_matches_17_digit_reference(self):
+        amps = np.array([np.sqrt(1 / 3), -0.0, 1e-300j, np.sqrt(2 / 3) * np.exp(1j / 3)])
+        for st in (make_state(amps), haar_random(4, seed=34)):
+            want = {"n": st.n, "amps": [[float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")] for z in st.amps]}
+            assert json.dumps(state_to_dict(st)) == json.dumps(want)
+
     def test_file_round_trip(self, tmp_path):
         st = haar_random(2, seed=33)
         path = tmp_path / "state.json"
