@@ -6,102 +6,21 @@ computational counts fix the amplitude magnitudes and each level's relative
 phases come from small least-squares systems.  Includes the measurement
 simulator, the reconstruction algorithm, a Monte Carlo benchmark harness and
 a CLI.
+
+The names below are the documented API (README, "Python API"); everything
+else is reached through its module, e.g. ``purestate.reconstruction.build_system``.
 """
 
-from .states import (
-    PureState,
-    ReducedState,
-    fidelity,
-    global_phase_normalize,
-    haar_random,
-    load_state,
-    make_reduced,
-    make_state,
-    named_state,
-    random_separable,
-    reduced_slice,
-    save_state,
-    state_from_dict,
-    state_to_dict,
-)
-from .bases import (
-    BasisId,
-    COMPUTATIONAL,
-    Gate,
-    OutcomeRole,
-    QubitBasis,
-    apply_gates,
-    basis_id_from_dict,
-    basis_id_to_dict,
-    basis_states,
-    circuit_gates,
-    default_family,
-    emit_circuit,
-    emit_qasm,
-    entangled_id,
-    entangled_index_map,
-    estimation_basis_ids,
-    family_from_dicts,
-    family_to_dicts,
-    local_id,
-    make_qubit_basis,
-    outcome_role,
-    projector,
-    role_state,
-)
-from .measurement import (
-    R_ENTANGLING,
-    R_LOCAL,
-    CountsData,
-    CountsRecord,
-    ProbTable,
-    born_probs,
-    born_probs_naive,
-    compose_lambdas,
-    counts_data_from_dict,
-    counts_data_to_dict,
-    counts_from_dict,
-    counts_to_dict,
-    exact_record,
-    gate_noise_lambda,
-    mix_white_noise,
-    read_counts,
-    sample_counts,
-    seeded_rng,
-    simulate_counts,
-    to_empirical,
-    write_counts,
-)
-from .reconstruction import (
-    AmbiguityError,
-    Diagnostics,
-    PhaseFlags,
-    PhaseSystem,
-    ReconstructionOptions,
-    amplitudes_from_counts,
-    build_system,
-    estimate_to_dict,
-    merge_children,
-    phase_ls,
-    reconstruct,
-    reconstruct_from_probs,
-    solve_phase,
-)
-from .benchmark import (
-    STATE_FAMILIES,
-    BenchConfig,
-    BenchResult,
-    TrialRow,
-    bench_run,
-    bootstrap_ci,
-    make_bench_state,
-    oracle_grid_reconstruct,
-    prep_gate_counts,
-    prep_noise_lambda,
-    read_rows_csv,
-    run_trial,
-    write_rows_csv,
-    write_summary_json,
-)
+from .states import fidelity, haar_random, make_state, named_state
+from .bases import default_family, estimation_basis_ids
+from .measurement import read_counts, simulate_counts, write_counts
+from .reconstruction import AmbiguityError, ReconstructionOptions, reconstruct
+from .benchmark import BenchConfig, bench_run, bootstrap_ci
+
+__all__ = [
+    "AmbiguityError", "BenchConfig", "ReconstructionOptions", "bench_run", "bootstrap_ci",
+    "default_family", "estimation_basis_ids", "fidelity", "haar_random", "make_state",
+    "named_state", "read_counts", "reconstruct", "simulate_counts", "write_counts",
+]
 
 __version__ = "0.1.0"

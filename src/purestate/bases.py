@@ -24,12 +24,14 @@ For entangled bases outcomes are listed level-block by level-block
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .states import PureState, _freeze
+from .states import PureState, _freeze, _require_int
 
 BASIS_NORM_TOL = 1e-12
 
@@ -101,7 +103,9 @@ class OutcomeRole:
 
 
 def make_qubit_basis(u: float, v: float, phi: float) -> QubitBasis:
-    """Validated basis constructor; rejects the computational basis (u*v = 0)."""
+    """Validated basis constructor; rejects the computational basis (u*v = 0) and non-finite input."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) for x in (u, v, phi)):
+        raise ValueError(f"u, v and phi must be finite real numbers, got {(u, v, phi)!r}")
     u, v, phi = float(u), float(v), float(phi)
     if u < 0 or v < 0:
         raise ValueError("u and v must be non-negative")
@@ -160,9 +164,9 @@ def basis_id_from_dict(obj: dict) -> BasisId:
     if tag == "computational":
         return COMPUTATIONAL
     if tag == "local":
-        return local_id(int(obj["a"]), int(obj["b"]))
+        return local_id(_require_int(obj["a"], "a"), _require_int(obj["b"], "b"))
     if tag == "entangled":
-        return entangled_id(int(obj["a"]))
+        return entangled_id(_require_int(obj["a"], "a"))
     raise ValueError(f"unknown basis tag {tag!r}")
 
 
@@ -334,23 +338,35 @@ def emit_qasm(id: BasisId, n: int, family: list[QubitBasis]) -> str:
     return "\n".join(lines)
 
 
+def rotate_qubit(amps: np.ndarray, q: int, M: np.ndarray) -> np.ndarray:
+    """Apply the r x 2 matrix M to qubit q of amplitude arrays; the one place U_a^dagger is applied.
+
+    amps is (..., N) and M is (..., r, 2), with broadcastable leading axes
+    (one matrix per family basis, say).  r = 2 rotates the qubit (M = U_a^dagger);
+    r = 1 applies one row, such as <-_a|, and contracts the qubit away.  The
+    result is (..., N r / 2) in the same index order.
+    """
+    t = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << q))
+    # out[..., :, r, :] = M[..., r, 0] t[..., :, 0, :] + M[..., r, 1] t[..., :, 1, :]
+    out = M[..., None, :, 0, None] * t[..., :, 0, None, :] + M[..., None, :, 1, None] * t[..., :, 1, None, :]
+    return out.reshape(out.shape[:-3] + (-1,))
+
+
 def apply_gates(amps: np.ndarray, n: int, gates: list[Gate]) -> np.ndarray:
     """Apply a gate list to an amplitude vector (used to realize basis measurements)."""
     out = np.array(amps, dtype=np.complex128)
+    if out.shape != (1 << n,):
+        raise ValueError(f"amplitude vector of shape {out.shape} does not hold n={n} qubits")
     for g in gates:
-        M = g.matrix()
         k = g.target
-        if g.controls and tuple(g.controls) != tuple(range(k)):
-            raise ValueError("only controls on all qubits below the target are supported")
-        t = out.reshape(1 << (n - k - 1), 2, 1 << k)
         if not g.controls:
-            out = np.einsum("ij,ajb->aib", M, t).reshape(-1)
-        else:
-            # fires only where the low k bits are all 1
-            sub = t[:, :, (1 << k) - 1]
-            t = t.copy()
-            t[:, :, (1 << k) - 1] = sub @ M.T
-            out = t.reshape(-1)
+            out = rotate_qubit(out, k, g.matrix())
+            continue
+        if tuple(g.controls) != tuple(range(k)):
+            raise ValueError("only controls on all qubits below the target are supported")
+        # fires only where the low k bits are all 1; the target is qubit 0 of that slice
+        t = out.reshape(-1, 1 << k)
+        t[:, -1] = rotate_qubit(t[:, -1], 0, g.matrix())
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from .reconstruction import ReconstructionOptions, reconstruct
 from .states import (
     PureState,
     _freeze,
+    _require_int,
     fidelity,
     global_phase_normalize,
     haar_random,
@@ -67,8 +69,13 @@ class BenchConfig:
         object.__setattr__(self, "n_range", tuple(int(n) for n in self.n_range))
         if not self.n_range:
             raise ValueError("n_range must be non-empty")
-        if self.trials < 1 or self.shots < 1:
+        if _require_int(self.trials, "trials") < 1 or _require_int(self.shots, "shots") < 1:
             raise ValueError("trials and shots must be >= 1")
+        if _require_int(self.m, "m") < 2:
+            raise ValueError(f"m={self.m}: the basis family needs at least 2 bases")
+        lam = self.noise_lambda
+        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam <= 1.0):
+            raise ValueError(f"noise_lambda must be a number in [0, 1], got {lam!r}")
         if self.state_family not in STATE_FAMILIES:
             raise ValueError(f"unknown state family {self.state_family!r}")
         if self.mode not in ("local", "entangled"):

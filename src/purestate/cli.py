@@ -22,6 +22,7 @@ from .bases import (
     local_id,
 )
 from .benchmark import (
+    STATE_FAMILIES,
     BenchConfig,
     bench_run,
     bootstrap_ci,
@@ -33,7 +34,8 @@ from .measurement import read_counts, seeded_rng, simulate_counts, write_counts
 from .reconstruction import ReconstructionOptions, estimate_to_dict, reconstruct
 from .states import fidelity, load_state, save_state
 
-STATE_CHOICES = ("haar", "separable", "ghz", "phi1", "phi2", "phi3", "phi4")
+# keys of a bench config file: the bench flags, with --noise-lambda spelled noise_lambda
+CONFIG_KEYS = ("n", "m", "mode", "shots", "trials", "state", "seed", "noise_lambda")
 
 
 class UsageError(Exception):
@@ -77,7 +79,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sim = sub.add_parser("simulate", help="sample measurement counts from a known state")
-    sim.add_argument("--state", default="haar", help=f"one of {'/'.join(STATE_CHOICES)} or a state JSON file")
+    sim.add_argument("--state", default="haar", help=f"one of {'/'.join(STATE_FAMILIES)} or a state JSON file")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--mode", choices=("local", "entangled"), default="local")
     sim.add_argument("--m", type=int, default=2)
@@ -107,7 +109,7 @@ def build_parser() -> _Parser:
     ben.add_argument("--mode", choices=("local", "entangled"))
     ben.add_argument("--shots", type=int)
     ben.add_argument("--trials", type=int)
-    ben.add_argument("--state", help=f"one of {'/'.join(STATE_CHOICES)}")
+    ben.add_argument("--state", help=f"one of {'/'.join(STATE_FAMILIES)}")
     ben.add_argument("--seed", type=int)
     ben.add_argument("--noise-lambda", type=float)
     ben.add_argument("--csv", help="per-trial results CSV path")
@@ -136,7 +138,7 @@ def build_parser() -> _Parser:
 
 
 def _load_target(spec: str, n: int):
-    if spec.lower() in STATE_CHOICES:
+    if spec.lower() in STATE_FAMILIES:
         if spec.lower() in ("haar", "separable"):
             raise UsageError("target must be a deterministic named state or a state JSON file")
         return make_bench_state(spec, n, None)
@@ -164,9 +166,9 @@ def _infer_mode_m(data, mode, m):
 
 
 def cmd_simulate(args) -> int:
-    if args.state.lower() not in STATE_CHOICES and not os.path.exists(args.state):
+    if args.state.lower() not in STATE_FAMILIES and not os.path.exists(args.state):
         raise UsageError(f"state {args.state!r} is neither a named family nor an existing file")
-    if args.state.lower() in STATE_CHOICES:
+    if args.state.lower() in STATE_FAMILIES:
         rng = seeded_rng(args.seed, (args.n, 0))
         state = make_bench_state(args.state, args.n, rng)
     else:
@@ -216,6 +218,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = {} if args.config is None else read_config(args.config)
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; allowed: {', '.join(CONFIG_KEYS)}")
 
     def pick(flag, key, cast, fallback):
         if flag is not None:

@@ -31,7 +31,7 @@ from .bases import (
     family_from_dicts,
     family_to_dicts,
 )
-from .states import PureState
+from .states import PureState, _require_int
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -178,7 +178,7 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
 
 def counts_from_dict(obj: dict, n: int) -> CountsRecord:
     basis = basis_id_from_dict(obj["basis"])
-    shots = int(obj["shots"])
+    shots = _require_int(obj["shots"], "shots")
     if shots <= 0:
         raise ValueError(f"record for basis {basis} has non-positive shots {shots}")
     vec = np.zeros(1 << n, dtype=np.int64)
@@ -186,9 +186,8 @@ def counts_from_dict(obj: dict, n: int) -> CountsRecord:
     for key, c in obj["counts"].items():
         if len(key) != n or set(key) - {"0", "1"}:
             raise ValueError(f"bad outcome bitstring {key!r} for n={n}")
-        c = int(c)
-        if c < 0:
-            raise ValueError(f"negative count {c} for outcome {key!r}")
+        if type(c) is not int or c < 0:
+            raise ValueError(f"count {c!r} for outcome {key!r} is not a non-negative integer")
         k = int(key, 2)
         if vec[k]:
             raise ValueError(f"duplicate outcome {key!r}")
@@ -208,7 +207,7 @@ def counts_data_to_dict(data: CountsData) -> dict:
 
 
 def counts_data_from_dict(obj: dict) -> CountsData:
-    n = int(obj["n"])
+    n = _require_int(obj["n"], "n")
     if n < 1:
         raise ValueError(f"bad system size n={n}")
     family = family_from_dicts(obj["family"])

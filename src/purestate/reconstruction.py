@@ -39,9 +39,10 @@ from .bases import (
     entangled_id,
     local_id,
     outcome_role,
+    rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
-from .states import PureState, ReducedState, _freeze, global_phase_normalize, make_reduced
+from .states import PureState, ReducedState, _freeze, global_phase_normalize
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
@@ -308,19 +309,6 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple[float, f
     return float(best[0]), float(best[1]), PhaseFlags(fallback=True, clamped=clamped)
 
 
-def merge_children(childA: ReducedState, childB: ReducedState, cos_d: float, sin_d: float) -> ReducedState:
-    """Parent block [childA; e^{i delta} childB]; a null child embeds the other with delta = 0."""
-    if childA.j != childB.j:
-        raise ValueError(f"cannot merge levels {childA.j} and {childB.j}")
-    if childA.beta % 2 != 0 or childB.beta != childA.beta + 1:
-        raise ValueError(f"blocks {childA.beta} and {childB.beta} are not siblings")
-    if childA.is_null or childB.is_null:
-        amps = np.concatenate([childA.amps, childB.amps])
-    else:
-        amps = np.concatenate([childA.amps, (cos_d + 1j * sin_d) * childB.amps])
-    return make_reduced(childA.j + 1, childA.beta // 2, amps)
-
-
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
     dim = 1 << n
     by_id = {}
@@ -360,24 +348,9 @@ class _FamilyArrays:
         self.v = np.array([qb.v for qb in family])[:, None]
         self.e = np.exp(-1j * np.array([qb.phi for qb in family]))[:, None]
         self.u_dagger = np.array([qb.unitary().conj().T for qb in family])
-        self.minus_bra = np.array([np.conj(qb.minus_ket()) for qb in family])
         # A = ca <W|childA>, B = cb <W|childB> for pivot sign + (column 0) and - (column 1)
         self.ca = np.hstack([self.u, self.v])
         self.cb = np.hstack([self.v * self.e, -self.u * self.e])
-
-
-def _rotate_low(blocks: np.ndarray, k: int, M: np.ndarray) -> np.ndarray:
-    """Apply M[a] to each of the low k qubits of a contiguous amplitude array, for every a.
-
-    blocks has N entries; the result is (len(M), N) in the same index order.
-    """
-    out = blocks.reshape(1, -1)
-    for q in range(k):
-        t = out.reshape(out.shape[0], -1, 2, 1 << q)
-        out = np.empty((len(M), t.shape[1], 2, 1 << q), dtype=np.complex128)
-        for r in range(2):
-            out[:, :, r] = M[:, r, 0, None, None] * t[:, :, 0] + M[:, r, 1, None, None] * t[:, :, 1]
-    return np.broadcast_to(out.reshape(-1, blocks.size), (len(M), blocks.size))
 
 
 def _canonical_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
@@ -412,18 +385,18 @@ def _normal_equations(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, ext
     else the canonical outcome's (m, L).
     """
     L, _, h = blocks.shape
-    k = h.bit_length() - 1
     m = len(fam.u)
+    # U_a^dagger on each of the low k qubits gives <W_w|child> for every tail pattern w;
+    # its <-_a| row alone contracts the tail to the canonical <-_a|^{x k}
+    M = fam.u_dagger if extra else fam.u_dagger[:, 1:]
+    w = blocks.reshape(1, -1)
+    for q in range(h.bit_length() - 1):
+        w = rotate_qubit(w, q if extra else 0, M)
+    w = np.broadcast_to(w, (m, w.shape[1])).reshape(m, L, 2, -1)
     if extra:
-        w = _rotate_low(blocks, k, fam.u_dagger).reshape(m, L, 2, h)
         rows = _pattern_rows(w[:, :, 0], w[:, :, 1], p, fam)
     else:
-        w = blocks.reshape(1, -1)
-        for _ in range(k):
-            t = w.reshape(w.shape[0], -1, 2)
-            w = fam.minus_bra[:, 0, None] * t[:, :, 0] + fam.minus_bra[:, 1, None] * t[:, :, 1]
-        w = np.broadcast_to(w, (m, w.shape[1])).reshape(m, L, 2)
-        rows = _canonical_rows(w[:, :, 0], w[:, :, 1], p, fam)
+        rows = _canonical_rows(w[:, :, 0, 0], w[:, :, 1, 0], p, fam)
     rows = rows.reshape(3, m, L, -1)
     gram = np.einsum("imlk,jmlk->ijl", rows[:2], rows)
     return np.stack([gram[0, 0], gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]])

@@ -63,6 +63,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_int(value, what: str) -> int:
+    """value as an int; booleans, floats and strings are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_reduced(j: int, beta: int, amps: np.ndarray) -> ReducedState:
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != (1 << j,):
@@ -73,13 +80,15 @@ def make_reduced(j: int, beta: int, amps: np.ndarray) -> ReducedState:
 def make_state(amps) -> PureState:
     """Validate and normalize an amplitude vector into a PureState.
 
-    The length must be a power of two >= 2 and the input norm must already
-    be within 1e-6 of 1; it is then renormalized exactly.
+    The length must be a power of two >= 2, every entry finite, and the input
+    norm already within 1e-6 of 1; it is then renormalized exactly.
     """
     amps = np.asarray(amps, dtype=np.complex128).ravel()
     d = amps.size
     if d < 2 or (d & (d - 1)) != 0:
         raise ValueError(f"amplitude vector length {d} is not a power of two >= 2")
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitude vector has non-finite entries")
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise ValueError("zero amplitude vector")
@@ -178,11 +187,20 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def state_from_dict(obj: dict) -> PureState:
-    n = int(obj["n"])
-    amps = np.array([complex(re, im) for re, im in obj["amps"]])
-    if amps.size != 1 << n:
-        raise ValueError(f"state dict claims n={n} but has {amps.size} amplitudes")
-    return make_state(amps)
+    n = _require_int(obj["n"], "n")
+    pairs = obj["amps"]
+    if not (
+        isinstance(pairs, list)
+        and all(type(p) is list and len(p) == 2 for p in pairs)
+        and {type(x) for p in pairs for x in p} <= {int, float}
+    ):
+        raise ValueError("amps must be a list of [re, im] pairs of numbers")
+    if len(pairs) != 1 << n:
+        raise ValueError(f"state dict claims n={n} but has {len(pairs)} amplitudes")
+    amps = np.array(pairs, dtype=np.float64).view(np.complex128).ravel()
+    state = make_state(amps)
+    # make_state's renormalization can move the last bit, so unit-norm input is kept as written
+    return PureState(n=n, amps=_freeze(amps)) if abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL else state
 
 
 def save_state(state: PureState, path) -> None:

@@ -8,26 +8,18 @@ underlying benchmark seeds are fixed, so reruns are bit-reproducible.
 import numpy as np
 import pytest
 
-from purestate import (
-    BenchConfig,
-    PhaseSystem,
-    ReconstructionOptions,
-    bench_run,
+from purestate.states import fidelity, haar_random
+from purestate.bases import default_family, estimation_basis_ids
+from purestate.measurement import (
     born_probs,
-    default_family,
-    estimation_basis_ids,
     exact_record,
-    fidelity,
-    haar_random,
-    oracle_grid_reconstruct,
-    prep_noise_lambda,
     read_counts,
-    reconstruct,
     seeded_rng,
     simulate_counts,
-    solve_phase,
     write_counts,
 )
+from purestate.reconstruction import PhaseSystem, ReconstructionOptions, reconstruct, solve_phase
+from purestate.benchmark import BenchConfig, bench_run, oracle_grid_reconstruct, prep_noise_lambda
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from purestate import (
+from purestate.bases import (
     COMPUTATIONAL,
+    Gate,
     apply_gates,
     basis_id_from_dict,
     basis_id_to_dict,
@@ -23,8 +24,8 @@ from purestate import (
     outcome_role,
     projector,
     role_state,
+    rotate_qubit,
 )
-from purestate.bases import Gate
 
 
 def random_basis(seed):
@@ -71,6 +72,12 @@ class TestMakeQubitBasis:
             make_qubit_basis(-0.6, 0.8, 0.0)
         with pytest.raises(ValueError):
             make_qubit_basis(0.6, 0.7, 0.0)
+
+    def test_rejects_non_finite_or_non_numeric(self):
+        s = 1 / np.sqrt(2)
+        for args in ((0.6, 0.8, np.inf), (0.6, 0.8, np.nan), (np.nan, s, 0.0), (s, s, "0"), (s, s, True)):
+            with pytest.raises(ValueError):
+                make_qubit_basis(*args)
 
     def test_phase_is_wrapped(self):
         qb = make_qubit_basis(0.6, 0.8, 2 * np.pi + 0.5)
@@ -324,6 +331,38 @@ class TestCircuits:
         bad = Gate("u_dagger", (1,), 0, qb)
         with pytest.raises(ValueError):
             apply_gates(np.zeros(8, dtype=np.complex128), 3, [bad])
+
+    def test_apply_gates_rejects_a_vector_of_another_size(self):
+        gates = circuit_gates(local_id(1, 1), 2, default_family(2))
+        for size in (2, 8):
+            with pytest.raises(ValueError):
+                apply_gates(np.zeros(size, dtype=np.complex128), 2, gates)
+
+
+class TestRotateQubit:
+    """rotate_qubit against the dense operator I (x) M (x) I, with qubit 0 least significant."""
+
+    def test_matches_the_dense_operator_for_each_basis(self):
+        rng = np.random.default_rng(5)
+        fam = [random_basis(s) for s in (1, 2, 3)]
+        u_dagger = np.array([qb.unitary().conj().T for qb in fam])
+        n = 4
+        amps = rng.normal(size=(len(fam), 1 << n)) + 1j * rng.normal(size=(len(fam), 1 << n))
+        for q in range(n):
+            for M in (u_dagger, u_dagger[:, 1:]):
+                out = rotate_qubit(amps, q, M)
+                for a in range(len(fam)):
+                    dense = np.kron(np.kron(np.eye(1 << (n - q - 1)), M[a]), np.eye(1 << q))
+                    assert np.allclose(out[a], dense @ amps[a], atol=1e-13)
+
+    def test_one_array_broadcasts_over_the_family(self):
+        fam = default_family(3)
+        u_dagger = np.array([qb.unitary().conj().T for qb in fam])
+        amps = np.arange(8, dtype=np.complex128)
+        out = rotate_qubit(amps[None, :], 1, u_dagger)
+        assert out.shape == (3, 8)
+        for a in range(3):
+            assert np.array_equal(out[a], rotate_qubit(amps, 1, u_dagger[a]))
 
 
 class TestQasm:

@@ -7,28 +7,20 @@ import time
 import numpy as np
 import pytest
 
-from purestate import (
+from purestate.states import fidelity, haar_random, make_state, named_state
+from purestate.bases import default_family, estimation_basis_ids
+from purestate.measurement import born_probs, exact_record, seeded_rng, simulate_counts
+from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.benchmark import (
     BenchConfig,
-    ReconstructionOptions,
     bench_run,
     bootstrap_ci,
-    born_probs,
-    default_family,
-    estimation_basis_ids,
-    exact_record,
-    fidelity,
-    haar_random,
     make_bench_state,
-    make_state,
-    named_state,
     oracle_grid_reconstruct,
     prep_gate_counts,
     prep_noise_lambda,
     read_rows_csv,
-    reconstruct,
     run_trial,
-    seeded_rng,
-    simulate_counts,
     write_rows_csv,
     write_summary_json,
 )
@@ -50,6 +42,24 @@ class TestBenchConfig:
             BenchConfig(n_range=(2,), state_family="w")
         with pytest.raises(ValueError):
             BenchConfig(n_range=(2,), mode="both")
+
+    def test_family_needs_two_bases(self):
+        for m in (1, 0, -2):
+            with pytest.raises(ValueError, match="at least 2 bases"):
+                BenchConfig(n_range=(2,), m=m)
+
+    def test_noise_lambda_must_be_a_weight(self):
+        for lam in (float("nan"), float("inf"), -0.1, 1.5, True, "0.1"):
+            with pytest.raises(ValueError, match="noise_lambda"):
+                BenchConfig(n_range=(2,), noise_lambda=lam)
+        for lam in (None, 0.0, 0.25, 1.0):
+            assert BenchConfig(n_range=(2,), noise_lambda=lam).noise_lambda == lam
+
+    def test_shots_and_trials_must_be_integers(self):
+        for field in ("shots", "trials", "m"):
+            for bad in (True, 8.0, "8"):
+                with pytest.raises(ValueError, match=field):
+                    BenchConfig(n_range=(2,), **{field: bad})
 
 
 class TestMakeBenchState:

@@ -16,8 +16,11 @@ import numpy as np
 import pytest
 
 import purestate
-from purestate import ReconstructionOptions, bootstrap_ci, load_state, named_state, read_counts
-from purestate.cli import cli_main, parse_n_range, read_config
+from purestate.states import load_state, named_state
+from purestate.measurement import read_counts
+from purestate.reconstruction import ReconstructionOptions
+from purestate.benchmark import bootstrap_ci
+from purestate.cli import CONFIG_KEYS, cli_main, parse_n_range, read_config
 
 
 def run_cli(*argv):
@@ -198,6 +201,14 @@ class TestBench:
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("trials 3\n")
         assert run_cli("bench", "--config", str(cfg)) == 2
+
+    def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n = 2\ntrails = 2\n")
+        assert run_cli("bench", "--config", str(cfg), "--trials", "1") == 2
+        err = capsys.readouterr().err
+        assert "trails" in err
+        assert all(key in err for key in CONFIG_KEYS)
 
     def test_read_config_parses_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "x.cfg"

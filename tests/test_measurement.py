@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats
 
-from purestate import (
-    COMPUTATIONAL,
+from purestate.states import haar_random, make_state, state_from_dict, state_to_dict
+from purestate.bases import COMPUTATIONAL, default_family, entangled_id, estimation_basis_ids, local_id
+from purestate.measurement import (
     CountsData,
     CountsRecord,
     ProbTable,
@@ -18,14 +21,8 @@ from purestate import (
     counts_data_to_dict,
     counts_from_dict,
     counts_to_dict,
-    default_family,
-    entangled_id,
-    estimation_basis_ids,
     exact_record,
     gate_noise_lambda,
-    haar_random,
-    local_id,
-    make_state,
     mix_white_noise,
     read_counts,
     sample_counts,
@@ -333,3 +330,86 @@ class TestCountsIO:
                 assert str(ra.basis) == str(rb.basis)
                 assert ra.shots == rb.shots
                 assert np.array_equal(ra.counts, rb.counts)
+
+
+class TestCountsJsonTypes:
+    """Counts, shots and n must be JSON integers: nothing is coerced by int()."""
+
+    def test_non_integer_counts_rejected(self):
+        # 1.7 used to be stored as 1, which with shots = 1 passed the sum check
+        for bad in (1.7, 1.0, True, "1", None):
+            with pytest.raises(ValueError):
+                counts_from_dict({"basis": {"tag": "computational"}, "shots": 1, "counts": {"00": bad}}, 2)
+
+    def test_non_integer_shots_rejected(self):
+        for bad in (1.0, True, "1"):
+            with pytest.raises(ValueError):
+                counts_from_dict({"basis": {"tag": "computational"}, "shots": bad, "counts": {"00": 1}}, 2)
+
+    def test_non_integer_system_size_rejected(self):
+        obj = counts_data_to_dict(random_counts_data(2, "local", 2, 32, seed=93))
+        for bad in (2.0, True, "2"):
+            obj["n"] = bad
+            with pytest.raises(ValueError):
+                counts_data_from_dict(obj)
+
+
+# JSON values that are not integers: every one must be rejected where an integer belongs
+NOT_AN_INT = hst.one_of(hst.booleans(), hst.floats(allow_nan=True), hst.text(max_size=3), hst.none())
+# ...and where an amplitude component belongs, along with non-finite floats
+NOT_A_COMPONENT = hst.one_of(hst.booleans(), hst.sampled_from([np.nan, np.inf, -np.inf]), hst.text(max_size=3), hst.none())
+
+
+class TestJsonProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=hst.integers(1, 4), mode=hst.sampled_from(["local", "entangled"]), shots=hst.integers(1, 5000), seed=hst.integers(0, 2**32 - 1))
+    def test_counts_round_trip_is_exact(self, n, mode, shots, seed):
+        data = random_counts_data(n, mode, 2, shots, seed)
+        back = counts_data_from_dict(json.loads(json.dumps(counts_data_to_dict(data))))
+        assert back.n == data.n and back.family == data.family
+        for ra, rb in zip(back.records, data.records, strict=True):
+            assert (ra.basis, ra.shots) == (rb.basis, rb.shots)
+            assert np.array_equal(ra.counts, rb.counts)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=hst.data(), n=hst.integers(1, 3), seed=hst.integers(0, 2**32 - 1))
+    def test_mutated_counts_rejected(self, case, n, seed):
+        obj = json.loads(json.dumps(counts_data_to_dict(random_counts_data(n, "local", 2, 64, seed))))
+        rec = obj["records"][case.draw(hst.integers(1, len(obj["records"]) - 1))]
+        where = case.draw(hst.sampled_from(["n", "shots", "count", "a", "b", "sum"]))
+        if where == "n":
+            obj["n"] = case.draw(NOT_AN_INT)
+        elif where in ("a", "b"):
+            rec["basis"][where] = case.draw(NOT_AN_INT)
+        else:
+            key = case.draw(hst.sampled_from(sorted(rec["counts"])))
+            if where == "shots":
+                rec["shots"] = case.draw(NOT_AN_INT)
+            elif where == "count":
+                rec["counts"][key] = case.draw(NOT_AN_INT)
+            else:
+                rec["counts"][key] += case.draw(hst.integers(-rec["counts"][key], 64).filter(bool))
+        with pytest.raises(ValueError):
+            counts_data_from_dict(obj)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=hst.integers(1, 6), seed=hst.integers(0, 2**32 - 1))
+    def test_state_round_trip_is_exact(self, n, seed):
+        st = haar_random(n, seed=seed)
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(st))))
+        assert back.n == n and np.array_equal(back.amps, st.amps)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=hst.data(), n=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    def test_mutated_state_rejected(self, case, n, seed):
+        obj = json.loads(json.dumps(state_to_dict(haar_random(n, seed=seed))))
+        i = case.draw(hst.integers(0, (1 << n) - 1))
+        where = case.draw(hst.sampled_from(["n", "component", "pair"]))
+        if where == "n":
+            obj["n"] = case.draw(NOT_AN_INT)
+        elif where == "component":
+            obj["amps"][i][case.draw(hst.integers(0, 1))] = case.draw(NOT_A_COMPONENT)
+        else:
+            obj["amps"][i] = case.draw(hst.sampled_from([obj["amps"][i][:1], obj["amps"][i] + [0.0], obj["amps"][i][0]]))
+        with pytest.raises(ValueError):
+            state_from_dict(obj)

@@ -8,41 +8,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import purestate.reconstruction as reconstruction
-from purestate import (
-    COMPUTATIONAL,
-    AmbiguityError,
-    CountsRecord,
-    Diagnostics,
-    PhaseSystem,
-    ProbTable,
-    ReconstructionOptions,
-    amplitudes_from_counts,
-    born_probs,
-    build_system,
-    default_family,
-    entangled_id,
-    estimate_to_dict,
-    estimation_basis_ids,
-    exact_record,
+from purestate.states import (
     fidelity,
     haar_random,
-    local_id,
-    make_qubit_basis,
     make_reduced,
     make_state,
-    merge_children,
     named_state,
-    outcome_role,
-    phase_ls,
     random_separable,
-    reconstruct,
-    reconstruct_from_probs,
     reduced_slice,
+)
+from purestate.bases import (
+    COMPUTATIONAL,
+    default_family,
+    entangled_id,
+    estimation_basis_ids,
+    local_id,
+    make_qubit_basis,
+    outcome_role,
     role_state,
+)
+from purestate.measurement import (
+    CountsRecord,
+    ProbTable,
+    born_probs,
+    exact_record,
     seeded_rng,
     simulate_counts,
-    solve_phase,
     to_empirical,
+)
+from purestate.reconstruction import (
+    AmbiguityError,
+    Diagnostics,
+    PhaseSystem,
+    ReconstructionOptions,
+    amplitudes_from_counts,
+    build_system,
+    estimate_to_dict,
+    phase_ls,
+    reconstruct,
+    reconstruct_from_probs,
+    solve_phase,
 )
 
 
@@ -321,36 +326,6 @@ class TestSolvePhase:
             assert abs(np.hypot(cos_d, sin_d) - 1.0) <= 1e-12
 
 
-class TestMergeChildren:
-    def test_null_child_embeds_with_zero_phase(self):
-        parent = merge_children(make_reduced(0, 0, [1.0]), make_reduced(0, 1, [0.0]), 0.3, 0.9)
-        assert np.array_equal(parent.amps, [1.0, 0.0])
-        assert parent.j == 1 and parent.beta == 0
-
-    def test_phase_lands_on_the_second_block(self):
-        parent = merge_children(make_reduced(0, 2, [0.6]), make_reduced(0, 3, [0.8]), 0.0, 1.0)
-        assert np.allclose(parent.amps, [0.6, 0.8j], atol=1e-15)
-        assert parent.beta == 1
-
-    def test_rebuilds_true_slices_with_zero_phase(self):
-        st = haar_random(3, seed=47)
-        for j, beta in ((1, 0), (2, 1), (3, 0)):
-            left = reduced_slice(st, j - 1, 2 * beta) if j > 1 else make_reduced(0, 2 * beta, st.amps[[2 * beta]])
-            right = reduced_slice(st, j - 1, 2 * beta + 1) if j > 1 else make_reduced(0, 2 * beta + 1, st.amps[[2 * beta + 1]])
-            merged = merge_children(left, right, 1.0, 0.0)
-            want = reduced_slice(st, j, beta)
-            assert np.array_equal(merged.amps, want.amps)
-
-    def test_sibling_validation(self):
-        a = make_reduced(1, 0, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            merge_children(a, make_reduced(2, 1, [1.0, 0.0, 0.0, 0.0]), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            merge_children(a, make_reduced(1, 2, [1.0, 0.0]), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            merge_children(make_reduced(1, 1, [1.0, 0.0]), make_reduced(1, 2, [1.0, 0.0]), 1.0, 0.0)
-
-
 class TestReconstructExactStatistics:
     def test_local_mode_recovers_haar_states(self):
         for n in (2, 3, 4):
@@ -384,6 +359,14 @@ class TestReconstructExactStatistics:
         assert sorted(diag.null_branches) == [(1, 0), (1, 1)]
         assert list(diag.conds) == [(2, 0)]
         assert len(diag.conds) + diag.n_null_branches == (1 << 2) - 1
+
+    def test_null_child_embeds_with_zero_phase(self):
+        # level 2: childA = (0, 0) is null, so childB enters the estimate as solved at level 1
+        st = make_state([0.0, 0.0, 0.6, 0.8j])
+        est, diag = reconstruct_from_probs(exact_tables(st, "local", 2), 2, ReconstructionOptions(mode="local", m=2))
+        assert np.allclose(est.amps, st.amps, atol=1e-12)
+        assert diag.null_branches == [(1, 0), (2, 0)]
+        assert list(diag.phases) == [(1, 1)]
 
     def test_reconstruct_from_probs_equals_exact_records(self):
         st = haar_random(3, seed=88)

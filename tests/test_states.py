@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from purestate import (
+from purestate.states import (
     PureState,
     fidelity,
     global_phase_normalize,
@@ -50,6 +50,11 @@ class TestMakeState:
     def test_rejects_badly_normalized_vector(self):
         with pytest.raises(ValueError):
             make_state([0.5, 0.0])
+
+    def test_rejects_non_finite_entries(self):
+        for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+            with pytest.raises(ValueError):
+                make_state(bad)
 
     def test_amplitudes_are_frozen(self):
         st = make_state([1.0, 0.0])
@@ -248,3 +253,25 @@ class TestSerialization:
         obj["n"] = 3
         with pytest.raises(ValueError):
             state_from_dict(obj)
+
+    def test_ill_typed_or_non_finite_dict_rejected(self):
+        for mutate in (
+            lambda o: o.update(n=True),
+            lambda o: o.update(n=2.0),
+            lambda o: o.update(n="2"),
+            lambda o: o["amps"][1].__setitem__(0, "0.5"),
+            lambda o: o["amps"][1].__setitem__(0, True),
+            lambda o: o["amps"][1].__setitem__(1, float("nan")),
+            lambda o: o["amps"][2].append(0.0),
+            lambda o: o["amps"].__setitem__(3, 0.5),
+        ):
+            obj = json.loads(json.dumps(state_to_dict(haar_random(2, seed=1))))
+            mutate(obj)
+            with pytest.raises(ValueError):
+                state_from_dict(obj)
+
+    def test_json_nan_is_rejected_on_load(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"n": 1, "amps": [[NaN, 0.0], [1.0, 0.0]]}')
+        with pytest.raises(ValueError):
+            load_state(path)
