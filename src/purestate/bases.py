@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .states import PureState, _freeze, _require_int
+from .states import PureState, _freeze, _require_int, _require_json
 
 BASIS_NORM_TOL = 1e-12
 
@@ -134,7 +134,8 @@ def family_to_dicts(family: list[QubitBasis]) -> list[dict]:
 
 
 def family_from_dicts(objs: list[dict]) -> list[QubitBasis]:
-    return [make_qubit_basis(o["u"], o["v"], o["phi"]) for o in objs]
+    family = [_require_json(o, dict, "family entry") for o in _require_json(objs, list, "family")]
+    return [make_qubit_basis(o["u"], o["v"], o["phi"]) for o in family]
 
 
 def _check_id(id: BasisId, n: int, m: int) -> None:
@@ -160,7 +161,7 @@ def basis_id_to_dict(id: BasisId) -> dict:
 
 
 def basis_id_from_dict(obj: dict) -> BasisId:
-    tag = obj["tag"]
+    tag = _require_json(obj, dict, "basis")["tag"]
     if tag == "computational":
         return COMPUTATIONAL
     if tag == "local":
@@ -267,12 +268,10 @@ def entangled_index_map(n: int) -> np.ndarray:
     all-minus state on 2^n - 1; the map is a permutation.
     """
     perm = np.empty(1 << n, dtype=np.int64)
-    pos = 0
     for j in range(1, n + 1):
-        for beta in range(1 << (n - j)):
-            perm[pos] = (beta << j) + (1 << (j - 1)) - 1
-            pos += 1
-    perm[pos] = (1 << n) - 1
+        off = _entangled_block_offset(n, j)
+        perm[off : off + (1 << (n - j))] = (np.arange(1 << (n - j), dtype=np.int64) << j) + (1 << (j - 1)) - 1
+    perm[-1] = (1 << n) - 1
     return perm
 
 

@@ -203,7 +203,7 @@ def cmd_reconstruct(args) -> int:
     print(
         f"reconstructed n={data.n} ({mode}, m={m}): "
         f"{len(diag.conds)} systems, {diag.n_null_branches} null branches, "
-        f"{diag.n_fallbacks} fallbacks, cond_max={diag.cond_max:.6g}"
+        f"{diag.n_fallbacks} fallbacks, {diag.n_default_phases} default phases, cond_max={diag.cond_max:.6g}"
     )
     if args.target:
         target = _load_target(args.target, data.n)

@@ -31,7 +31,7 @@ from .bases import (
     family_from_dicts,
     family_to_dicts,
 )
-from .states import PureState, _require_int
+from .states import PureState, _require_int, _require_json
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -177,13 +177,13 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
 
 
 def counts_from_dict(obj: dict, n: int) -> CountsRecord:
-    basis = basis_id_from_dict(obj["basis"])
+    basis = basis_id_from_dict(_require_json(obj, dict, "record")["basis"])
     shots = _require_int(obj["shots"], "shots")
     if shots <= 0:
         raise ValueError(f"record for basis {basis} has non-positive shots {shots}")
     vec = np.zeros(1 << n, dtype=np.int64)
     total = 0
-    for key, c in obj["counts"].items():
+    for key, c in _require_json(obj["counts"], dict, "counts").items():
         if len(key) != n or set(key) - {"0", "1"}:
             raise ValueError(f"bad outcome bitstring {key!r} for n={n}")
         if type(c) is not int or c < 0:
@@ -207,11 +207,11 @@ def counts_data_to_dict(data: CountsData) -> dict:
 
 
 def counts_data_from_dict(obj: dict) -> CountsData:
-    n = _require_int(obj["n"], "n")
+    n = _require_int(_require_json(obj, dict, "counts data")["n"], "n")
     if n < 1:
         raise ValueError(f"bad system size n={n}")
     family = family_from_dicts(obj["family"])
-    records = [counts_from_dict(r, n) for r in obj["records"]]
+    records = [counts_from_dict(r, n) for r in _require_json(obj["records"], list, "records")]
     seen = set()
     for rec in records:
         key = str(rec.basis)

@@ -32,17 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import (
-    BasisId,
-    OutcomeRole,
     QubitBasis,
+    _entangled_block_offset,
     default_family,
-    entangled_id,
-    local_id,
-    outcome_role,
+    estimation_basis_ids,
     rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
-from .states import PureState, ReducedState, _freeze, global_phase_normalize
+from .states import PureState, _freeze, global_phase_normalize, state_to_dict
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
@@ -155,7 +152,12 @@ class Diagnostics:
 
     def to_dict(self) -> dict:
         cond = {f"{j},{beta}": (v if np.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
-        return {"cond": cond, "fallbacks": self.n_fallbacks, "null_branches": self.n_null_branches}
+        return {
+            "cond": cond,
+            "fallbacks": self.n_fallbacks,
+            "null_branches": self.n_null_branches,
+            "default_phases": self.n_default_phases,
+        }
 
 
 def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = None) -> np.ndarray:
@@ -171,91 +173,98 @@ def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = N
     return np.sqrt(p)
 
 
-def _tail_state(qb: QubitBasis, tail: tuple) -> np.ndarray:
-    """Tensor product of |+_a>/|-_a> kets over the tail signs (qubits j-2 .. 0); scalar 1 for level 1."""
+def _tail_state(qb: QubitBasis, bits: int, k: int) -> np.ndarray:
+    """Tensor product of |+_a>/|-_a> kets over tail qubits k-1 .. 0 (a set bit means -); scalar 1 for k = 0."""
     w = np.ones(1, dtype=np.complex128)
-    for s in tail:
-        w = np.kron(w, qb.plus_ket() if s == 1 else qb.minus_ket())
+    for q in range(k - 1, -1, -1):
+        w = np.kron(w, qb.minus_ket() if (bits >> q) & 1 else qb.plus_ket())
     return w
 
 
-def _gram_cond(rows: np.ndarray) -> float:
-    """Singular-value ratio of a k x 2 real matrix via its 2x2 Gram spectrum."""
-    g11 = float(rows[:, 0] @ rows[:, 0])
-    g12 = float(rows[:, 0] @ rows[:, 1])
-    g22 = float(rows[:, 1] @ rows[:, 1])
+def _normal_entries(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Gram entries g11, g12, g22 and right sides b1, b2 of one k x 2 system."""
+    c0, c1 = rows[:, 0], rows[:, 1]
+    return np.array([c0 @ c0, c0 @ c1, c1 @ c1, c0 @ rhs, c1 @ rhs])
+
+
+def _normal_solution(g) -> tuple:
+    """Elementwise (cond, det, x, y) of normal equations (g11, g12, g22, b1, b2); cond is inf at rank < 2."""
+    g11, g12, g22, b1, b2 = g
     half = 0.5 * (g11 + g22)
     disc = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
     hi, lo = half + disc, half - disc
-    if lo <= 0.0 or hi <= 0.0:
-        return np.inf
-    return float(np.sqrt(hi / lo))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = np.where((lo <= 0.0) | (hi <= 0.0), np.inf, np.sqrt(hi / lo))
+        det = g11 * g22 - g12 * g12
+        return cond, det, (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
 
 
 def build_system(
     j: int,
     beta: int,
-    childA: ReducedState,
-    childB: ReducedState,
-    equations: list,
+    childA: np.ndarray,
+    childB: np.ndarray,
+    probs: np.ndarray,
     family: list[QubitBasis],
 ) -> PhaseSystem:
-    """Assemble the phase system for block (j, beta) from (role, probability) pairs.
+    """Assemble the phase system for block (j, beta) from its slice of the level's probabilities.
 
-    The canonical role (pivot +, all-minus tail) yields
+    childA and childB hold the block's two halves, 2^(j-1) amplitudes each.
+    probs is (m, 2, 2^(j-1)), every outcome of family bases 1..m indexed by
+    pivot-sign bit and tail bits (a set bit means -), or (m,), the canonical
+    outcome only.  Rows run basis by basis, then in outcome order.
+
+    The canonical outcome (pivot +, all-minus tail) yields
         X = e^{-i phi_a} <childA|W><W|childB>,   W = |-_a>^{x(j-1)},
         row = (Re X, -Im X),  rhs = (P - u^2|<W|childA>|^2 - v^2|<W|childB>|^2) / (2uv).
     Any other sign pattern yields the unscaled form
         A = <s0|0><W_w|childA>,  B = <s0|1><W_w|childB>,  X = conj(A) B,
         row = (2 Re X, -2 Im X),  rhs = P - |A|^2 - |B|^2.
     """
-    if childA.is_null or childB.is_null:
+    half = 1 << (j - 1)
+    childA = np.asarray(childA, dtype=np.complex128)
+    childB = np.asarray(childB, dtype=np.complex128)
+    if childA.shape != (half,) or childB.shape != (half,):
+        raise ValueError(f"children of block (j={j}, beta={beta}) need {half} amplitudes each")
+    if not (childA.any() and childB.any()):
         raise ValueError(f"phase system (j={j}, beta={beta}) requires non-null children")
-    if childA.j != j - 1 or childB.j != j - 1:
-        raise ValueError("children must sit one level below the system")
-    if childA.beta != 2 * beta or childB.beta != 2 * beta + 1:
-        raise ValueError(f"children ({childA.beta}, {childB.beta}) do not merge into block {beta}")
-    if not equations:
-        raise ValueError("phase system needs at least one equation")
-    rows = np.empty((len(equations), 2))
-    rhs = np.empty(len(equations))
-    for i, (role, prob) in enumerate(equations):
-        if role.j != j or role.beta != beta:
-            raise ValueError(f"role {role} does not belong to system (j={j}, beta={beta})")
-        if not 1 <= role.a <= len(family):
-            raise ValueError(f"role basis index {role.a} outside family of size {len(family)}")
-        qb = family[role.a - 1]
-        w = _tail_state(qb, role.tail)
-        wa = complex(np.vdot(w, childA.amps))
-        wb = complex(np.vdot(w, childB.amps))
-        if role.is_canonical:
+    probs = np.asarray(probs, dtype=np.float64)
+    m = probs.shape[0] if probs.ndim else 0
+    if m == 0 or probs.shape not in ((m,), (m, 2, half)):
+        raise ValueError(f"probabilities of shape {probs.shape} fit neither (m,) nor (m, 2, {half})")
+    if m > len(family):
+        raise ValueError(f"probabilities for {m} bases, but the family has {len(family)}")
+    width = probs.size // m
+    rows = np.empty((probs.size, 2))
+    rhs = np.empty(probs.size)
+    for i, prob in enumerate(probs.ravel().tolist()):
+        qb = family[i // width]
+        sign_bit, tail = divmod(i % width, half) if probs.ndim == 3 else (0, half - 1)
+        w = _tail_state(qb, tail, j - 1)
+        wa = complex(np.vdot(w, childA))
+        wb = complex(np.vdot(w, childB))
+        if sign_bit == 0 and tail == half - 1:
             x = np.exp(-1j * qb.phi) * np.conj(wa) * wb
             rows[i] = (x.real, -x.imag)
             rhs[i] = (prob - qb.u**2 * abs(wa) ** 2 - qb.v**2 * abs(wb) ** 2) / (2.0 * qb.u * qb.v)
         else:
-            ca = qb.u if role.sign0 == 1 else qb.v
-            cb = (qb.v if role.sign0 == 1 else -qb.u) * np.exp(-1j * qb.phi)
+            ca = qb.u if sign_bit == 0 else qb.v
+            cb = (qb.v if sign_bit == 0 else -qb.u) * np.exp(-1j * qb.phi)
             a = ca * wa
             b = cb * wb
             x = np.conj(a) * b
             rows[i] = (2.0 * x.real, -2.0 * x.imag)
             rhs[i] = prob - abs(a) ** 2 - abs(b) ** 2
-    return PhaseSystem(j=j, beta=beta, rows=rows, rhs=rhs, cond=_gram_cond(rows))
+    return PhaseSystem(j=j, beta=beta, rows=rows, rhs=rhs, cond=float(_normal_solution(_normal_entries(rows, rhs))[0]))
 
 
 def phase_ls(sys: PhaseSystem) -> np.ndarray:
     """Unconstrained least-squares solution of the system (2x2 normal equations)."""
-    rows, rhs = sys.rows, sys.rhs
-    g11 = float(rows[:, 0] @ rows[:, 0])
-    g12 = float(rows[:, 0] @ rows[:, 1])
-    g22 = float(rows[:, 1] @ rows[:, 1])
-    b1 = float(rows[:, 0] @ rhs)
-    b2 = float(rows[:, 1] @ rhs)
-    det = g11 * g22 - g12 * g12
+    _, det, x, y = _normal_solution(_normal_entries(sys.rows, sys.rhs))
     if det <= 0.0 or not np.isfinite(det):
-        sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(sys.rows, sys.rhs, rcond=None)
         return sol
-    return np.array([(g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det])
+    return np.array([x, y])
 
 
 def _circle_candidates(row: np.ndarray, d: float) -> tuple[list, bool]:
@@ -317,27 +326,6 @@ def _records_by_id(records: list[CountsRecord], n: int) -> dict:
             raise ValueError(f"record {rec.basis} has {np.asarray(rec.counts).size} outcomes, expected {dim} for n={n}")
         by_id[str(rec.basis)] = rec
     return by_id
-
-
-def _system_equations(
-    id: BasisId,
-    emp: np.ndarray,
-    j: int,
-    beta: int,
-    n: int,
-    use_extra_rows: bool,
-) -> list:
-    """(role, probability) pairs this basis record contributes to system (j, beta)."""
-    if id.tag == "local":
-        base = beta << j
-        if use_extra_rows:
-            ks = range(base, base + (1 << j))
-        else:
-            ks = [base + (1 << (j - 1)) - 1]
-        return [(outcome_role(id, k, n), float(emp[k])) for k in ks]
-    off = (1 << n) - (1 << (n - j + 1))
-    k = off + beta
-    return [(outcome_role(id, k, n), float(emp[k]))]
 
 
 class _FamilyArrays:
@@ -424,19 +412,12 @@ def _solve_normal(g: np.ndarray, scale: np.ndarray, cond_threshold: float) -> tu
     threshold and solution away from the origin by more than their rounding
     error, so solve_phase would take the same branch on the same data.
     """
-    g11, g12, g22, b1, b2 = g
-    half = 0.5 * (g11 + g22)
-    disc = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
-    hi, lo = half + disc, half - disc
+    cond, det, x, y = _normal_solution(g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = np.where((lo > 0.0) & (hi > 0.0), np.sqrt(hi / lo), np.inf)
-        det = g11 * g22 - g12 * g12
-        x = (g22 * b1 - g12 * b2) / det
-        y = (g11 * b2 - g12 * b1) / det
         r = np.hypot(x, y)
         t = min(cond_threshold, _CUT_CAP)
         cut = t / (1.0 + 1e-6 + _GRAM_ERR * t * t)
-        clean = (cond <= cut) & (det > 0.0) & np.isfinite(det) & np.isfinite(r) & (g11 + g22 >= _ROW_FLOOR * scale)
+        clean = (cond <= cut) & (det > 0.0) & np.isfinite(det) & np.isfinite(r) & (g[0] + g[2] >= _ROW_FLOOR * scale)
         clean &= r >= np.maximum(_RADIUS_FLAG, _GRAM_ERR * cond * cond)
         return cond, x / r, y / r, ~clean
 
@@ -453,25 +434,21 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     Each level is one batched pass over all its live blocks: rows, Gram
     entries, condition numbers and 2x2 solves for every block at once.  A
     block the batch cannot settle as plain least squares (see _solve_normal)
-    is rebuilt by build_system and solved by solve_phase, which then decide
-    its fallback, default phase or AmbiguityError.
+    is rebuilt by build_system from its slice of the level's probabilities
+    and solved by solve_phase, which then decide its fallback, default phase
+    or AmbiguityError.
     """
     family = opts.resolved_family()
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
     if comp is None:
         raise ValueError("computational-basis record is required")
-    if opts.mode == "local":
-        needed = {a: [local_id(a, b) for b in range(1, n + 1)] for a in range(1, opts.m + 1)}
-    else:
-        needed = {a: [entangled_id(a)] for a in range(1, opts.m + 1)}
-    emp = {}
-    for ids in needed.values():
-        for id in ids:
-            rec = by_id.get(str(id))
-            if rec is None:
-                raise ValueError(f"missing record for basis {id}")
-            emp[str(id)] = to_empirical(rec)
+    # a-major: local L_ab sits at (a-1)*n + (b-1), entangled E_a at a-1
+    ids = estimation_basis_ids(n, opts.m, opts.mode)[1:]
+    missing = [str(id) for id in ids if str(id) not in by_id]
+    if missing:
+        raise ValueError(f"missing record for basis {missing[0]}")
+    emp = [to_empirical(by_id[str(id)]) for id in ids]
 
     diag = Diagnostics(n=n)
     work = amplitudes_from_counts(comp, n, opts.null_threshold).astype(np.complex128)
@@ -486,14 +463,11 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         if betas.size == 0:
             continue
         if opts.mode == "local":
-            level_ids = [needed[a][j - 1] for a in range(1, opts.m + 1)]
-            p = np.stack([emp[str(id)] for id in level_ids]).reshape(opts.m, -1, 2, half)[:, betas]
+            p = np.stack(emp[j - 1 :: n]).reshape(opts.m, -1, 2, half)[:, betas]
             if not extra:
                 p = p[:, :, 0, half - 1]
         else:
-            level_ids = [needed[a][0] for a in range(1, opts.m + 1)]
-            off = (1 << n) - (1 << (n - j + 1))
-            p = np.stack([emp[str(id)] for id in level_ids])[:, off + betas]
+            p = np.stack(emp)[:, _entangled_block_offset(n, j) + betas]
         blocks = view[betas]
         sq = (blocks.real**2 + blocks.imag**2).sum(axis=2)
         g = _normal_equations(blocks, p, fam, extra)
@@ -502,12 +476,7 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         view[betas[ok], 1] *= (cos_d[ok] + 1j * sin_d[ok])[:, None]
         for i in np.flatnonzero(flagged).tolist():
             beta = int(betas[i])
-            childA = ReducedState(j=j - 1, beta=2 * beta, amps=view[beta, 0], is_null=False)
-            childB = ReducedState(j=j - 1, beta=2 * beta + 1, amps=view[beta, 1], is_null=False)
-            equations = []
-            for id in level_ids:
-                equations.extend(_system_equations(id, emp[str(id)], j, beta, n, opts.use_extra_rows))
-            sys = build_system(j, beta, childA, childB, equations, family)
+            sys = build_system(j, beta, view[beta, 0], view[beta, 1], p[:, i], family)
             cos_i, sin_i, flags = solve_phase(sys, opts)
             cond[i], cos_d[i], sin_d[i] = sys.cond, cos_i, sin_i
             if flags.fallback:
@@ -531,8 +500,6 @@ def reconstruct_from_probs(tables: list[ProbTable], n: int, opts: Reconstruction
 
 
 def estimate_to_dict(state: PureState, diag: Diagnostics) -> dict:
-    from .states import state_to_dict
-
     out = state_to_dict(state)
     out["diagnostics"] = diag.to_dict()
     return out

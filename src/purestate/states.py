@@ -1,4 +1,4 @@
-"""Pure n-qubit states and the reduced-state blocks the estimator works on.
+"""Pure n-qubit states: construction, named benchmark states, fidelity and JSON I/O.
 
 Conventions used across the package:
 
@@ -40,23 +40,6 @@ class PureState:
         return f"PureState(n={self.n})"
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedState:
-    """Non-normalized contiguous block of 2^j amplitudes, labeled (j, beta).
-
-    ``is_null`` is set exactly when every entry is zero; null blocks carry
-    no phase information and are handled specially during reconstruction.
-    """
-
-    j: int
-    beta: int
-    amps: np.ndarray
-    is_null: bool
-
-    def __repr__(self) -> str:
-        return f"ReducedState(j={self.j}, beta={self.beta}, is_null={self.is_null})"
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.complex128)
     a.flags.writeable = False
@@ -70,11 +53,11 @@ def _require_int(value, what: str) -> int:
     return int(value)
 
 
-def make_reduced(j: int, beta: int, amps: np.ndarray) -> ReducedState:
-    amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (1 << j,):
-        raise ValueError(f"reduced state at level {j} needs {1 << j} amplitudes, got {amps.shape}")
-    return ReducedState(j=j, beta=beta, amps=_freeze(amps), is_null=not np.any(amps))
+def _require_json(value, kind: type, what: str):
+    """value itself when it is a JSON object (kind dict) or array (kind list); ValueError otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {type(value).__name__}")
+    return value
 
 
 def make_state(amps) -> PureState:
@@ -154,20 +137,6 @@ def fidelity(a: PureState, b: PureState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def reduced_slice(psi: PureState, j: int, beta: int) -> ReducedState:
-    """Contiguous block of 2^j amplitudes starting at index 2^j * beta.
-
-    reduced_slice(psi, n, 0) is the full state; stacking the two level-(j-1)
-    children of a block reproduces the block itself.
-    """
-    if not 1 <= j <= psi.n:
-        raise ValueError(f"level j={j} out of range for n={psi.n}")
-    if not 0 <= beta < (1 << (psi.n - j)):
-        raise ValueError(f"block index beta={beta} out of range at level j={j}")
-    lo = beta << j
-    return make_reduced(j, beta, psi.amps[lo : lo + (1 << j)])
-
-
 def global_phase_normalize(state: PureState) -> PureState:
     """Rotate the global phase so the first significant amplitude is real positive."""
     amps = state.amps
@@ -187,7 +156,7 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def state_from_dict(obj: dict) -> PureState:
-    n = _require_int(obj["n"], "n")
+    n = _require_int(_require_json(obj, dict, "state")["n"], "n")
     pairs = obj["amps"]
     if not (
         isinstance(pairs, list)

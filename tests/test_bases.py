@@ -261,11 +261,14 @@ class TestOutcomeRole:
 
 class TestEntangledIndexMap:
     def test_is_a_permutation_with_stated_block_images(self):
-        for n in (2, 3, 5):
+        for n in (2, 3, 5, 12):
             perm = entangled_index_map(n)
             assert sorted(perm) == list(range(1 << n))
             assert perm[0] == 0  # j=1, beta=0 -> index 0
             assert perm[-1] == (1 << n) - 1
+            # level-j block states land on 2^j beta + 2^(j-1) - 1
+            roles = [outcome_role(entangled_id(1), k, n) for k in range((1 << n) - 1)]
+            assert perm[:-1].tolist() == [(r.beta << r.j) + (1 << (r.j - 1)) - 1 for r in roles]
 
     def test_circuit_maps_basis_states_onto_the_permutation(self):
         # binding contract between basis ordering, index map, and gate ladder

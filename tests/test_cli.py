@@ -137,6 +137,35 @@ class TestSimulateReconstruct:
         bad.write_text("{not json")
         assert run_cli("reconstruct", "--in", str(bad)) == 2
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda obj: obj["records"][1].update(basis="computational"),
+            lambda obj: obj["records"][1].update(counts=list(obj["records"][1]["counts"].values())),
+            lambda obj: obj["records"].__setitem__(1, "local:1:1"),
+            lambda obj: obj.update(family=[1, 2]),
+            lambda obj: [obj],
+        ],
+        ids=["basis-string", "counts-list", "record-string", "family-ints", "top-level-list"],
+    )
+    def test_malformed_counts_shape_is_data_error(self, tmp_path, capsys, mutate):
+        counts = tmp_path / "c.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        obj = json.loads(counts.read_text())
+        counts.write_text(json.dumps(mutate(obj) or obj))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '"state"', '{"n": 1, "amps": {"0": [1, 0]}}'])
+    def test_malformed_state_shape_is_data_error(self, tmp_path, capsys, text):
+        counts, statef = tmp_path / "c.json", tmp_path / "s.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        statef.write_text(text)
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_unknown_state_name_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--state", "bell", "--n", "2", "--out", str(tmp_path / "x.json")) == 1
 

@@ -375,10 +375,28 @@ class TestJsonProperties:
     @given(case=hst.data(), n=hst.integers(1, 3), seed=hst.integers(0, 2**32 - 1))
     def test_mutated_counts_rejected(self, case, n, seed):
         obj = json.loads(json.dumps(counts_data_to_dict(random_counts_data(n, "local", 2, 64, seed))))
-        rec = obj["records"][case.draw(hst.integers(1, len(obj["records"]) - 1))]
-        where = case.draw(hst.sampled_from(["n", "shots", "count", "a", "b", "sum"]))
+        i = case.draw(hst.integers(1, len(obj["records"]) - 1))
+        rec = obj["records"][i]
+        where = case.draw(hst.sampled_from(["n", "shots", "count", "a", "b", "sum", "container"]))
         if where == "n":
             obj["n"] = case.draw(NOT_AN_INT)
+        elif where == "container":
+            # a JSON value of the wrong kind where an object or array belongs
+            part = case.draw(hst.sampled_from(["top", "family", "family entry", "records", "record", "basis", "counts"]))
+            if part == "top":
+                obj = case.draw(hst.sampled_from([[obj], "counts", 1]))
+            elif part == "family":
+                obj["family"] = obj["family"][0]
+            elif part == "family entry":
+                obj["family"][0] = case.draw(hst.sampled_from([1, "u", [0.5, 0.5, 0.0]]))
+            elif part == "records":
+                obj["records"] = rec
+            elif part == "record":
+                obj["records"][i] = case.draw(hst.sampled_from(["record", 1, [rec]]))
+            elif part == "basis":
+                rec["basis"] = case.draw(hst.sampled_from(["computational", 1, ["local", 1, 1]]))
+            else:
+                rec["counts"] = case.draw(hst.sampled_from([list(rec["counts"].values()), list(rec["counts"]), "0"]))
         elif where in ("a", "b"):
             rec["basis"][where] = case.draw(NOT_AN_INT)
         else:
@@ -404,9 +422,11 @@ class TestJsonProperties:
     def test_mutated_state_rejected(self, case, n, seed):
         obj = json.loads(json.dumps(state_to_dict(haar_random(n, seed=seed))))
         i = case.draw(hst.integers(0, (1 << n) - 1))
-        where = case.draw(hst.sampled_from(["n", "component", "pair"]))
+        where = case.draw(hst.sampled_from(["n", "component", "pair", "top"]))
         if where == "n":
             obj["n"] = case.draw(NOT_AN_INT)
+        elif where == "top":
+            obj = case.draw(hst.sampled_from([[obj], obj["amps"], "state"]))
         elif where == "component":
             obj["amps"][i][case.draw(hst.integers(0, 1))] = case.draw(NOT_A_COMPONENT)
         else:

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import purestate.bases as bases
 import purestate.reconstruction as reconstruction
 from purestate.states import (
     fidelity,
     haar_random,
-    make_reduced,
     make_state,
     named_state,
     random_separable,
-    reduced_slice,
 )
 from purestate.bases import (
     COMPUTATIONAL,
@@ -65,6 +64,22 @@ def sampled_records(state, mode, m, shots, seed, family=None, noise_lambda=0.0):
     ids = estimation_basis_ids(state.n, m, mode)
     family = default_family(m) if family is None else family
     return simulate_counts(state, ids, family, shots, seed=seed, noise_lambda=noise_lambda).records
+
+
+def role_index(role):
+    """Where build_system's probability layout holds an outcome: [a-1, pivot-sign bit, tail bits], a set bit meaning -."""
+    tail = sum(1 << q for q, sign in enumerate(reversed(role.tail)) if sign == -1)
+    return role.a - 1, int(role.sign0 == -1), tail
+
+
+def block_probs(st, j, beta, family):
+    """Every outcome probability of block (j, beta) in the local bases of family, gathered through outcome_role."""
+    probs = np.empty((len(family), 2, 1 << (j - 1)))
+    for a, qb in enumerate(family, start=1):
+        for k in range(beta << j, (beta + 1) << j):
+            role = outcome_role(local_id(a, j), k, st.n)
+            probs[role_index(role)] = abs(np.vdot(role_state(st.n, role, qb).amps, st.amps)) ** 2
+    return probs
 
 
 def make_system(rows, rhs, cond=None):
@@ -120,10 +135,7 @@ class TestBuildSystem:
     def test_unit_children_give_unit_determinant(self):
         # scalar children of modulus 1 turn the m=2 canonical rows into the identity
         fam = default_family(2)
-        childA = make_reduced(0, 0, [1.0])
-        childB = make_reduced(0, 1, [1.0])
-        eqs = [(outcome_role(local_id(a, 1), 0, 1), 0.5) for a in (1, 2)]
-        sys = build_system(1, 0, childA, childB, eqs, fam)
+        sys = build_system(1, 0, [1.0], [1.0], [0.5, 0.5], fam)
         assert np.allclose(sys.rows, np.eye(2), atol=1e-12)
         assert np.isclose(np.linalg.det(sys.rows), 1.0, atol=1e-12)
         assert np.isclose(sys.cond, 1.0, atol=1e-12)
@@ -133,13 +145,8 @@ class TestBuildSystem:
         fam = default_family(2)
         st = make_state([1 / np.sqrt(2), 1j / np.sqrt(2)])
         c = np.abs(st.amps)
-        childA = make_reduced(0, 0, [c[0]])
-        childB = make_reduced(0, 1, [c[1]])
-        eqs = []
-        for a in (1, 2):
-            p = float(born_probs(st, local_id(a, 1), fam).probs[0])
-            eqs.append((outcome_role(local_id(a, 1), 0, 1), p))
-        sys = build_system(1, 0, childA, childB, eqs, fam)
+        probs = [float(born_probs(st, local_id(a, 1), fam).probs[0]) for a in (1, 2)]
+        sys = build_system(1, 0, c[:1], c[1:], probs, fam)
         # |c_0 c_1| = 1/2 scales both rows and right-hand sides
         assert np.allclose(sys.rows, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
         assert np.allclose(sys.rhs, [0.0, 0.5], atol=1e-12)
@@ -154,15 +161,10 @@ class TestBuildSystem:
         fam = default_family(3)
         st = haar_random(3, seed=17)
         for j, beta in ((1, 2), (2, 1), (3, 0)):
-            childA = reduced_slice(st, j - 1, 2 * beta) if j > 1 else make_reduced(0, 2 * beta, st.amps[[2 * beta]])
-            childB = reduced_slice(st, j - 1, 2 * beta + 1) if j > 1 else make_reduced(0, 2 * beta + 1, st.amps[[2 * beta + 1]])
-            eqs = []
-            for a in range(1, 4):
-                for k in range(beta << j, (beta + 1) << j):
-                    role = outcome_role(local_id(a, j), k, 3)
-                    p = abs(np.vdot(role_state(3, role, fam[a - 1]).amps, st.amps)) ** 2
-                    eqs.append((role, p))
-            sys = build_system(j, beta, childA, childB, eqs, fam)
+            lo, half = beta << j, 1 << (j - 1)
+            probs = block_probs(st, j, beta, fam)
+            sys = build_system(j, beta, st.amps[lo : lo + half], st.amps[lo + half : lo + 2 * half], probs, fam)
+            assert sys.rows.shape == (3 << j, 2)
             assert np.allclose(sys.rows @ np.array([1.0, 0.0]), sys.rhs, atol=1e-12)
 
     def test_rows_track_an_injected_relative_phase(self):
@@ -170,30 +172,31 @@ class TestBuildSystem:
         st = haar_random(3, seed=23)
         delta = 2.1
         j, beta = 2, 1
-        childA = reduced_slice(st, 1, 2)
         # rotating the stored child by -delta makes delta the true relative phase
-        childB = make_reduced(1, 3, reduced_slice(st, 1, 3).amps * np.exp(-1j * delta))
-        eqs = []
-        for a in (1, 2):
-            for k in (beta << j, (beta << j) + 1, (beta << j) + 2, (beta << j) + 3):
-                role = outcome_role(local_id(a, j), k, 3)
-                p = abs(np.vdot(role_state(3, role, fam[a - 1]).amps, st.amps)) ** 2
-                eqs.append((role, p))
-        sys = build_system(j, beta, childA, childB, eqs, fam)
+        childB = st.amps[6:8] * np.exp(-1j * delta)
+        sys = build_system(j, beta, st.amps[4:6], childB, block_probs(st, j, beta, fam), fam)
         x = np.array([np.cos(delta), np.sin(delta)])
         assert np.allclose(sys.rows @ x, sys.rhs, atol=1e-12)
         cos_d, sin_d, _ = solve_phase(sys, ReconstructionOptions())
         assert np.isclose(cos_d, np.cos(delta), atol=1e-10)
         assert np.isclose(sin_d, np.sin(delta), atol=1e-10)
 
+    def test_rows_follow_the_outcome_order(self):
+        # the canonical outcome (sign bit 0, tail bits 3) is row 3 of each basis's 8 rows in the full system
+        fam = default_family(2)
+        st = haar_random(3, seed=29)
+        j, beta = 3, 0
+        probs = block_probs(st, j, beta, fam)
+        full = build_system(j, beta, st.amps[:4], st.amps[4:], probs, fam)
+        canon = build_system(j, beta, st.amps[:4], st.amps[4:], probs[:, 0, 3], fam)
+        assert np.array_equal(full.rows[[3, 11]], canon.rows)
+        assert np.array_equal(full.rhs[[3, 11]], canon.rhs)
+
     def test_orthogonal_child_yields_zero_information_row(self):
         # childB proportional to |+_1> is invisible through the all-minus tail
         fam = default_family(2)
         qb = fam[0]
-        childA = make_reduced(1, 0, qb.minus_ket())
-        childB = make_reduced(1, 1, qb.plus_ket())
-        eqs = [(outcome_role(local_id(1, 2), 1, 2), 0.4)]
-        sys = build_system(2, 0, childA, childB, eqs, [qb])
+        sys = build_system(2, 0, qb.minus_ket(), qb.plus_ket(), [0.4], [qb])
         assert np.allclose(sys.rows[0], [0.0, 0.0], atol=1e-15)
         assert sys.cond == np.inf
 
@@ -202,34 +205,26 @@ class TestBuildSystem:
         rng = np.random.default_rng(31)
         for trial in range(10):
             st = haar_random(2, seed=300 + trial)
-            childA = make_reduced(0, 0, st.amps[[0]])
-            childB = make_reduced(0, 1, st.amps[[1]])
-            eqs = []
-            for a in range(1, 4):
-                role = outcome_role(local_id(a, 1), 0, 1)
-                eqs.append((role, float(rng.uniform(0, 1))))
-            sys = build_system(1, 0, childA, childB, eqs, fam)
+            sys = build_system(1, 0, st.amps[:1], st.amps[1:2], rng.uniform(0, 1, size=3), fam)
             s = np.linalg.svd(sys.rows, compute_uv=False)
             assert np.isclose(sys.cond, s[0] / s[1], rtol=1e-9)
 
     def test_validation_errors(self):
         fam = default_family(2)
-        ok_a = make_reduced(0, 0, [1.0])
-        ok_b = make_reduced(0, 1, [1.0])
-        role = outcome_role(local_id(1, 1), 0, 1)
+        one = [1.0]
         with pytest.raises(ValueError):
-            build_system(1, 0, make_reduced(0, 0, [0.0]), ok_b, [(role, 0.5)], fam)
+            build_system(1, 0, [0.0], one, [0.5, 0.5], fam)  # null child
         with pytest.raises(ValueError):
-            build_system(1, 0, make_reduced(1, 0, [1.0, 0.0]), ok_b, [(role, 0.5)], fam)
+            build_system(1, 0, one, [0.0], [0.5, 0.5], fam)
         with pytest.raises(ValueError):
-            build_system(1, 0, ok_a, make_reduced(0, 2, [1.0]), [(role, 0.5)], fam)
+            build_system(1, 0, [1.0, 0.0], one, [0.5, 0.5], fam)  # child of the wrong level
         with pytest.raises(ValueError):
-            build_system(1, 0, ok_a, ok_b, [], fam)
+            build_system(2, 0, [1.0, 0.0], one, [0.5, 0.5], fam)
+        for probs in (np.empty(0), np.empty((2, 2, 2)), np.empty((2, 2)), np.empty((2, 1, 1)), 0.5):
+            with pytest.raises(ValueError):
+                build_system(1, 0, one, one, probs, fam)
         with pytest.raises(ValueError):
-            build_system(1, 0, ok_a, ok_b, [(outcome_role(local_id(1, 1), 2, 2), 0.5)], fam)
-        bad_family_role = outcome_role(local_id(2, 1), 0, 1)
-        with pytest.raises(ValueError):
-            build_system(1, 0, ok_a, ok_b, [(bad_family_role, 0.5)], fam[:1])
+            build_system(1, 0, one, one, [0.5, 0.5], fam[:1])  # more bases than the family
 
 
 class TestPhaseLs:
@@ -474,19 +469,9 @@ class TestRowMonotonicity:
         records = sampled_records(st, "local", 2, 1024, seed=7)
         emp = {str(r.basis): to_empirical(r) for r in records}
         j, beta = 2, 0
-        childA = reduced_slice(st, 1, 0)
-        childB = reduced_slice(st, 1, 1)
-        eqs_can, eqs_ext = [], []
-        for a in (1, 2):
-            id = local_id(a, j)
-            for k in range(beta << j, (beta + 1) << j):
-                role = outcome_role(id, k, 3)
-                eq = (role, float(emp[str(id)][k]))
-                eqs_ext.append(eq)
-                if role.is_canonical:
-                    eqs_can.append(eq)
-        sys_can = build_system(j, beta, childA, childB, eqs_can, fam)
-        sys_ext = build_system(j, beta, childA, childB, eqs_ext, fam)
+        probs = np.stack([emp[str(local_id(a, j))][:4].reshape(2, 2) for a in (1, 2)])
+        sys_can = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs[:, 0, 1], fam)
+        sys_ext = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs, fam)
         x_can = phase_ls(sys_can)
         x_ext = phase_ls(sys_ext)
 
@@ -504,11 +489,13 @@ class TestDiagnosticsSerialization:
         diag.conds[(2, 0)] = np.inf
         diag.null_branches.append((1, 1))
         diag.fallbacks.append((2, 0))
+        diag.default_phases.append((1, 0))
         obj = diag.to_dict()
         assert obj["cond"]["1,0"] == 2.5
         assert obj["cond"]["2,0"] == "inf"
         assert obj["fallbacks"] == 1
         assert obj["null_branches"] == 1
+        assert obj["default_phases"] == 1
         json.dumps(obj)  # must be serializable as-is
 
     def test_estimate_dict_shape(self):
@@ -517,7 +504,8 @@ class TestDiagnosticsSerialization:
         est, diag = reconstruct(records, 2, ReconstructionOptions(mode="local", m=2))
         obj = estimate_to_dict(est, diag)
         assert set(obj) == {"n", "amps", "diagnostics"}
-        assert set(obj["diagnostics"]) == {"cond", "fallbacks", "null_branches"}
+        assert set(obj["diagnostics"]) == {"cond", "fallbacks", "null_branches", "default_phases"}
+        assert obj["diagnostics"]["default_phases"] == diag.n_default_phases
         assert len(obj["amps"]) == 4
         json.dumps(obj)
 
@@ -566,18 +554,22 @@ def reference_reconstruct(records, n, opts):
             if not work[lo : lo + half].any() or not work[lo + half : lo + 2 * half].any():
                 diag.null_branches.append((j, beta))
                 continue
-            equations = []
+            # every outcome this block reads, placed through outcome_role rather than the kernel's gather
+            extra = opts.mode == "local" and opts.use_extra_rows
+            probs = np.empty((opts.m, 2, half) if extra else opts.m)
             for a in range(1, opts.m + 1):
                 if opts.mode == "local":
                     id = local_id(a, j)
-                    ks = range(lo, lo + 2 * half) if opts.use_extra_rows else [lo + half - 1]
+                    ks = range(lo, lo + 2 * half) if extra else [lo + half - 1]
                 else:
                     id = entangled_id(a)
                     ks = [(1 << n) - (1 << (n - j + 1)) + beta]
-                equations += [(outcome_role(id, k, n), float(emp[str(id)][k])) for k in ks]
-            childA = make_reduced(j - 1, 2 * beta, work[lo : lo + half])
-            childB = make_reduced(j - 1, 2 * beta + 1, work[lo + half : lo + 2 * half])
-            sys = build_system(j, beta, childA, childB, equations, family)
+                for k in ks:
+                    role = outcome_role(id, k, n)
+                    assert (role.j, role.beta, role.a) == (j, beta, a)
+                    assert extra or role.is_canonical
+                    probs[role_index(role) if extra else a - 1] = emp[str(id)][k]
+            sys = build_system(j, beta, work[lo : lo + half], work[lo + half : lo + 2 * half], probs, family)
             cos_d, sin_d, flags = solve_phase(sys, opts)
             diag.conds[(j, beta)] = sys.cond
             diag.phases[(j, beta)] = (cos_d, sin_d)
@@ -711,6 +703,24 @@ class TestKernelMatchesReference:
                 assert_matches_reference(sampled_records(st, "local", 2, 1024, seed=6, noise_lambda=0.06), 6, opts, 1e-9)
             st = haar_random(5, seed=1410)
             assert_matches_reference([exact_record(t) for t in exact_tables(st, "local", 2)], 5, opts, 1e-12)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("kind", ["Phi3", "Phi4"])
+    def test_flagged_blocks_never_decode_outcome_roles(self, kind, extra, monkeypatch):
+        # flagged blocks take their rows from the level's gathered probabilities
+        st = named_state(kind, 6)
+        records = sampled_records(st, "local", 2, 1024, seed=6, noise_lambda=0.06)
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=5.0)
+        ref_amps, ref = reference_reconstruct(records, 6, opts)
+
+        def no_decoding(*args):
+            raise AssertionError("outcome_role called")
+
+        for module in (bases, reconstruction):
+            monkeypatch.setattr(module, "outcome_role", no_decoding, raising=False)
+        est, diag = reconstruct(records, 6, opts)
+        assert diag.fallbacks == ref.fallbacks and diag.fallbacks
+        assert np.max(np.abs(est.amps - ref_amps)) <= 1e-9
 
     def test_no_module_level_caches(self):
         state = [k for k, v in vars(reconstruction).items() if not k.startswith("__") and isinstance(v, (dict, list, set))]

@@ -11,11 +11,9 @@ from purestate.states import (
     global_phase_normalize,
     haar_random,
     load_state,
-    make_reduced,
     make_state,
     named_state,
     random_separable,
-    reduced_slice,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -160,44 +158,6 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(haar_random(2, seed=1), haar_random(3, seed=1))
-
-
-class TestReducedSlice:
-    def test_blocks_are_contiguous_slices(self):
-        st = haar_random(4, seed=6)
-        for j in range(1, 5):
-            for beta in range(1 << (4 - j)):
-                blk = reduced_slice(st, j, beta)
-                assert blk.j == j
-                assert blk.beta == beta
-                assert np.array_equal(blk.amps, st.amps[beta << j : (beta + 1) << j][: 1 << j])
-                assert np.array_equal(blk.amps, st.amps[beta * (1 << j) : (beta + 1) * (1 << j)])
-
-    def test_children_stack_into_parent(self):
-        st = haar_random(3, seed=4)
-        parent = reduced_slice(st, 2, 1)
-        left = reduced_slice(st, 1, 2)
-        right = reduced_slice(st, 1, 3)
-        assert np.array_equal(parent.amps, np.concatenate([left.amps, right.amps]))
-
-    def test_top_slice_is_whole_state(self):
-        st = haar_random(3, seed=4)
-        assert np.array_equal(reduced_slice(st, 3, 0).amps, st.amps)
-
-    def test_range_errors(self):
-        st = haar_random(2, seed=0)
-        with pytest.raises(ValueError):
-            reduced_slice(st, 0, 0)
-        with pytest.raises(ValueError):
-            reduced_slice(st, 3, 0)
-        with pytest.raises(ValueError):
-            reduced_slice(st, 1, 2)
-
-    def test_make_reduced_flags_null_blocks(self):
-        assert make_reduced(1, 0, [0.0, 0.0]).is_null
-        assert not make_reduced(1, 0, [0.0, 0.1]).is_null
-        with pytest.raises(ValueError):
-            make_reduced(2, 0, [1.0, 0.0])
 
 
 class TestGlobalPhaseNormalize:
