@@ -38,18 +38,17 @@ from .measurement import (
 )
 from .reconstruction import ReconstructionOptions, reconstruct
 from .states import (
+    MEMORY_BOUND_BYTES,
     PureState,
     _freeze,
     _require_int,
+    exceeds_memory_bound,
     fidelity,
     global_phase_normalize,
     haar_random,
     named_state,
     random_separable,
 )
-
-# Working set per trial is a handful of 16-byte-per-amplitude vectors.
-MEMORY_BOUND_BYTES = 1 << 31
 
 STATE_FAMILIES = ("haar", "separable", "phi1", "phi2", "phi3", "phi4", "ghz")
 
@@ -201,7 +200,7 @@ def run_trial(cfg: BenchConfig, n: int, trial: int) -> tuple[TrialRow, PureState
 def bench_run(cfg: BenchConfig, memory_bound_bytes: int = MEMORY_BOUND_BYTES) -> BenchResult:
     """Run the full trial grid; deterministic for a fixed config."""
     for n in cfg.n_range:
-        if 16 * (1 << n) * 8 > memory_bound_bytes:
+        if exceeds_memory_bound(n, memory_bound_bytes):
             raise ValueError(f"n={n} exceeds the configured memory bound")
     t0 = time.perf_counter()
     rows = []

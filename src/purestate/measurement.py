@@ -3,8 +3,10 @@
 Probabilities are computed by running the basis-change circuit on the
 statevector (single-qubit rotations for local bases, the controlled ladder
 for entangled ones) and reading squared magnitudes, so the outcome index of a
-probability entry is exactly the bit pattern the circuit produces.  A slower
-projector-by-projector path is kept as an independent cross-check.
+probability entry is exactly the bit pattern the circuit produces.  A local
+basis local:a:b listed right after local:a:(b-1) continues from that basis's
+rotated vector with one more gate.  A slower projector-by-projector path is
+kept as an independent cross-check.
 
 Sampling uses numpy's ``Generator.multinomial`` (PCG64), which draws the
 outcome vector by sequential binomial conditioning in C.  Streams are pinned
@@ -31,7 +33,7 @@ from .bases import (
     family_from_dicts,
     family_to_dicts,
 )
-from .states import PureState, _require_int, _require_json
+from .states import PureState, _require_int, _require_json, exceeds_memory_bound
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -65,14 +67,49 @@ class CountsData:
     records: list
 
 
+def _chains(ids: list[BasisId]) -> list[list[BasisId]]:
+    """Split ids into runs local:a:b, local:a:(b+1), ...; every other id is a run of its own.
+
+    A run grows only past local:a:b with b >= 1, so when its last id is valid
+    (same a, b <= n) every id in it is.
+    """
+    runs = []
+    for id in ids:
+        prev = runs[-1][-1] if runs else None
+        if prev is not None and id.tag == prev.tag == "local" and id.a == prev.a and id.b == prev.b + 1 >= 2:
+            runs[-1].append(id)
+        else:
+            runs.append([id])
+    return runs
+
+
+def born_tables(state: PureState, ids: list[BasisId], family: list[QubitBasis]):
+    """Yield the outcome probabilities of each basis in ids, in order, via the basis-change circuit.
+
+    Along a run local:a:b, local:a:(b+1), ... the rotated vector of one basis
+    is the start of the next, which adds only the gate on qubit b.  The gates
+    and their order are those of a from-scratch run, so every table is
+    bit-identical to one computed alone.  ``circuit_gates`` is asked once per
+    run, for its last basis: the gates it returns are the gates applied.
+    """
+    n = state.n
+    for run in _chains(ids):
+        gates = circuit_gates(run[-1], n, family)
+        # gates of the run's first basis; each later basis adds the next one
+        first = len(gates) - len(run) + 1
+        out = apply_gates(state.amps, n, gates[:first]) if first else state.amps
+        for k, id in enumerate(run):
+            if k:
+                out = apply_gates(out, n, gates[first + k - 1 : first + k])
+            p = np.abs(out) ** 2
+            if id.tag == "entangled":
+                p = p[entangled_index_map(n)]
+            yield ProbTable(n=n, basis=id, probs=p)
+
+
 def born_probs(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbTable:
-    """Outcome probabilities via the basis-change circuit (fast path)."""
-    gates = circuit_gates(id, state.n, family)
-    out = apply_gates(state.amps, state.n, gates) if gates else state.amps
-    p = np.abs(out) ** 2
-    if id.tag == "entangled":
-        p = p[entangled_index_map(state.n)]
-    return ProbTable(n=state.n, basis=id, probs=p)
+    """Outcome probabilities of one basis via the basis-change circuit (fast path)."""
+    return next(born_tables(state, [id], family))
 
 
 def born_probs_naive(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbTable:
@@ -149,8 +186,7 @@ def simulate_counts(
     position), so appending bases never perturbs earlier records.
     """
     records = []
-    for idx, id in enumerate(ids):
-        table = born_probs(state, id, family)
+    for idx, table in enumerate(born_tables(state, ids, family)):
         if noise_lambda > 0.0:
             table = mix_white_noise(table, noise_lambda)
         rng = seeded_rng(seed, (*seed_key, idx))
@@ -158,8 +194,16 @@ def simulate_counts(
     return CountsData(n=state.n, family=list(family), records=records)
 
 
-def _bitstring(k: int, n: int) -> str:
-    return format(k, f"0{n}b")
+# Top of the int64 counts vector: shots beyond it cannot be stored.
+_INT64_MAX = np.iinfo(np.int64).max
+# What json.dump(..., indent=1) writes for a record's counts when there are none.
+_EMPTY_COUNTS = '"counts": {}'
+
+
+def _bitstrings(ks: np.ndarray, n: int) -> list[str]:
+    """format(k, f"0{n}b") for every k, built as one array of character codes."""
+    codes = ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint32) + ord("0")
+    return codes.view(f"U{n}").ravel().tolist()
 
 
 def counts_to_dict(record: CountsRecord, n: int) -> dict:
@@ -171,30 +215,57 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
     if record.shots == 0:
         raise ValueError("exact probability records are not serialized as counts")
     vec = np.asarray(record.counts)
+    if vec.shape != (1 << n,):
+        raise ValueError(f"record for basis {record.basis} holds counts of shape {vec.shape}, not ({1 << n},)")
     nz = np.flatnonzero(vec)
-    counts = {_bitstring(k, n): int(c) for k, c in zip(nz.tolist(), vec[nz].tolist())}
+    counts = dict(zip(_bitstrings(nz, n), map(int, vec[nz].tolist())))
     return {"basis": basis_id_to_dict(record.basis), "shots": int(record.shots), "counts": counts}
 
 
+def _key_bits(keys: list, n: int) -> np.ndarray:
+    """Each key's character codes less ord("0"), one row per key, up to the first key not n characters long."""
+    rows = len(keys) if set(map(len, keys)) <= {n} else next(i for i, k in enumerate(keys) if len(k) != n)
+    bits = np.array(keys[:rows], dtype=f"U{n}").view(np.uint32).reshape(rows, n)
+    bits -= ord("0")
+    return bits
+
+
+def _first_bad_count(values: list, shots: int) -> int:
+    """Index of the first value that is not an integer in [0, shots]; len(values) if none."""
+    if set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) <= shots)):
+        return len(values)
+    return next(i for i, c in enumerate(values) if type(c) is not int or not 0 <= c <= shots)
+
+
 def counts_from_dict(obj: dict, n: int) -> CountsRecord:
+    """One record from its JSON form; of several malformed outcomes the first in file order is reported."""
+    if exceeds_memory_bound(n):
+        raise ValueError(f"n={n} exceeds the memory bound for a counts vector")
     basis = basis_id_from_dict(_require_json(obj, dict, "record")["basis"])
     shots = _require_int(obj["shots"], "shots")
     if shots <= 0:
         raise ValueError(f"record for basis {basis} has non-positive shots {shots}")
-    vec = np.zeros(1 << n, dtype=np.int64)
-    total = 0
-    for key, c in _require_json(obj["counts"], dict, "counts").items():
-        if len(key) != n or set(key) - {"0", "1"}:
-            raise ValueError(f"bad outcome bitstring {key!r} for n={n}")
+    if shots > _INT64_MAX:
+        raise ValueError(f"record for basis {basis} has shots {shots} beyond the int64 range")
+    counts = _require_json(obj["counts"], dict, "counts")
+    keys, values = list(counts), list(counts.values())
+    bits = _key_bits(keys, n)
+    bad_chars = np.flatnonzero(bits > 1)
+    bad_key = int(bad_chars[0]) // n if bad_chars.size else len(bits)
+    bad_count = _first_bad_count(values, shots)
+    if bad_key < len(keys) and bad_key <= bad_count:
+        raise ValueError(f"bad outcome bitstring {keys[bad_key]!r} for n={n}")
+    if bad_count < len(values):
+        key, c = keys[bad_count], values[bad_count]
         if type(c) is not int or c < 0:
             raise ValueError(f"count {c!r} for outcome {key!r} is not a non-negative integer")
-        k = int(key, 2)
-        if vec[k]:
-            raise ValueError(f"duplicate outcome {key!r}")
-        vec[k] = c
-        total += c
+        raise ValueError(f"count {c} for outcome {key!r} exceeds the record's shots {shots}")
+    total = sum(values)
     if total != shots:
         raise ValueError(f"counts sum {total} does not match shots {shots}")
+    # length-n binary strings map one to one onto indices, and dict keys are unique
+    vec = np.zeros(1 << n, dtype=np.int64)
+    vec[bits @ (1 << np.arange(n - 1, -1, -1))] = values
     return CountsRecord(basis=basis, shots=shots, counts=vec)
 
 
@@ -221,9 +292,33 @@ def counts_data_from_dict(obj: dict) -> CountsData:
     return CountsData(n=n, family=family, records=records)
 
 
+def _indented_counts(counts: dict) -> str:
+    """A record's counts object as json.dump(..., indent=1) lays it out, encoded by the C encoder.
+
+    The object sits three levels deep (file, records, record): its entries
+    are indented by four spaces and its closing brace by three.
+    """
+    if not counts:
+        return "{}"
+    body = json.dumps(counts, separators=(",\n    ", ": "))
+    return "{\n    " + body[1:-1] + "\n   }"
+
+
 def write_counts(path: str, data: CountsData) -> None:
+    """Write json.dump(counts_data_to_dict(data), fh, indent=1) and a newline, one record at a time.
+
+    json.dump takes the pure-Python encoder, so it lays out only the file
+    with every counts object empty; each record's counts object is then
+    built and encoded on its own by the C encoder, in its place.
+    """
     with open(path, "w") as fh:
-        json.dump(counts_data_to_dict(data), fh, indent=1)
+        blank = np.zeros(1 << data.n, dtype=np.int64)
+        shells = [CountsRecord(basis=r.basis, shots=r.shots, counts=blank) for r in data.records]
+        layout = json.dumps(counts_data_to_dict(CountsData(n=data.n, family=data.family, records=shells)), indent=1)
+        pieces = layout.split(_EMPTY_COUNTS)
+        fh.write(pieces[0])
+        for record, piece in zip(data.records, pieces[1:]):
+            fh.write('"counts": ' + _indented_counts(counts_to_dict(record, data.n)["counts"]) + piece)
         fh.write("\n")
 
 

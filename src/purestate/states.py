@@ -24,6 +24,11 @@ MAKE_STATE_NORM_TOL = 1e-6
 
 NAMED_STATE_KINDS = ("Phi1", "Phi2", "Phi3", "Phi4")
 
+# Working set per trial is a handful of 16-byte-per-amplitude vectors.
+MEMORY_BOUND_BYTES = 1 << 31
+# save_state writes its text in slices of this many characters.
+_WRITE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -38,6 +43,12 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState(n={self.n})"
+
+
+def exceeds_memory_bound(n: int, bound: int = MEMORY_BOUND_BYTES) -> bool:
+    """True when eight 2^n-entry complex128 vectors (16 bytes per amplitude) would not fit in ``bound`` bytes."""
+    # the first test keeps 1 << n from being built for an absurd n
+    return n >= bound.bit_length() or 16 * (1 << n) * 8 > bound
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -173,9 +184,15 @@ def state_from_dict(obj: dict) -> PureState:
 
 
 def save_state(state: PureState, path) -> None:
+    """Write json.dumps(state_to_dict(state)) and a newline.
+
+    json.dumps encodes with the C encoder, which json.dump never uses; the
+    text is then written a slice at a time.
+    """
+    text = json.dumps(state_to_dict(state)) + "\n"
     with open(path, "w") as f:
-        json.dump(state_to_dict(state), f)
-        f.write("\n")
+        for i in range(0, len(text), _WRITE_CHUNK):
+            f.write(text[i : i + _WRITE_CHUNK])
 
 
 def load_state(path) -> PureState:

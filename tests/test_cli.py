@@ -157,6 +157,22 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts)) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # a count beyond int64: rejected as more than the record's shots
+            {"n": 2, "family": [], "records": [{"basis": {"tag": "computational"}, "shots": 5, "counts": {"01": 2**70}}]},
+            # n = 40 would need an 8 TiB counts vector
+            {"n": 40, "family": [], "records": [{"basis": {"tag": "computational"}, "shots": 1, "counts": {"1" * 40: 1}}]},
+        ],
+        ids=["count-beyond-int64", "n-beyond-memory-bound"],
+    )
+    def test_out_of_range_counts_file_is_data_error(self, tmp_path, capsys, obj):
+        counts = tmp_path / "c.json"
+        counts.write_text(json.dumps(obj))
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        assert "data error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["[]", '"state"', '{"n": 1, "amps": {"0": [1, 0]}}'])
     def test_malformed_state_shape_is_data_error(self, tmp_path, capsys, text):
         counts, statef = tmp_path / "c.json", tmp_path / "s.json"

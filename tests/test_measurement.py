@@ -1,6 +1,7 @@
 """Tests for Born probabilities, noise mixing, sampling, and counts files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,23 @@ from hypothesis import strategies as hst
 from scipy import stats
 
 from purestate.states import haar_random, make_state, state_from_dict, state_to_dict
-from purestate.bases import COMPUTATIONAL, default_family, entangled_id, estimation_basis_ids, local_id
+from purestate.bases import (
+    COMPUTATIONAL,
+    apply_gates,
+    circuit_gates,
+    default_family,
+    entangled_id,
+    entangled_index_map,
+    estimation_basis_ids,
+    local_id,
+)
 from purestate.measurement import (
     CountsData,
     CountsRecord,
     ProbTable,
     born_probs,
     born_probs_naive,
+    born_tables,
     compose_lambdas,
     counts_data_from_dict,
     counts_data_to_dict,
@@ -74,6 +85,52 @@ class TestBornProbs:
         st = haar_random(2, seed=1)
         with pytest.raises(ValueError):
             born_probs(st, local_id(1, 3), default_family(2))
+
+
+def from_scratch(st, id, fam):
+    """|amplitudes|^2 after the basis's whole gate list, applied to the state itself."""
+    p = np.abs(apply_gates(st.amps, st.n, circuit_gates(id, st.n, fam))) ** 2
+    return p[entangled_index_map(st.n)] if id.tag == "entangled" else p
+
+
+class TestBornChain:
+    """born_tables continues local:a:b from local:a:(b-1); every table must equal a from-scratch one bit for bit."""
+
+    def check(self, st, ids, fam):
+        tables = list(born_tables(st, ids, fam))
+        assert [t.basis for t in tables] == ids
+        for id, t in zip(ids, tables):
+            assert np.array_equal(t.probs, from_scratch(st, id, fam)), id
+
+    def test_estimation_order_shuffled_and_reversed(self):
+        rng = np.random.default_rng(4)
+        for n, m in ((1, 2), (3, 3), (5, 2), (6, 4)):
+            fam = default_family(m)
+            st = haar_random(n, seed=300 + n)
+            ids = estimation_basis_ids(n, m, "local") + estimation_basis_ids(n, m, "entangled")[1:]
+            self.check(st, ids, fam)
+            self.check(st, ids[::-1], fam)
+            self.check(st, [ids[k] for k in rng.permutation(len(ids))], fam)
+
+    def test_lone_and_interleaved_local_bases(self):
+        fam = default_family(3)
+        st = haar_random(6, seed=7)
+        self.check(st, [local_id(2, 5)], fam)
+        self.check(st, [local_id(a, b) for b in range(1, 7) for a in (1, 2, 3)], fam)
+        self.check(st, [local_id(1, 2), local_id(1, 3), local_id(2, 4), local_id(2, 5), local_id(1, 6)], fam)
+        self.check(st, [local_id(1, 3), COMPUTATIONAL, local_id(1, 4), entangled_id(1), local_id(1, 5)], fam)
+
+    def test_born_probs_is_a_one_basis_chain(self):
+        fam = default_family(2)
+        st = haar_random(4, seed=8)
+        for id in estimation_basis_ids(4, 2, "local") + [entangled_id(2)]:
+            assert np.array_equal(born_probs(st, id, fam).probs, from_scratch(st, id, fam))
+
+    def test_invalid_id_in_a_run_rejected(self):
+        st = haar_random(3, seed=9)
+        for ids in ([local_id(1, 0), local_id(1, 1)], [local_id(1, 3), local_id(1, 4)], [local_id(3, 1), local_id(3, 2)]):
+            with pytest.raises(ValueError):
+                list(born_tables(st, ids, default_family(2)))
 
 
 class TestWhiteNoise:
@@ -243,6 +300,24 @@ class TestCountsIO:
                 assert ra.shots == rb.shots
                 assert np.array_equal(ra.counts, rb.counts)
 
+    def test_file_text_is_the_indented_dump(self, tmp_path):
+        # write_counts encodes record by record, yet writes exactly json.dump(..., indent=1)
+        cases = [random_counts_data(n, mode, m, 64 << n, seed=10 * n + m)
+                 for n in range(1, 7) for mode in ("local", "entangled") for m in (2, 3, 4)]
+        fam = default_family(2)
+        empty = CountsRecord(basis=local_id(1, 1), shots=3, counts=np.zeros(4, dtype=np.int64))
+        cases.append(CountsData(n=2, family=fam, records=[empty]))
+        cases.append(CountsData(n=2, family=fam, records=[]))
+        for k, data in enumerate(cases):
+            path = tmp_path / f"counts{k}.json"
+            write_counts(path, data)
+            assert path.read_text() == json.dumps(counts_data_to_dict(data), indent=1) + "\n"
+
+    def test_counts_of_the_wrong_length_not_written(self):
+        rec = CountsRecord(basis=COMPUTATIONAL, shots=1, counts=np.array([0, 1, 0, 0]))
+        with pytest.raises(ValueError):
+            counts_to_dict(rec, 3)
+
     def test_file_round_trip(self, tmp_path):
         data = random_counts_data(3, "local", 2, 100, seed=7)
         path = tmp_path / "counts.json"
@@ -330,6 +405,56 @@ class TestCountsIO:
                 assert str(ra.basis) == str(rb.basis)
                 assert ra.shots == rb.shots
                 assert np.array_equal(ra.counts, rb.counts)
+
+
+def record(counts, shots=5):
+    return {"basis": {"tag": "computational"}, "shots": shots, "counts": counts}
+
+
+class TestCountsMessages:
+    """Each malformed record gets its own message; of several faults, the first entry in file order is named."""
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (record({"0": 5}), "bad outcome bitstring '0' for n=2"),
+            (record({"000": 5}), "bad outcome bitstring '000' for n=2"),
+            (record({"0x": 5}), "bad outcome bitstring '0x' for n=2"),
+            (record({"00": 5, "2 ": 0}), "bad outcome bitstring '2 ' for n=2"),
+            (record({"00": -1}), "count -1 for outcome '00' is not a non-negative integer"),
+            (record({"00": 1.7}), "count 1.7 for outcome '00' is not a non-negative integer"),
+            (record({"00": True}), "count True for outcome '00' is not a non-negative integer"),
+            (record({"00": "1"}), "count '1' for outcome '00' is not a non-negative integer"),
+            (record({"00": None}), "count None for outcome '00' is not a non-negative integer"),
+            (record({"00": 1.5, "x": 1}), "count 1.5 for outcome '00' is not a non-negative integer"),
+            (record({"01": 2, "1": 1.5}), "bad outcome bitstring '1' for n=2"),
+            (record({"0": -1}), "bad outcome bitstring '0' for n=2"),
+            (record({"00": 4}), "counts sum 4 does not match shots 5"),
+            (record({"00": 3, "11": 2}, shots=0), "record for basis computational has non-positive shots 0"),
+            (record({"00": 1}, shots=1.0), "shots must be an integer, got 1.0"),
+            (record({"01": 2**70}), "count 1180591620717411303424 for outcome '01' exceeds the record's shots 5"),
+            (record({"01": 6, "10": -1}), "count 6 for outcome '01' exceeds the record's shots 5"),
+            (record({"01": 2**70}, shots=2**70), "record for basis computational has shots 1180591620717411303424 beyond the int64 range"),
+        ],
+    )
+    def test_message(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counts_from_dict(obj, 2)
+
+    def test_counts_vector_beyond_the_memory_bound_rejected(self):
+        # 2^40 int64 entries would be 8 TiB; the bound is checked before anything is allocated
+        with pytest.raises(ValueError, match="memory bound"):
+            counts_from_dict({"basis": {"tag": "computational"}, "shots": 1, "counts": {"1" * 40: 1}}, 40)
+        with pytest.raises(ValueError, match="memory bound"):
+            counts_from_dict(record({}), 10**12)
+
+    def test_file_level_messages(self):
+        good = counts_data_to_dict(random_counts_data(2, "local", 2, 32, seed=90))
+        dup = dict(good, records=good["records"] + good["records"][:1])
+        with pytest.raises(ValueError, match="^duplicate record for basis computational$"):
+            counts_data_from_dict(dup)
+        with pytest.raises(ValueError, match="^bad system size n=0$"):
+            counts_data_from_dict(dict(good, n=0))
 
 
 class TestCountsJsonTypes:

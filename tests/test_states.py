@@ -208,6 +208,14 @@ class TestSerialization:
         save_state(st, path)
         assert np.array_equal(load_state(path).amps, st.amps)
 
+    def test_file_text_is_the_one_line_dump(self, tmp_path):
+        # n = 13 spans several of save_state's write slices
+        amps = np.array([np.sqrt(1 / 3), -0.0, 1e-300j, np.sqrt(2 / 3) * np.exp(1j / 3)])
+        for k, st in enumerate((make_state(amps), haar_random(1, seed=5), haar_random(13, seed=35))):
+            path = tmp_path / f"state{k}.json"
+            save_state(st, path)
+            assert path.read_text() == json.dumps(state_to_dict(st)) + "\n"
+
     def test_inconsistent_dict_rejected(self):
         obj = state_to_dict(haar_random(2, seed=1))
         obj["n"] = 3
