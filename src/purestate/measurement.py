@@ -33,7 +33,7 @@ from .bases import (
     family_from_dicts,
     family_to_dicts,
 )
-from .states import PureState, _require_int, _require_json, exceeds_memory_bound
+from .states import PureState, _require_int, _require_json, _unique_keys, exceeds_memory_bound
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -324,4 +324,4 @@ def write_counts(path: str, data: CountsData) -> None:
 
 def read_counts(path: str) -> CountsData:
     with open(path) as fh:
-        return counts_data_from_dict(json.load(fh))
+        return counts_data_from_dict(json.load(fh, object_pairs_hook=_unique_keys))

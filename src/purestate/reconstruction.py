@@ -21,8 +21,10 @@ this is self-consistent.
 
 reconstruct solves each level in one batched pass over all its blocks.
 build_system and solve_phase are the per-block definition of the same
-estimator; reconstruct runs them only on the blocks the batch flags as
-other than plain least squares, so those take exactly the per-block branch.
+estimator.  build_system is the level's row assembly run on a single block,
+so a block's rows, Gram entries and cond are the same bits either way;
+reconstruct passes to solve_phase exactly the blocks on which solve_phase
+would not return plain least squares.
 """
 
 from __future__ import annotations
@@ -173,18 +175,14 @@ def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = N
     return np.sqrt(p)
 
 
-def _tail_state(qb: QubitBasis, bits: int, k: int) -> np.ndarray:
-    """Tensor product of |+_a>/|-_a> kets over tail qubits k-1 .. 0 (a set bit means -); scalar 1 for k = 0."""
-    w = np.ones(1, dtype=np.complex128)
-    for q in range(k - 1, -1, -1):
-        w = np.kron(w, qb.minus_ket() if (bits >> q) & 1 else qb.plus_ket())
-    return w
+def _normal_entries(rows: np.ndarray) -> np.ndarray:
+    """Gram entries g11, g12, g22 and right sides b1, b2 of the systems in rows (3, L, k), shape (5, L).
 
-
-def _normal_entries(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gram entries g11, g12, g22 and right sides b1, b2 of one k x 2 system."""
-    c0, c1 = rows[:, 0], rows[:, 1]
-    return np.array([c0 @ c0, c0 @ c1, c1 @ c1, c0 @ rhs, c1 @ rhs])
+    Each system is summed over its own contiguous last axis, so its entries
+    are the same bits whether it is solved alone or in a batch.
+    """
+    gram = np.einsum("ilk,jlk->ijl", rows[:2], rows)
+    return np.stack([gram[0, 0], gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]])
 
 
 def _normal_solution(g) -> tuple:
@@ -197,6 +195,11 @@ def _normal_solution(g) -> tuple:
         cond = np.where((lo <= 0.0) | (hi <= 0.0), np.inf, np.sqrt(hi / lo))
         det = g11 * g22 - g12 * g12
         return cond, det, (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+
+
+def _block_system(j: int, beta: int, rows: np.ndarray, cond: float) -> PhaseSystem:
+    """The PhaseSystem of one block, from its (3, k) slice of the level's rows."""
+    return PhaseSystem(j=j, beta=beta, rows=rows[:2].T, rhs=rows[2], cond=float(cond))
 
 
 def build_system(
@@ -212,7 +215,8 @@ def build_system(
     childA and childB hold the block's two halves, 2^(j-1) amplitudes each.
     probs is (m, 2, 2^(j-1)), every outcome of family bases 1..m indexed by
     pivot-sign bit and tail bits (a set bit means -), or (m,), the canonical
-    outcome only.  Rows run basis by basis, then in outcome order.
+    outcome only.  Rows run basis by basis, then in outcome order; they are
+    reconstruct's level rows for a batch of this one block.
 
     The canonical outcome (pivot +, all-minus tail) yields
         X = e^{-i phi_a} <childA|W><W|childB>,   W = |-_a>^{x(j-1)},
@@ -234,33 +238,13 @@ def build_system(
         raise ValueError(f"probabilities of shape {probs.shape} fit neither (m,) nor (m, 2, {half})")
     if m > len(family):
         raise ValueError(f"probabilities for {m} bases, but the family has {len(family)}")
-    width = probs.size // m
-    rows = np.empty((probs.size, 2))
-    rhs = np.empty(probs.size)
-    for i, prob in enumerate(probs.ravel().tolist()):
-        qb = family[i // width]
-        sign_bit, tail = divmod(i % width, half) if probs.ndim == 3 else (0, half - 1)
-        w = _tail_state(qb, tail, j - 1)
-        wa = complex(np.vdot(w, childA))
-        wb = complex(np.vdot(w, childB))
-        if sign_bit == 0 and tail == half - 1:
-            x = np.exp(-1j * qb.phi) * np.conj(wa) * wb
-            rows[i] = (x.real, -x.imag)
-            rhs[i] = (prob - qb.u**2 * abs(wa) ** 2 - qb.v**2 * abs(wb) ** 2) / (2.0 * qb.u * qb.v)
-        else:
-            ca = qb.u if sign_bit == 0 else qb.v
-            cb = (qb.v if sign_bit == 0 else -qb.u) * np.exp(-1j * qb.phi)
-            a = ca * wa
-            b = cb * wb
-            x = np.conj(a) * b
-            rows[i] = (2.0 * x.real, -2.0 * x.imag)
-            rhs[i] = prob - abs(a) ** 2 - abs(b) ** 2
-    return PhaseSystem(j=j, beta=beta, rows=rows, rhs=rhs, cond=float(_normal_solution(_normal_entries(rows, rhs))[0]))
+    rows = _level_rows(np.stack([childA, childB])[None], probs[:, None], _FamilyArrays(family[:m]), probs.ndim == 3)
+    return _block_system(j, beta, rows[:, 0], _normal_solution(_normal_entries(rows))[0][0])
 
 
 def phase_ls(sys: PhaseSystem) -> np.ndarray:
     """Unconstrained least-squares solution of the system (2x2 normal equations)."""
-    _, det, x, y = _normal_solution(_normal_entries(sys.rows, sys.rhs))
+    _, det, x, y = _normal_solution(_normal_entries(np.vstack([sys.rows.T, sys.rhs])[:, None])[:, 0])
     if det <= 0.0 or not np.isfinite(det):
         sol, *_ = np.linalg.lstsq(sys.rows, sys.rhs, rcond=None)
         return sol
@@ -344,7 +328,7 @@ class _FamilyArrays:
 def _canonical_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
     """Rows and rhs (stacked on axis 0) of canonical outcomes (pivot +, all-minus tail).
 
-    wa, wb, p are (m, L); the 1/(2uv) weight matches build_system.
+    wa, wb, p are (m, L).
     """
     x = fam.e * np.conj(wa) * wb
     rhs = (p - fam.u**2 * np.abs(wa) ** 2 - fam.v**2 * np.abs(wb) ** 2) / (2.0 * fam.u * fam.v)
@@ -365,12 +349,13 @@ def _pattern_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArr
     return out
 
 
-def _normal_equations(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
-    """Gram entries g11, g12, g22 and right sides b1, b2 of every block's phase system, shape (5, L).
+def _level_rows(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
+    """Row columns 0, 1 and rhs (axis 0) of every block's phase system, shape (3, L, k).
 
     blocks is (L, 2, h): the two children of each block.  p holds the
     outcome probabilities per family basis: (m, L, 2, h) with extra rows,
-    else the canonical outcome's (m, L).
+    else the canonical outcome's (m, L).  Each block's k rows run basis by
+    basis, then in outcome order, and lie contiguous in memory.
     """
     L, _, h = blocks.shape
     m = len(fam.u)
@@ -385,40 +370,21 @@ def _normal_equations(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, ext
         rows = _pattern_rows(w[:, :, 0], w[:, :, 1], p, fam)
     else:
         rows = _canonical_rows(w[:, :, 0, 0], w[:, :, 1, 0], p, fam)
-    rows = rows.reshape(3, m, L, -1)
-    gram = np.einsum("imlk,jmlk->ijl", rows[:2], rows)
-    return np.stack([gram[0, 0], gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]])
+    return np.ascontiguousarray(rows.reshape(3, m, L, -1).swapaxes(1, 2)).reshape(3, L, -1)
 
 
-# Relative rounding error of the Gram-based condition number and of the
-# normal-equation solution, per unit cond^2.
-_GRAM_ERR = 64 * np.finfo(np.float64).eps
-# Thresholds above this enter the batch's cond cut as this value; blocks with
-# cond between the cut and a larger threshold take the per-block path.
-_CUT_CAP = 1e6
-# Least-squares radii below this are left to the per-block path.
-_RADIUS_FLAG = 1e-6
-# Rows whose squared norm is below this share of |childA|^2 |childB|^2 are
-# rounding residue of cancelling overlaps, not phase information.
-_ROW_FLOOR = 1e-20
-
-
-def _solve_normal(g: np.ndarray, scale: np.ndarray, cond_threshold: float) -> tuple:
+def _solve_normal(g: np.ndarray, cond_threshold: float) -> tuple:
     """Batched closed-form 2x2 solve: (cond, cos, sin, flagged) per block.
 
-    scale is |childA|^2 |childB|^2 per block.  A block is flagged, and its
-    entries left for the per-block path, unless it is clearly a plain
-    least-squares case: rows above rounding level, condition number below the
-    threshold and solution away from the origin by more than their rounding
-    error, so solve_phase would take the same branch on the same data.
+    A block is flagged, and its phase left to solve_phase, unless solve_phase
+    would return plain least squares on the same entries: cond within the
+    threshold, a positive finite determinant (so some row is nonzero) and a
+    solution at least ZERO_SOLUTION_EPS from the origin.
     """
     cond, det, x, y = _normal_solution(g)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.hypot(x, y)
-        t = min(cond_threshold, _CUT_CAP)
-        cut = t / (1.0 + 1e-6 + _GRAM_ERR * t * t)
-        clean = (cond <= cut) & (det > 0.0) & np.isfinite(det) & np.isfinite(r) & (g[0] + g[2] >= _ROW_FLOOR * scale)
-        clean &= r >= np.maximum(_RADIUS_FLAG, _GRAM_ERR * cond * cond)
+        clean = (cond <= cond_threshold) & (det > 0.0) & np.isfinite(det) & (r >= ZERO_SOLUTION_EPS)
         return cond, x / r, y / r, ~clean
 
 
@@ -433,12 +399,11 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
 
     Each level is one batched pass over all its live blocks: rows, Gram
     entries, condition numbers and 2x2 solves for every block at once.  A
-    block the batch cannot settle as plain least squares (see _solve_normal)
-    is rebuilt by build_system from its slice of the level's probabilities
-    and solved by solve_phase, which then decide its fallback, default phase
-    or AmbiguityError.
+    block stays in the batch exactly when solve_phase would return plain
+    least squares on its system (see _solve_normal); every other block goes
+    to solve_phase as the PhaseSystem sliced from the level's rows, which
+    decides its fallback, default phase or AmbiguityError.
     """
-    family = opts.resolved_family()
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
     if comp is None:
@@ -453,7 +418,7 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     diag = Diagnostics(n=n)
     work = amplitudes_from_counts(comp, n, opts.null_threshold).astype(np.complex128)
     extra = opts.mode == "local" and opts.use_extra_rows
-    fam = _FamilyArrays(family[: opts.m])
+    fam = _FamilyArrays(opts.resolved_family()[: opts.m])
     for j in range(1, n + 1):
         half = 1 << (j - 1)
         view = work.reshape(-1, 2, half)
@@ -468,22 +433,16 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
                 p = p[:, :, 0, half - 1]
         else:
             p = np.stack(emp)[:, _entangled_block_offset(n, j) + betas]
-        blocks = view[betas]
-        sq = (blocks.real**2 + blocks.imag**2).sum(axis=2)
-        g = _normal_equations(blocks, p, fam, extra)
-        cond, cos_d, sin_d, flagged = _solve_normal(g, sq[:, 0] * sq[:, 1], opts.cond_threshold)
-        ok = ~flagged
-        view[betas[ok], 1] *= (cos_d[ok] + 1j * sin_d[ok])[:, None]
+        rows = _level_rows(view[betas], p, fam, extra)
+        cond, cos_d, sin_d, flagged = _solve_normal(_normal_entries(rows), opts.cond_threshold)
         for i in np.flatnonzero(flagged).tolist():
             beta = int(betas[i])
-            sys = build_system(j, beta, view[beta, 0], view[beta, 1], p[:, i], family)
-            cos_i, sin_i, flags = solve_phase(sys, opts)
-            cond[i], cos_d[i], sin_d[i] = sys.cond, cos_i, sin_i
+            cos_d[i], sin_d[i], flags = solve_phase(_block_system(j, beta, rows[:, i], cond[i]), opts)
             if flags.fallback:
                 diag.fallbacks.append((j, beta))
             if flags.default_phase:
                 diag.default_phases.append((j, beta))
-            view[beta, 1] *= cos_i + 1j * sin_i
+        view[betas, 1] *= (cos_d + 1j * sin_d)[:, None]
         keys = [(j, beta) for beta in betas.tolist()]
         diag.conds.update(zip(keys, cond.tolist()))
         diag.phases.update(zip(keys, zip(cos_d.tolist(), sin_d.tolist())))

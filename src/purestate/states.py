@@ -13,6 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -69,6 +70,15 @@ def _require_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {type(value).__name__}")
     return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: the object as a dict, or ValueError if a key repeats (json keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise ValueError(f"repeated key {key!r} in a JSON object")
+    return obj
 
 
 def make_state(amps) -> PureState:
@@ -197,4 +207,4 @@ def save_state(state: PureState, path) -> None:
 
 def load_state(path) -> PureState:
     with open(path) as f:
-        return state_from_dict(json.load(f))
+        return state_from_dict(json.load(f, object_pairs_hook=_unique_keys))

@@ -182,6 +182,23 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_repeated_outcome_key_is_data_error(self, tmp_path, capsys):
+        # json keeps the last of repeated keys, which would read these 10 counts as [5, 0]
+        counts = tmp_path / "c.json"
+        counts.write_text(
+            '{"n": 1, "family": [], "records": [{"basis": {"tag": "computational"}, "shots": 5, "counts": {"0": 5, "0": 5}}]}'
+        )
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        assert "repeated key '0'" in capsys.readouterr().err
+
+    def test_repeated_state_key_is_data_error(self, tmp_path, capsys):
+        counts, statef = tmp_path / "c.json", tmp_path / "s.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        statef.write_text('{"n": 2, "n": 2, "amps": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}')
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
+        assert "repeated key 'n'" in capsys.readouterr().err
+
     def test_unknown_state_name_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--state", "bell", "--n", "2", "--out", str(tmp_path / "x.json")) == 1
 
