@@ -1,7 +1,8 @@
 """Command-line driver: simulate counts, reconstruct states, run benchmarks.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand), 2 data
-error (unreadable or inconsistent input files).
+error (unreadable or inconsistent input files, or data whose phase system
+ambiguity_policy 'fail' refuses).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .benchmark import (
     write_summary_json,
 )
 from .measurement import read_counts, seeded_rng, simulate_counts, write_counts
-from .reconstruction import ReconstructionOptions, estimate_to_dict, reconstruct
+from .reconstruction import AmbiguityError, ReconstructionOptions, estimate_to_dict, reconstruct
 from .states import fidelity, load_state, save_state
 
 # keys of a bench config file: the bench flags, with --noise-lambda spelled noise_lambda
@@ -319,7 +320,7 @@ def cli_main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, AmbiguityError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

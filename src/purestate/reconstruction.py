@@ -19,16 +19,17 @@ Each child block enters later systems with whatever global phase it was
 assembled with; the equations are built from the children as produced, so
 this is self-consistent.
 
-reconstruct solves each level in one batched pass over all its blocks.
-build_system and solve_phase are the per-block definition of the same
-estimator.  build_system is the level's row assembly run on a single block,
-so a block's rows, Gram entries and cond are the same bits either way;
-reconstruct passes to solve_phase exactly the blocks on which solve_phase
-would not return plain least squares.
+reconstruct solves each level in one batched pass over all its blocks: the
+level's rows (_level_rows) form one PhaseSystem, and solve_phase decides
+every block's path in one call.  build_system is the same row assembly run
+on a single block, a PhaseSystem of one block, and each system is summed
+over its own rows, so a block's rows, cond and phase are the same bits
+alone or in a batch.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from .bases import (
     rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
-from .states import PureState, _freeze, global_phase_normalize, state_to_dict
+from .states import PureState, _freeze, _require_int, global_phase_normalize, state_to_dict
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
@@ -60,13 +61,19 @@ class AmbiguityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PhaseSystem:
-    """Stacked linear equations for one relative phase; rows act on (cos delta, sin delta)."""
+    """The phase systems of blocks betas at level j, k linear equations on (cos delta, sin delta) each.
+
+    rows is (3, L, k), laid out as _level_rows returns it: axis 0 holds the
+    two row columns and the right-hand side, axis 1 runs over the L blocks.
+    """
 
     j: int
-    beta: int
-    rows: np.ndarray  # (k, 2) real
-    rhs: np.ndarray  # (k,) real
-    cond: float  # singular-value ratio of rows; inf when rank < 2
+    betas: np.ndarray  # (L,) block indices
+    rows: np.ndarray  # (3, L, k) real
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -92,15 +99,18 @@ class ReconstructionOptions:
     def __post_init__(self):
         if self.mode not in ("local", "entangled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.m < 2:
+        if _require_int(self.m, "m") < 2:
             raise ValueError("need at least 2 bases (m >= 2)")
-        if self.null_threshold is not None and not self.null_threshold > 0:
-            raise ValueError("null_threshold must be positive")
-        if not self.cond_threshold > 0:
-            raise ValueError("cond_threshold must be positive")
+        null, cond = self.null_threshold, self.cond_threshold
+        if null is not None and not (_is_real(null) and 0 < null < np.inf):
+            raise ValueError(f"null_threshold must be a positive finite real number, got {null!r}")
+        if not (_is_real(cond) and cond > 0):
+            raise ValueError(f"cond_threshold must be a positive real number or inf, got {cond!r}")
         if self.ambiguity_policy not in ("residual_pick", "fail"):
             raise ValueError(f"unknown ambiguity_policy {self.ambiguity_policy!r}")
         if self.family is not None:
+            if not (isinstance(self.family, (tuple, list)) and all(isinstance(qb, QubitBasis) for qb in self.family)):
+                raise ValueError(f"family must be a tuple or list of QubitBasis, got {self.family!r}")
             fam = tuple(self.family)
             if len(fam) < self.m:
                 raise ValueError(f"family has {len(fam)} bases, need m={self.m}")
@@ -108,15 +118,6 @@ class ReconstructionOptions:
 
     def resolved_family(self) -> list[QubitBasis]:
         return list(self.family) if self.family is not None else default_family(self.m)
-
-
-@dataclass(frozen=True)
-class PhaseFlags:
-    """What solve_phase did: plain least squares unless one of these is set."""
-
-    fallback: bool = False
-    clamped: bool = False
-    default_phase: bool = False
 
 
 @dataclass
@@ -175,31 +176,19 @@ def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = N
     return np.sqrt(p)
 
 
-def _normal_entries(rows: np.ndarray) -> np.ndarray:
-    """Gram entries g11, g12, g22 and right sides b1, b2 of the systems in rows (3, L, k), shape (5, L).
+def _normal_solution(rows: np.ndarray) -> tuple:
+    """Elementwise (cond, det, x, y) of the normal equations of the systems in rows (3, L, k); cond is inf at rank < 2.
 
-    Each system is summed over its own contiguous last axis, so its entries
-    are the same bits whether it is solved alone or in a batch.
+    Each system's Gram entries are summed over its own contiguous last axis,
+    so they are the same bits whether it is solved alone or in a batch.
     """
-    gram = np.einsum("ilk,jlk->ijl", rows[:2], rows)
-    return np.stack([gram[0, 0], gram[0, 1], gram[1, 1], gram[0, 2], gram[1, 2]])
-
-
-def _normal_solution(g) -> tuple:
-    """Elementwise (cond, det, x, y) of normal equations (g11, g12, g22, b1, b2); cond is inf at rank < 2."""
-    g11, g12, g22, b1, b2 = g
+    (g11, g12, b1), (_, g22, b2) = np.einsum("ilk,jlk->ijl", rows[:2], rows)
     half = 0.5 * (g11 + g22)
     disc = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
     hi, lo = half + disc, half - disc
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = np.where((lo <= 0.0) | (hi <= 0.0), np.inf, np.sqrt(hi / lo))
-        det = g11 * g22 - g12 * g12
-        return cond, det, (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
-
-
-def _block_system(j: int, beta: int, rows: np.ndarray, cond: float) -> PhaseSystem:
-    """The PhaseSystem of one block, from its (3, k) slice of the level's rows."""
-    return PhaseSystem(j=j, beta=beta, rows=rows[:2].T, rhs=rows[2], cond=float(cond))
+    cond = np.where((lo <= 0.0) | (hi <= 0.0), np.inf, np.sqrt(hi / lo))
+    det = g11 * g22 - g12 * g12
+    return cond, det, (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
 
 
 def build_system(
@@ -215,8 +204,8 @@ def build_system(
     childA and childB hold the block's two halves, 2^(j-1) amplitudes each.
     probs is (m, 2, 2^(j-1)), every outcome of family bases 1..m indexed by
     pivot-sign bit and tail bits (a set bit means -), or (m,), the canonical
-    outcome only.  Rows run basis by basis, then in outcome order; they are
-    reconstruct's level rows for a batch of this one block.
+    outcome only.  Rows run basis by basis, then in outcome order; the
+    result is reconstruct's level system for a batch of this one block.
 
     The canonical outcome (pivot +, all-minus tail) yields
         X = e^{-i phi_a} <childA|W><W|childB>,   W = |-_a>^{x(j-1)},
@@ -239,67 +228,73 @@ def build_system(
     if m > len(family):
         raise ValueError(f"probabilities for {m} bases, but the family has {len(family)}")
     rows = _level_rows(np.stack([childA, childB])[None], probs[:, None], _FamilyArrays(family[:m]), probs.ndim == 3)
-    return _block_system(j, beta, rows[:, 0], _normal_solution(_normal_entries(rows))[0][0])
+    return PhaseSystem(j=j, betas=np.array([beta]), rows=rows)
 
 
-def phase_ls(sys: PhaseSystem) -> np.ndarray:
-    """Unconstrained least-squares solution of the system (2x2 normal equations)."""
-    _, det, x, y = _normal_solution(_normal_entries(np.vstack([sys.rows.T, sys.rhs])[:, None])[:, 0])
-    if det <= 0.0 or not np.isfinite(det):
-        sol, *_ = np.linalg.lstsq(sys.rows, sys.rhs, rcond=None)
-        return sol
-    return np.array([x, y])
+def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
+    """Every block's (cond, cos delta, sin delta, fallback, default_phase), arrays of shape (L,).
 
-
-def _circle_candidates(row: np.ndarray, d: float) -> tuple[list, bool]:
-    """Intersect row . x = d with the unit circle; clamp to the nearest point if disjoint."""
-    norm = float(np.hypot(row[0], row[1]))
-    unit = row / norm
-    if abs(d) >= norm:
-        sgn = 1.0 if d >= 0 else -1.0
-        return [sgn * unit], abs(d) > norm
-    foot = (d / norm) * unit
-    h = float(np.sqrt(max(0.0, 1.0 - (d / norm) ** 2)))
-    perp = np.array([-unit[1], unit[0]])
-    return [foot + h * perp, foot - h * perp], False
-
-
-def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple[float, float, PhaseFlags]:
-    """(cos delta, sin delta) on the unit circle, plus flags describing the path taken.
-
-    Well-conditioned systems: least squares projected radially onto the
-    circle.  Ill-conditioned ones (cond above the threshold): the dominant
-    row is intersected with the circle and the candidate with the smaller
-    residual over all rows wins; ties break toward delta = 0, then toward
-    non-negative sine.  A system whose rows are all exactly zero, or whose
-    least-squares solution sits at the origin, pins nothing: the default
-    phase (1, 0) is returned and flagged.
+    A block's least-squares solution is projected radially onto the unit
+    circle; under a cond within the threshold, a Gram determinant <= 0
+    (reachable only with cond_threshold=inf) or overflowing to inf is
+    solved by np.linalg.lstsq.  A block whose rows are all exactly zero, or
+    whose solution lies within ZERO_SOLUTION_EPS of the origin, pins
+    nothing: it gets the default phase (1, 0).  A block with cond above the
+    threshold raises AmbiguityError under ambiguity_policy='fail' (the first
+    such block of the level) and otherwise falls back: its dominant row (the
+    largest norm, the lowest index on ties) is intersected with the circle,
+    or clamped to the nearest point when the line misses it, and of the two
+    intersections the one with the smaller residual over all rows wins; ties
+    break toward delta = 0, then toward non-negative sine.
     """
-    if sys.rows.shape[0] < 1:
+    rows = sys.rows
+    if rows.shape[2] < 1:
         raise ValueError("empty phase system")
-    if not sys.rows.any():
-        return 1.0, 0.0, PhaseFlags(default_phase=True)
-    if sys.cond <= opts.cond_threshold:
-        x = phase_ls(sys)
-        r = float(np.hypot(x[0], x[1]))
-        if r < ZERO_SOLUTION_EPS:
-            return 1.0, 0.0, PhaseFlags(default_phase=True)
-        return float(x[0] / r), float(x[1] / r), PhaseFlags()
-    if opts.ambiguity_policy == "fail":
-        raise AmbiguityError(sys.j, sys.beta, f"condition number {sys.cond:.3g} above threshold")
-    dom = int(np.argmax(np.einsum("ij,ij->i", sys.rows, sys.rows)))
-    cands, clamped = _circle_candidates(sys.rows[dom], float(sys.rhs[dom]))
-    best = None
-    best_res = np.inf
-    for cand in cands:
-        res = float(np.sum((sys.rows @ cand - sys.rhs) ** 2))
-        if (
-            best is None
-            or res < best_res - TIE_EPS
-            or (abs(res - best_res) <= TIE_EPS and (cand[0] > best[0] + TIE_EPS or (abs(cand[0] - best[0]) <= TIE_EPS and cand[1] > best[1])))
-        ):
-            best, best_res = cand, res
-    return float(best[0]), float(best[1]), PhaseFlags(fallback=True, clamped=clamped)
+    fallback, default = np.zeros((2, rows.shape[1]), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond, det, x, y = _normal_solution(rows)
+        r = np.hypot(x, y)
+        cos_d, sin_d = x / r, y / r
+        rest = np.flatnonzero(
+            ~((cond <= opts.cond_threshold) & (det > 0.0) & np.isfinite(det) & (r >= ZERO_SOLUTION_EPS))
+        )
+        if rest.size == 0:
+            return cond, cos_d, sin_d, fallback, default
+        live = rows[:2, rest].any(axis=(0, 2))
+        within = cond[rest] <= opts.cond_threshold
+        ls, ill = rest[live & within], rest[live & ~within]
+        default[rest[~live]] = True
+        if ill.size and opts.ambiguity_policy == "fail":
+            i = ill[0]
+            raise AmbiguityError(sys.j, int(sys.betas[i]), f"condition number {cond[i]:.3g} above threshold")
+        for i in ls.tolist():
+            if not (det[i] > 0.0 and np.isfinite(det[i])):
+                x[i], y[i] = np.linalg.lstsq(rows[:2, i].T, rows[2, i], rcond=None)[0]
+        r = np.hypot(x[ls], y[ls])
+        cos_d[ls], sin_d[ls] = x[ls] / r, y[ls] / r
+        default[ls[r < ZERO_SOLUTION_EPS]] = True
+        if ill.size:
+            fallback[ill] = True
+            sub = rows[:, ill]
+            dom = np.argmax(sub[0] * sub[0] + sub[1] * sub[1], axis=1)
+            a, b, d = sub[:, np.arange(ill.size), dom]
+            norm = np.hypot(a, b)
+            ua, ub, t = a / norm, b / norm, d / norm
+            h = np.sqrt(1.0 - t * t)  # NaN where the line misses the circle
+            cands = np.array([[t * ua - h * ub, t * ub + h * ua], [t * ua + h * ub, t * ub - h * ua]])
+            # each candidate's squared residual over all rows, (2, F)
+            fit = sub[:2].transpose(1, 2, 0) @ cands.transpose(0, 2, 1)[..., None]
+            res = ((fit[..., 0] - sub[2]) ** 2).sum(axis=2)
+            (c0, s0), (c1, s1) = cands
+            second = (res[1] < res[0] - TIE_EPS) | (
+                (np.abs(res[1] - res[0]) <= TIE_EPS) & ((c1 > c0 + TIE_EPS) | ((np.abs(c1 - c0) <= TIE_EPS) & (s1 > s0)))
+            )
+            miss = np.abs(d) >= norm
+            sgn = np.where(d >= 0, 1.0, -1.0)
+            cos_d[ill] = np.where(miss, sgn * ua, np.where(second, c1, c0))
+            sin_d[ill] = np.where(miss, sgn * ub, np.where(second, s1, s0))
+    cos_d[default], sin_d[default] = 1.0, 0.0
+    return cond, cos_d, sin_d, fallback, default
 
 
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
@@ -373,21 +368,6 @@ def _level_rows(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bo
     return np.ascontiguousarray(rows.reshape(3, m, L, -1).swapaxes(1, 2)).reshape(3, L, -1)
 
 
-def _solve_normal(g: np.ndarray, cond_threshold: float) -> tuple:
-    """Batched closed-form 2x2 solve: (cond, cos, sin, flagged) per block.
-
-    A block is flagged, and its phase left to solve_phase, unless solve_phase
-    would return plain least squares on the same entries: cond within the
-    threshold, a positive finite determinant (so some row is nonzero) and a
-    solution at least ZERO_SOLUTION_EPS from the origin.
-    """
-    cond, det, x, y = _normal_solution(g)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.hypot(x, y)
-        clean = (cond <= cond_threshold) & (det > 0.0) & np.isfinite(det) & (r >= ZERO_SOLUTION_EPS)
-        return cond, x / r, y / r, ~clean
-
-
 def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions) -> tuple[PureState, Diagnostics]:
     """Estimate the n-qubit state from one record per required basis.
 
@@ -397,12 +377,10 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     with phase 0).  The estimate is renormalized and global-phase normalized;
     the whole procedure is deterministic.
 
-    Each level is one batched pass over all its live blocks: rows, Gram
-    entries, condition numbers and 2x2 solves for every block at once.  A
-    block stays in the batch exactly when solve_phase would return plain
-    least squares on its system (see _solve_normal); every other block goes
-    to solve_phase as the PhaseSystem sliced from the level's rows, which
-    decides its fallback, default phase or AmbiguityError.
+    Each level is one batched pass over all its live blocks: _level_rows
+    assembles every block's rows at once, and one solve_phase call returns
+    every block's cond and phase and decides its least squares, fallback,
+    default phase or AmbiguityError.
     """
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
@@ -433,16 +411,11 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
                 p = p[:, :, 0, half - 1]
         else:
             p = np.stack(emp)[:, _entangled_block_offset(n, j) + betas]
-        rows = _level_rows(view[betas], p, fam, extra)
-        cond, cos_d, sin_d, flagged = _solve_normal(_normal_entries(rows), opts.cond_threshold)
-        for i in np.flatnonzero(flagged).tolist():
-            beta = int(betas[i])
-            cos_d[i], sin_d[i], flags = solve_phase(_block_system(j, beta, rows[:, i], cond[i]), opts)
-            if flags.fallback:
-                diag.fallbacks.append((j, beta))
-            if flags.default_phase:
-                diag.default_phases.append((j, beta))
+        sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(view[betas], p, fam, extra))
+        cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
         view[betas, 1] *= (cos_d + 1j * sin_d)[:, None]
+        diag.fallbacks.extend((j, beta) for beta in betas[fallback].tolist())
+        diag.default_phases.extend((j, beta) for beta in betas[default].tolist())
         keys = [(j, beta) for beta in betas.tolist()]
         diag.conds.update(zip(keys, cond.tolist()))
         diag.phases.update(zip(keys, zip(cos_d.tolist(), sin_d.tolist())))

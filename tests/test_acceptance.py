@@ -132,9 +132,7 @@ def test_criterion_7_unit_circle_and_normalization_invariants():
             rows[1:] = rows[0] * rng.standard_normal((rows.shape[0] - 1, 1))
         t = rng.uniform(0, 2 * np.pi)
         rhs = rows @ np.array([np.cos(t), np.sin(t)]) + 0.01 * rng.standard_normal(rows.shape[0])
-        ev = np.linalg.eigvalsh(rows.T @ rows)
-        cond = float("inf") if ev[0] <= 1e-300 else float(np.sqrt(ev[1] / ev[0]))
-        c, s_, _ = solve_phase(PhaseSystem(j=1, beta=0, rows=rows, rhs=rhs, cond=cond), opts)
+        _, (c,), (s_,), _, _ = solve_phase(PhaseSystem(j=1, betas=np.array([0]), rows=np.vstack([rows.T, rhs])[:, None]), opts)
         worst_circle = max(worst_circle, abs(c * c + s_ * s_ - 1.0))
 
     # reconstruct outputs across the estimation matrix

@@ -199,6 +199,15 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
         assert "repeated key 'n'" in capsys.readouterr().err
 
+    def test_ambiguous_phase_system_under_fail_policy_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        sim = ("--state", "phi3", "--n", "6", "--shots", "1024", "--seed", "6", "--noise-lambda", "0.06")
+        assert run_cli("simulate", *sim, "--out", str(counts)) == 0
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--cond-threshold", "5", "--ambiguity-policy", "fail") == 2
+        err = capsys.readouterr().err
+        assert err == "data error: phase system (j=2, beta=0): condition number 11.3 above threshold\n"
+
     def test_unknown_state_name_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--state", "bell", "--n", "2", "--out", str(tmp_path / "x.json")) == 1
 

@@ -43,7 +43,6 @@ from purestate.reconstruction import (
     amplitudes_from_counts,
     build_system,
     estimate_to_dict,
-    phase_ls,
     reconstruct,
     reconstruct_from_probs,
     solve_phase,
@@ -89,13 +88,31 @@ UNBALANCED = (
 )
 
 
-def make_system(rows, rhs, cond=None):
+def make_system(rows, rhs, j=1, beta=0):
+    """The PhaseSystem of one block whose k equations are rows (k, 2) . x = rhs (k,)."""
     rows = np.asarray(rows, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if cond is None:
-        s = np.linalg.svd(rows, compute_uv=False)
-        cond = float(s[0] / s[-1]) if len(s) > 1 and s[-1] > 0 else np.inf
-    return PhaseSystem(j=1, beta=0, rows=rows, rhs=rhs, cond=cond)
+    return PhaseSystem(j=j, betas=np.array([beta]), rows=np.vstack([rows.T, rhs])[:, None])
+
+
+def stack_systems(systems, j=1, betas=None):
+    """One PhaseSystem holding the blocks of single-block systems that share k."""
+    betas = np.arange(len(systems)) if betas is None else np.asarray(betas)
+    return PhaseSystem(j=j, betas=betas, rows=np.concatenate([sys.rows for sys in systems], axis=1))
+
+
+def rows_of(sys):
+    """The (k, 2) rows of a one-block system."""
+    return sys.rows[:2, 0].T
+
+
+def rhs_of(sys):
+    return sys.rows[2, 0]
+
+
+def solve_one(sys, opts=None):
+    """solve_phase on a one-block system: (cos, sin, fallback, default_phase, cond) as Python scalars."""
+    cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts or ReconstructionOptions())
+    return float(cos_d[0]), float(sin_d[0]), bool(fallback[0]), bool(default[0]), float(cond[0])
 
 
 class TestAmplitudesFromCounts:
@@ -143,9 +160,10 @@ class TestBuildSystem:
         # scalar children of modulus 1 turn the m=2 canonical rows into the identity
         fam = default_family(2)
         sys = build_system(1, 0, [1.0], [1.0], [0.5, 0.5], fam)
-        assert np.allclose(sys.rows, np.eye(2), atol=1e-12)
-        assert np.isclose(np.linalg.det(sys.rows), 1.0, atol=1e-12)
-        assert np.isclose(sys.cond, 1.0, atol=1e-12)
+        assert sys.rows.shape == (3, 1, 2)
+        assert np.allclose(rows_of(sys), np.eye(2), atol=1e-12)
+        assert np.isclose(np.linalg.det(rows_of(sys)), 1.0, atol=1e-12)
+        assert np.isclose(solve_one(sys)[4], 1.0, atol=1e-12)
 
     def test_circular_state_first_level_system(self):
         # state (|0> + i|1>)/sqrt(2): P(+_1) = 1/2, P(+_2) = 1, solution (0, 1)
@@ -155,12 +173,12 @@ class TestBuildSystem:
         probs = [float(born_probs(st, local_id(a, 1), fam).probs[0]) for a in (1, 2)]
         sys = build_system(1, 0, c[:1], c[1:], probs, fam)
         # |c_0 c_1| = 1/2 scales both rows and right-hand sides
-        assert np.allclose(sys.rows, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
-        assert np.allclose(sys.rhs, [0.0, 0.5], atol=1e-12)
-        cos_d, sin_d, flags = solve_phase(sys, ReconstructionOptions())
+        assert np.allclose(rows_of(sys), [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
+        assert np.allclose(rhs_of(sys), [0.0, 0.5], atol=1e-12)
+        cos_d, sin_d, fallback, default, _ = solve_one(sys)
         assert np.isclose(cos_d, 0.0, atol=1e-12)
         assert np.isclose(sin_d, 1.0, atol=1e-12)
-        assert not (flags.fallback or flags.default_phase)
+        assert not (fallback or default)
 
     @pytest.mark.parametrize("fam", [default_family(3), list(UNBALANCED)], ids=["balanced", "unbalanced"])
     def test_true_slices_solve_every_sign_pattern(self, fam):
@@ -172,8 +190,9 @@ class TestBuildSystem:
             lo, half = beta << j, 1 << (j - 1)
             probs = block_probs(st, j, beta, fam)
             sys = build_system(j, beta, st.amps[lo : lo + half], st.amps[lo + half : lo + 2 * half], probs, fam)
-            assert sys.rows.shape == (3 << j, 2)
-            assert np.allclose(sys.rows @ np.array([1.0, 0.0]), sys.rhs, atol=1e-12)
+            assert (sys.j, sys.betas.tolist()) == (j, [beta])
+            assert sys.rows.shape == (3, 1, 3 << j)
+            assert np.allclose(rows_of(sys) @ np.array([1.0, 0.0]), rhs_of(sys), atol=1e-12)
 
     @pytest.mark.parametrize("fam", [default_family(2), list(UNBALANCED)], ids=["balanced", "unbalanced"])
     def test_rows_track_an_injected_relative_phase(self, fam):
@@ -184,8 +203,8 @@ class TestBuildSystem:
         childB = st.amps[6:8] * np.exp(-1j * delta)
         sys = build_system(j, beta, st.amps[4:6], childB, block_probs(st, j, beta, fam), fam)
         x = np.array([np.cos(delta), np.sin(delta)])
-        assert np.allclose(sys.rows @ x, sys.rhs, atol=1e-12)
-        cos_d, sin_d, _ = solve_phase(sys, ReconstructionOptions())
+        assert np.allclose(rows_of(sys) @ x, rhs_of(sys), atol=1e-12)
+        cos_d, sin_d, *_ = solve_one(sys)
         assert np.isclose(cos_d, np.cos(delta), atol=1e-10)
         assert np.isclose(sin_d, np.sin(delta), atol=1e-10)
 
@@ -197,16 +216,15 @@ class TestBuildSystem:
         probs = block_probs(st, j, beta, fam)
         full = build_system(j, beta, st.amps[:4], st.amps[4:], probs, fam)
         canon = build_system(j, beta, st.amps[:4], st.amps[4:], probs[:, 0, 3], fam)
-        assert np.array_equal(full.rows[[3, 11]], canon.rows)
-        assert np.array_equal(full.rhs[[3, 11]], canon.rhs)
+        assert np.array_equal(full.rows[:, :, [3, 11]], canon.rows)
 
     def test_orthogonal_child_yields_zero_information_row(self):
         # childB proportional to |+_1> is invisible through the all-minus tail
         fam = default_family(2)
         qb = fam[0]
         sys = build_system(2, 0, qb.minus_ket(), qb.plus_ket(), [0.4], [qb])
-        assert np.allclose(sys.rows[0], [0.0, 0.0], atol=1e-15)
-        assert sys.cond == np.inf
+        assert np.allclose(rows_of(sys)[0], [0.0, 0.0], atol=1e-15)
+        assert solve_one(sys)[4] == np.inf
 
     def test_condition_number_matches_svd(self):
         fam = default_family(3)
@@ -214,8 +232,8 @@ class TestBuildSystem:
         for trial in range(10):
             st = haar_random(2, seed=300 + trial)
             sys = build_system(1, 0, st.amps[:1], st.amps[1:2], rng.uniform(0, 1, size=3), fam)
-            s = np.linalg.svd(sys.rows, compute_uv=False)
-            assert np.isclose(sys.cond, s[0] / s[1], rtol=1e-9)
+            s = np.linalg.svd(rows_of(sys), compute_uv=False)
+            assert np.isclose(solve_one(sys)[4], s[0] / s[1], rtol=1e-9)
 
     def test_validation_errors(self):
         fam = default_family(2)
@@ -235,84 +253,94 @@ class TestBuildSystem:
             build_system(1, 0, one, one, [0.5, 0.5], fam[:1])  # more bases than the family
 
 
-class TestPhaseLs:
-    def test_matches_lstsq_on_random_systems(self):
+class TestSolvePhase:
+    def test_identity_rows_pass_through(self):
+        cos_d, sin_d, fallback, _, _ = solve_one(make_system(np.eye(2), [0.0, 1.0]))
+        assert (cos_d, sin_d) == pytest.approx((0.0, 1.0), abs=1e-15)
+        assert not fallback
+        cos_d, sin_d, *_ = solve_one(make_system(np.eye(2), [1.0, 0.0]))
+        assert (cos_d, sin_d) == pytest.approx((1.0, 0.0), abs=1e-15)
+
+    def test_least_squares_solution_is_projected_radially(self):
+        cos_d, sin_d, fallback, _, _ = solve_one(make_system(np.eye(2), [0.3, 0.4]))
+        assert (cos_d, sin_d) == pytest.approx((0.6, 0.8), abs=1e-12)
+        assert not fallback
+        # random overdetermined systems: the direction of np.linalg.lstsq's solution
         rng = np.random.default_rng(37)
         for _ in range(20):
             k = int(rng.integers(2, 9))
             rows = rng.normal(size=(k, 2))
             rhs = rng.normal(size=k)
-            sys = make_system(rows, rhs)
             expected, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-            assert np.allclose(phase_ls(sys), expected, atol=1e-10)
-
-
-class TestSolvePhase:
-    def test_identity_rows_pass_through(self):
-        cos_d, sin_d, flags = solve_phase(make_system(np.eye(2), [0.0, 1.0]), ReconstructionOptions())
-        assert (cos_d, sin_d) == pytest.approx((0.0, 1.0), abs=1e-15)
-        assert not flags.fallback
-        cos_d, sin_d, _ = solve_phase(make_system(np.eye(2), [1.0, 0.0]), ReconstructionOptions())
-        assert (cos_d, sin_d) == pytest.approx((1.0, 0.0), abs=1e-15)
-
-    def test_least_squares_solution_is_projected_radially(self):
-        cos_d, sin_d, flags = solve_phase(make_system(np.eye(2), [0.3, 0.4]), ReconstructionOptions())
-        assert (cos_d, sin_d) == pytest.approx((0.6, 0.8), abs=1e-12)
-        assert not flags.fallback
+            cos_d, sin_d, fallback, default, _ = solve_one(make_system(rows, rhs))
+            assert not (fallback or default)
+            assert np.allclose((cos_d, sin_d), expected / np.hypot(*expected), atol=1e-10)
 
     def test_single_row_intersects_the_circle(self):
-        cos_d, sin_d, flags = solve_phase(make_system([[1.0, 0.0]], [0.6]), ReconstructionOptions())
+        cos_d, sin_d, fallback, _, _ = solve_one(make_system([[1.0, 0.0]], [0.6]))
         # both intersections share cos = 0.6; the tie breaks to sin >= 0
         assert (cos_d, sin_d) == pytest.approx((0.6, 0.8), abs=1e-12)
-        assert flags.fallback and not flags.clamped
+        assert fallback
 
     def test_tie_breaks_toward_larger_cosine(self):
-        cos_d, sin_d, flags = solve_phase(make_system([[0.0, 1.0]], [0.6]), ReconstructionOptions())
+        cos_d, sin_d, fallback, _, _ = solve_one(make_system([[0.0, 1.0]], [0.6]))
         assert (cos_d, sin_d) == pytest.approx((0.8, 0.6), abs=1e-12)
-        assert flags.fallback
+        assert fallback
 
     def test_residual_over_remaining_rows_decides(self):
         # second row is too weak to fix the solve but selects the negative branch
         opts = ReconstructionOptions(cond_threshold=100.0)
         sys = make_system([[1.0, 0.0], [0.0, 1e-3]], [0.6, -0.8e-3])
-        cos_d, sin_d, flags = solve_phase(sys, opts)
+        cos_d, sin_d, fallback, _, _ = solve_one(sys, opts)
         assert (cos_d, sin_d) == pytest.approx((0.6, -0.8), abs=1e-9)
-        assert flags.fallback
+        assert fallback
 
     def test_unreachable_rhs_clamps_to_the_nearest_point(self):
-        cos_d, sin_d, flags = solve_phase(make_system([[0.5, 0.0]], [0.75]), ReconstructionOptions())
+        cos_d, sin_d, fallback, _, _ = solve_one(make_system([[0.5, 0.0]], [0.75]))
         assert (cos_d, sin_d) == pytest.approx((1.0, 0.0), abs=1e-12)
-        assert flags.clamped and flags.fallback
-        cos_d, sin_d, flags = solve_phase(make_system([[0.5, 0.0]], [-0.75]), ReconstructionOptions())
+        assert fallback
+        cos_d, sin_d, *_ = solve_one(make_system([[0.5, 0.0]], [-0.75]))
         assert (cos_d, sin_d) == pytest.approx((-1.0, 0.0), abs=1e-12)
-        assert flags.clamped
 
-    def test_zero_rows_give_flagged_default_phase(self):
-        sys = make_system([[0.0, 0.0], [0.0, 0.0]], [0.1, 0.2], cond=np.inf)
-        cos_d, sin_d, flags = solve_phase(sys, ReconstructionOptions())
+    def test_zero_rows_give_a_default_phase(self):
+        cos_d, sin_d, fallback, default, cond = solve_one(make_system([[0.0, 0.0], [0.0, 0.0]], [0.1, 0.2]))
         assert (cos_d, sin_d) == (1.0, 0.0)
-        assert flags.default_phase and not flags.fallback
+        assert default and not fallback
+        assert cond == np.inf
 
     def test_least_squares_at_origin_gives_default_phase(self):
-        cos_d, sin_d, flags = solve_phase(make_system(np.eye(2), [0.0, 0.0]), ReconstructionOptions())
+        cos_d, sin_d, _, default, _ = solve_one(make_system(np.eye(2), [0.0, 0.0]))
         assert (cos_d, sin_d) == (1.0, 0.0)
-        assert flags.default_phase
+        assert default
 
     def test_fail_policy_raises_with_location(self):
         opts = ReconstructionOptions(ambiguity_policy="fail")
-        sys = PhaseSystem(j=3, beta=5, rows=np.array([[1.0, 0.0]]), rhs=np.array([0.6]), cond=np.inf)
         with pytest.raises(AmbiguityError) as err:
-            solve_phase(sys, opts)
+            solve_phase(make_system([[1.0, 0.0]], [0.6], j=3, beta=5), opts)
         assert err.value.j == 3
         assert err.value.beta == 5
 
+    def test_fail_policy_raises_at_the_first_ill_conditioned_block(self):
+        # zero rows come first but get the default phase; the raise names the next block
+        opts = ReconstructionOptions(ambiguity_policy="fail")
+        plain = make_system(np.eye(2), [0.6, 0.8])
+        zero = make_system(np.zeros((2, 2)), [0.1, 0.2])
+        ill = make_system([[1.0, 0.0], [2.0, 0.0]], [0.6, 1.2])
+        sys = stack_systems([plain, zero, ill, ill], j=4, betas=[2, 3, 5, 7])
+        with pytest.raises(AmbiguityError) as err:
+            solve_phase(sys, opts)
+        assert (err.value.j, err.value.beta) == (4, 5)
+        assert "condition number inf above threshold" in str(err.value)
+        _, _, _, fallback, default = solve_phase(stack_systems([plain, zero, plain], j=4), opts)
+        assert default.tolist() == [False, True, False] and not fallback.any()
+
     def test_fail_policy_leaves_clean_systems_alone(self):
         opts = ReconstructionOptions(ambiguity_policy="fail")
-        cos_d, sin_d, _ = solve_phase(make_system(np.eye(2), [0.6, 0.8]), opts)
+        cos_d, sin_d, *_ = solve_one(make_system(np.eye(2), [0.6, 0.8]), opts)
         assert (cos_d, sin_d) == pytest.approx((0.6, 0.8), abs=1e-12)
 
     def test_empty_system_rejected(self):
-        sys = PhaseSystem(j=1, beta=0, rows=np.empty((0, 2)), rhs=np.empty(0), cond=np.inf)
+        sys = PhaseSystem(j=1, betas=np.array([0]), rows=np.empty((3, 1, 0)))
         with pytest.raises(ValueError):
             solve_phase(sys, ReconstructionOptions())
 
@@ -325,8 +353,54 @@ class TestSolvePhase:
             if trial % 3 == 0:
                 rows[:, 1] *= 1e-9  # force ill-conditioned fallbacks
             rhs = rng.normal(size=k)
-            cos_d, sin_d, _ = solve_phase(make_system(rows, rhs), opts)
+            cos_d, sin_d, *_ = solve_one(make_system(rows, rhs), opts)
             assert abs(np.hypot(cos_d, sin_d) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("threshold", [100.0, np.inf])
+    def test_a_batch_mixing_every_branch_solves_each_block_as_alone(self, threshold):
+        systems = {
+            "least squares": make_system(np.eye(2), [0.3, 0.4]),
+            "zero rows": make_system(np.zeros((2, 2)), [0.1, 0.2]),
+            "at the origin": make_system(np.eye(2), [0.0, 0.0]),
+            "rank-deficient": make_system([[1.0, 0.0], [2.0, 0.0]], [0.6, 1.2]),
+            "overflowing Gram determinant": make_system(1e100 * np.eye(2), [0.6e100, 0.8e100]),
+            "clamped": make_system([[0.5, 0.0], [0.0, 0.0]], [0.75, 0.0]),
+            "two candidates": make_system([[1.0, 0.0], [0.0, 1e-3]], [0.6, -0.8e-3]),
+            "cosine tie": make_system([[0.0, 1.0], [0.0, 0.0]], [0.6, 0.0]),
+        }
+        opts = ReconstructionOptions(cond_threshold=threshold)
+        batch = solve_phase(stack_systems(list(systems.values())), opts)
+        for i, (name, sys) in enumerate(systems.items()):
+            alone = solve_phase(sys, opts)
+            for got, want in zip(batch, alone):
+                assert got[i] == want[0] and type(got[i]) is type(want[0]), name
+        cond, cos_d, sin_d, fallback, default = batch
+        paths = {name: ("fallback" if f else "default" if d else "ls") for name, f, d in zip(systems, fallback, default)}
+        expected = {
+            "least squares": ("ls", 0.6, 0.8),
+            "zero rows": ("default", 1.0, 0.0),
+            "at the origin": ("default", 1.0, 0.0),
+            "overflowing Gram determinant": ("ls", 0.6, 0.8),
+        }
+        if threshold == np.inf:
+            # every nonzero system is solved by least squares; rank deficiency goes through np.linalg.lstsq
+            expected |= {
+                "rank-deficient": ("ls", 1.0, 0.0),
+                "clamped": ("ls", 1.0, 0.0),
+                "two candidates": ("ls", 0.6, -0.8),
+                "cosine tie": ("ls", 0.0, 1.0),
+            }
+        else:
+            expected |= {
+                "rank-deficient": ("fallback", 0.6, 0.8),
+                "clamped": ("fallback", 1.0, 0.0),
+                "two candidates": ("fallback", 0.6, -0.8),
+                "cosine tie": ("fallback", 0.8, 0.6),
+            }
+        for i, name in enumerate(systems):
+            path, c, s_ = expected[name]
+            assert paths[name] == path, name
+            assert (cos_d[i], sin_d[i]) == pytest.approx((c, s_), abs=1e-9), name
 
 
 class TestReconstructExactStatistics:
@@ -480,11 +554,11 @@ class TestRowMonotonicity:
         probs = np.stack([emp[str(local_id(a, j))][:4].reshape(2, 2) for a in (1, 2)])
         sys_can = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs[:, 0, 1], fam)
         sys_ext = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs, fam)
-        x_can = phase_ls(sys_can)
-        x_ext = phase_ls(sys_ext)
+        x_can = np.linalg.lstsq(rows_of(sys_can), rhs_of(sys_can), rcond=None)[0]
+        x_ext = np.linalg.lstsq(rows_of(sys_ext), rhs_of(sys_ext), rcond=None)[0]
 
         def resid(sys, x):
-            return float(np.sum((sys.rows @ x - sys.rhs) ** 2))
+            return float(np.sum((rows_of(sys) @ x - rhs_of(sys)) ** 2))
 
         assert resid(sys_ext, x_ext) <= resid(sys_ext, x_can) + 1e-12
         assert resid(sys_can, x_can) <= resid(sys_can, x_ext) + 1e-12
@@ -537,6 +611,34 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             ReconstructionOptions(cond_threshold=0.0)
 
+    @pytest.mark.parametrize("m", [2.5, "3", True, None])
+    def test_m_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ReconstructionOptions(m=m)
+
+    @pytest.mark.parametrize("name", ["cond_threshold", "null_threshold"])
+    @pytest.mark.parametrize("value", ["5", True, np.True_, 1 + 0j])
+    def test_thresholds_must_be_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            ReconstructionOptions(**{name: value})
+
+    def test_threshold_values_at_the_edges(self):
+        assert ReconstructionOptions(cond_threshold=np.inf).cond_threshold == np.inf
+        assert ReconstructionOptions(null_threshold=None).null_threshold is None
+        assert ReconstructionOptions(cond_threshold=np.float32(5.0), null_threshold=1).null_threshold == 1
+        with pytest.raises(ValueError, match="cond_threshold must be a positive real number or inf"):
+            ReconstructionOptions(cond_threshold=None)
+        for kwargs in ({"cond_threshold": np.nan}, {"null_threshold": np.nan}, {"null_threshold": np.inf}):
+            with pytest.raises(ValueError):
+                ReconstructionOptions(**kwargs)
+
+    @pytest.mark.parametrize(
+        "family", [(1, 2), ("x", "y"), (None, None), tuple(default_family(2))[:1] + (0.5,), 5, default_family(2)[0]]
+    )
+    def test_family_must_hold_qubit_bases(self, family):
+        with pytest.raises(ValueError, match="family must be a tuple or list of QubitBasis"):
+            ReconstructionOptions(family=family)
+
     def test_default_family_resolution(self):
         opts = ReconstructionOptions(m=3)
         fam = opts.resolved_family()
@@ -545,7 +647,7 @@ class TestOptionsValidation:
 
 
 def reference_reconstruct(records, n, opts):
-    """The per-block estimator: one build_system + solve_phase per non-null block, in (j, beta) order.
+    """The per-block estimator: build_system + solve_phase on one block at a time, in (j, beta) order.
 
     reconstruct must agree with it bit for bit: same null / fallback /
     default-phase lists, same conds and phases, and the same amplitudes.
@@ -578,12 +680,12 @@ def reference_reconstruct(records, n, opts):
                     assert extra or role.is_canonical
                     probs[role_index(role) if extra else a - 1] = emp[str(id)][k]
             sys = build_system(j, beta, work[lo : lo + half], work[lo + half : lo + 2 * half], probs, family)
-            cos_d, sin_d, flags = solve_phase(sys, opts)
-            diag.conds[(j, beta)] = sys.cond
+            cos_d, sin_d, fallback, default, cond = solve_one(sys, opts)
+            diag.conds[(j, beta)] = cond
             diag.phases[(j, beta)] = (cos_d, sin_d)
-            if flags.fallback:
+            if fallback:
                 diag.fallbacks.append((j, beta))
-            if flags.default_phase:
+            if default:
                 diag.default_phases.append((j, beta))
             work[lo + half : lo + 2 * half] *= cos_d + 1j * sin_d
     work /= np.linalg.norm(work)
@@ -633,21 +735,21 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("kind", ["Phi1", "Phi2", "Phi3", "Phi4", "separable"])
     @pytest.mark.parametrize("mode", ["local", "entangled"])
-    def test_structured_states_through_the_flagged_path(self, kind, mode):
-        flagged = 0
+    def test_structured_states_through_the_fallback_path(self, kind, mode):
+        off_ls = 0
         for n in (4, 5, 6):
             st = random_separable(n, seed=n) if kind == "separable" else named_state(kind, n)
             for extra in (False, True):
                 opts = ReconstructionOptions(mode=mode, m=2, use_extra_rows=extra)
                 exact = [exact_record(t) for t in exact_tables(st, mode, 2)]
                 diag = assert_matches_reference(exact, n, opts)
-                flagged += diag.n_fallbacks + diag.n_default_phases
+                off_ls += diag.n_fallbacks + diag.n_default_phases
                 for lam in (0.0, 0.06):
                     records = sampled_records(st, mode, 2, 1024, seed=n, noise_lambda=lam)
                     diag = assert_matches_reference(records, n, opts)
-                    flagged += diag.n_fallbacks + diag.n_default_phases
+                    off_ls += diag.n_fallbacks + diag.n_default_phases
         if kind in ("Phi3", "Phi4"):
-            assert flagged > 0
+            assert off_ls > 0
 
     @pytest.mark.parametrize("threshold", [1.0, 2.0, 5.0, 20.0, 1e9, np.inf])
     def test_fail_policy_raises_at_the_same_block(self, threshold):
@@ -679,15 +781,16 @@ class TestKernelMatchesReference:
         ids=["phi3-n7-entangled-m3", "phi4-n7-entangled-m2", "haar4-local", "haar4-entangled"],
     )
     def test_inputs_where_rebuilt_rows_diverged(self, st, mode, m, threshold, data):
-        # a second, differently rounded row assembly for flagged blocks once
-        # moved these estimates by 1.6e-12 to 5.1e-2 from the per-block loop
+        # a second, differently rounded row assembly for the blocks off the
+        # least-squares path once moved these estimates by 1.6e-12 to 5.1e-2
+        # from the per-block loop
         if data == "exact":
             records = [exact_record(t) for t in exact_tables(st, mode, m)]
         else:
             records = sampled_records(st, mode, m, 1024, seed=7, noise_lambda=0.06)
         assert_matches_reference(records, st.n, ReconstructionOptions(mode=mode, m=m, cond_threshold=threshold))
 
-    def test_flagged_blocks_are_solved_without_build_system(self, monkeypatch):
+    def test_fallback_blocks_are_solved_without_build_system(self, monkeypatch):
         def no_rebuild(*args, **kwargs):
             raise AssertionError("build_system called")
 
@@ -713,27 +816,26 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(j * m)
         p = rng.uniform(0.0, 1.0, size=(m, L, 2, half) if extra else (m, L))
         rows = reconstruction._level_rows(blocks, p, reconstruction._FamilyArrays(fam), extra)
-        cond = reconstruction._normal_solution(reconstruction._normal_entries(rows))[0]
+        opts = ReconstructionOptions(m=m)
+        level = solve_phase(PhaseSystem(j=j, betas=np.arange(L), rows=rows), opts)
         assert rows.shape == (3, L, m * 2 * half if extra else m)
         for i in range(L):
             sys = build_system(j, i, blocks[i, 0], blocks[i, 1], p[:, i], fam)
-            assert np.array_equal(sys.rows, rows[:2, i].T)
-            assert np.array_equal(sys.rhs, rows[2, i])
-            assert sys.cond == cond[i]
+            assert np.array_equal(sys.rows, rows[:, i : i + 1])
+            for got, want in zip(level, solve_phase(sys, opts)):
+                assert got[i] == want[0]
 
     @pytest.mark.parametrize("threshold", [1e9, 1e12, np.inf])
-    def test_thresholds_above_the_default(self, threshold, monkeypatch):
-        # a large (or infinite) threshold must neither flood the per-block path nor change any result
-        calls = []
-        solve = reconstruction.solve_phase
-        monkeypatch.setattr(reconstruction, "solve_phase", lambda sys, opts: calls.append((sys.j, sys.beta)) or solve(sys, opts))
+    def test_thresholds_above_the_default(self, threshold):
+        # a large (or infinite) threshold must neither send Haar blocks off least squares nor change any result
         for extra in (False, True):
             opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=threshold)
             for seed in range(3):
                 st = haar_random(6, seed=1400 + seed)
-                reconstruct_from_probs(exact_tables(st, "local", 2), 6, opts)
-                reconstruct(sampled_records(st, "local", 2, 2048, seed=seed), 6, opts)
-        assert calls == []
+                exact = [exact_record(t) for t in exact_tables(st, "local", 2)]
+                for records in (exact, sampled_records(st, "local", 2, 2048, seed=seed)):
+                    diag = assert_matches_reference(records, 6, opts)
+                    assert diag.fallbacks == [] and diag.default_phases == []
         for extra in (False, True):
             opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=threshold)
             for kind in ("Phi3", "Phi4"):
@@ -745,8 +847,8 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("extra", [False, True])
     @pytest.mark.parametrize("kind", ["Phi3", "Phi4"])
-    def test_flagged_blocks_never_decode_outcome_roles(self, kind, extra, monkeypatch):
-        # flagged blocks take their rows from the level's gathered probabilities
+    def test_fallback_blocks_never_decode_outcome_roles(self, kind, extra, monkeypatch):
+        # blocks that fall back take their rows from the level's gathered probabilities
         st = named_state(kind, 6)
         records = sampled_records(st, "local", 2, 1024, seed=6, noise_lambda=0.06)
         opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=extra, cond_threshold=5.0)
