@@ -254,21 +254,21 @@ def bootstrap_ci(
     """Bootstrap fidelity estimate against the target with a 16th-84th percentile band.
 
     Each resample redraws every record's counts multinomially from its own
-    empirical distribution and reconstructs from scratch.  The point estimate
-    is the median of the resampled fidelities, so it always sits inside the
-    band; the plug-in value is available through reconstruct + fidelity.
+    empirical distribution (built once per call) and reconstructs from
+    scratch; exact-probability records (shots <= 0) are rejected before the
+    first draw.  The point estimate is the median of the resampled
+    fidelities, so it always sits inside the band; the plug-in value is
+    available through reconstruct + fidelity.
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap resamples")
+    if any(rec.shots <= 0 for rec in records):
+        raise ValueError("cannot bootstrap exact-probability records")
+    tables = [(ProbTable(n=n, basis=rec.basis, probs=to_empirical(rec)), rec.shots) for rec in records]
     fids = np.empty(B)
     for b in range(B):
         rng = seeded_rng(seed, (b,))
-        resampled = []
-        for rec in records:
-            if rec.shots <= 0:
-                raise ValueError("cannot bootstrap exact-probability records")
-            p = to_empirical(rec)
-            resampled.append(sample_counts(ProbTable(n=n, basis=rec.basis, probs=p), rec.shots, rng))
+        resampled = [sample_counts(table, shots, rng) for table, shots in tables]
         est_b, _ = reconstruct(resampled, n, opts)
         fids[b] = fidelity(target, est_b)
     lo, point, hi = np.percentile(fids, [16.0, 50.0, 84.0])

@@ -24,13 +24,17 @@ level's rows (_level_rows) form one PhaseSystem, and solve_phase decides
 every block's path in one call.  build_system is the same row assembly run
 on a single block, a PhaseSystem of one block, and each system is summed
 over its own rows, so a block's rows, cond and phase are the same bits
-alone or in a batch.
+alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
+Level); its (j, beta) mappings and label lists are derived from them.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,41 +124,155 @@ class ReconstructionOptions:
         return list(self.family) if self.family is not None else default_family(self.m)
 
 
-@dataclass
-class Diagnostics:
-    """Per-run solve statistics; one entry per non-null (j, beta) problem.
+class Level(NamedTuple):
+    """One level's solve: its null blocks, its live blocks and solve_phase's arrays for them.
 
-    conds holds every solved system's condition number (inf marks systems
-    with no usable rows).  null_branches, fallbacks and default_phases are
-    disjoint lists of (j, beta) labels; together with conds they account for
-    all 2^n - 1 phase problems.
+    nulls and betas are ascending block indices; cond, cos, sin and the
+    fallback / default masks run parallel to betas.
+    """
+
+    j: int
+    nulls: np.ndarray
+    betas: np.ndarray
+    cond: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    fallback: np.ndarray
+    default: np.ndarray
+
+
+class _LevelView(Mapping):
+    """Read-only (j, beta) -> value mapping over the levels' arrays, level by level, beta ascending.
+
+    len is O(levels) and a lookup a binary search in its level; iterating
+    walks every block.
+    """
+
+    def __init__(self, levels: list):
+        self._levels = levels
+
+    def __len__(self) -> int:
+        return sum(lv.betas.size for lv in self._levels)
+
+    def __iter__(self):
+        for lv in self._levels:
+            for beta in lv.betas.tolist():
+                yield lv.j, beta
+
+    def __getitem__(self, key):
+        try:
+            j, beta = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        for lv in self._levels:
+            if lv.j == j:
+                i = int(np.searchsorted(lv.betas, beta))
+                if i < lv.betas.size and lv.betas[i] == beta:
+                    return self._value(lv, i)
+        raise KeyError(key)
+
+    def items(self):
+        return _LevelItems(self)
+
+    def values(self):
+        return _LevelValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _LevelItems(ItemsView):
+    def __iter__(self):
+        for lv in self._mapping._levels:
+            yield from zip(((lv.j, beta) for beta in lv.betas.tolist()), self._mapping._column(lv))
+
+
+class _LevelValues(ValuesView):
+    def __iter__(self):
+        for lv in self._mapping._levels:
+            yield from self._mapping._column(lv)
+
+
+class _CondView(_LevelView):
+    """Each solved system's condition number, a Python float."""
+
+    @staticmethod
+    def _column(lv: Level):
+        return lv.cond.tolist()
+
+    @staticmethod
+    def _value(lv: Level, i: int) -> float:
+        return lv.cond[i].item()
+
+
+class _PhaseView(_LevelView):
+    """Each solved system's (cos delta, sin delta), a tuple of Python floats."""
+
+    @staticmethod
+    def _column(lv: Level):
+        return zip(lv.cos.tolist(), lv.sin.tolist())
+
+    @staticmethod
+    def _value(lv: Level, i: int) -> tuple:
+        return lv.cos[i].item(), lv.sin[i].item()
+
+
+@dataclass(eq=False)
+class Diagnostics:
+    """Per-run solve statistics, kept as one Level of arrays per level j.
+
+    conds and phases are read-only (j, beta) mappings over those arrays, one
+    entry per solved system, in level order and beta ascending: conds holds
+    the condition numbers (inf marks systems with no usable rows), phases
+    the (cos delta, sin delta) pairs.  null_branches, fallbacks and
+    default_phases are disjoint lists of (j, beta) labels built on each
+    access; together with conds they account for all 2^n - 1 phase
+    problems.  len(conds), len(phases), cond_max and the n_* counts cost
+    O(levels); iterating conds or phases, the label lists and to_dict walk
+    every block.
     """
 
     n: int
-    conds: dict = field(default_factory=dict)
-    phases: dict = field(default_factory=dict)
-    null_branches: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)
-    default_phases: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
+
+    @property
+    def conds(self) -> _CondView:
+        return _CondView(self.levels)
+
+    @property
+    def phases(self) -> _PhaseView:
+        return _PhaseView(self.levels)
+
+    @property
+    def null_branches(self) -> list:
+        return [(lv.j, beta) for lv in self.levels for beta in lv.nulls.tolist()]
+
+    @property
+    def fallbacks(self) -> list:
+        return [(lv.j, beta) for lv in self.levels for beta in lv.betas[lv.fallback].tolist()]
+
+    @property
+    def default_phases(self) -> list:
+        return [(lv.j, beta) for lv in self.levels for beta in lv.betas[lv.default].tolist()]
 
     @property
     def cond_max(self) -> float:
-        return max(self.conds.values()) if self.conds else 0.0
+        return max((lv.cond.max().item() for lv in self.levels if lv.cond.size), default=0.0)
 
     @property
     def n_fallbacks(self) -> int:
-        return len(self.fallbacks)
+        return sum(int(np.count_nonzero(lv.fallback)) for lv in self.levels)
 
     @property
     def n_null_branches(self) -> int:
-        return len(self.null_branches)
+        return sum(lv.nulls.size for lv in self.levels)
 
     @property
     def n_default_phases(self) -> int:
-        return len(self.default_phases)
+        return sum(int(np.count_nonzero(lv.default)) for lv in self.levels)
 
     def to_dict(self) -> dict:
-        cond = {f"{j},{beta}": (v if np.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
+        cond = {f"{j},{beta}": (v if math.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
         return {
             "cond": cond,
             "fallbacks": self.n_fallbacks,
@@ -250,7 +368,7 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
     rows = sys.rows
     if rows.shape[2] < 1:
         raise ValueError("empty phase system")
-    fallback, default = np.zeros((2, rows.shape[1]), dtype=bool)
+    fallback, default = np.zeros(rows.shape[1], dtype=bool), np.zeros(rows.shape[1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond, det, x, y = _normal_solution(rows)
         r = np.hypot(x, y)
@@ -380,7 +498,8 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     Each level is one batched pass over all its live blocks: _level_rows
     assembles every block's rows at once, and one solve_phase call returns
     every block's cond and phase and decides its least squares, fallback,
-    default phase or AmbiguityError.
+    default phase or AmbiguityError.  The diagnostics keep those arrays as
+    the level's Level record; no per-block object is built.
     """
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
@@ -401,9 +520,11 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         half = 1 << (j - 1)
         view = work.reshape(-1, 2, half)
         live = view.any(axis=2).all(axis=1)
-        diag.null_branches.extend((j, beta) for beta in np.flatnonzero(~live).tolist())
-        betas = np.flatnonzero(live)
+        blocks = np.arange(live.size)
+        nulls, betas = blocks[~live], blocks[live]
         if betas.size == 0:
+            empty, unset = np.empty(0), np.zeros(0, dtype=bool)
+            diag.levels.append(Level(j, nulls, betas, empty, empty, empty, unset, unset))
             continue
         if opts.mode == "local":
             p = np.stack(emp[j - 1 :: n]).reshape(opts.m, -1, 2, half)[:, betas]
@@ -414,11 +535,7 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(view[betas], p, fam, extra))
         cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
         view[betas, 1] *= (cos_d + 1j * sin_d)[:, None]
-        diag.fallbacks.extend((j, beta) for beta in betas[fallback].tolist())
-        diag.default_phases.extend((j, beta) for beta in betas[default].tolist())
-        keys = [(j, beta) for beta in betas.tolist()]
-        diag.conds.update(zip(keys, cond.tolist()))
-        diag.phases.update(zip(keys, zip(cos_d.tolist(), sin_d.tolist())))
+        diag.levels.append(Level(j, nulls, betas, cond, cos_d, sin_d, fallback, default))
     norm = float(np.linalg.norm(work))
     if norm == 0.0:
         raise ValueError("all amplitudes clamped to zero; nothing to reconstruct")

@@ -9,7 +9,16 @@ import pytest
 
 from purestate.states import fidelity, haar_random, make_state, named_state
 from purestate.bases import default_family, estimation_basis_ids
-from purestate.measurement import born_probs, exact_record, seeded_rng, simulate_counts
+import purestate.benchmark as benchmark
+from purestate.measurement import (
+    ProbTable,
+    born_probs,
+    exact_record,
+    sample_counts,
+    seeded_rng,
+    simulate_counts,
+    to_empirical,
+)
 from purestate.reconstruction import ReconstructionOptions, reconstruct
 from purestate.benchmark import (
     BenchConfig,
@@ -200,6 +209,37 @@ class TestBootstrap:
         recs = [exact_record(born_probs(st, i, default_family(2))) for i in ids]
         with pytest.raises(ValueError):
             bootstrap_ci(recs, 2, ReconstructionOptions(), st, 100, seed=0)
+
+    def test_exact_record_is_rejected_before_any_resample(self, monkeypatch):
+        st = named_state("Phi4", 2)
+        ids = estimation_basis_ids(2, 2, "local")
+        data = simulate_counts(st, ids, default_family(2), 256, seed=0)
+        recs = data.records[:-1] + [exact_record(born_probs(st, ids[-1], default_family(2)))]
+        drawn = []
+        monkeypatch.setattr(benchmark, "sample_counts", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="cannot bootstrap exact-probability records"):
+            bootstrap_ci(recs, 2, ReconstructionOptions(), st, 100, seed=0)
+        assert drawn == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bands_equal_a_resample_loop_that_rebuilds_every_table(self, seed):
+        # each resample rebuilding every record's table from its counts gives the same draws and band
+        n, B = 4, 200
+        target = make_bench_state("ghz", n, None)
+        ids = estimation_basis_ids(n, 2, "local")
+        lam = prep_noise_lambda("phi4", n)
+        data = simulate_counts(target, ids, default_family(2), 8192, seed=seed, seed_key=(n, 0), noise_lambda=lam)
+        opts = ReconstructionOptions(mode="local", m=2, family=tuple(default_family(2)), use_extra_rows=True)
+        fids = np.empty(B)
+        for b in range(B):
+            rng = seeded_rng(seed, (b,))
+            resampled = [
+                sample_counts(ProbTable(n=n, basis=rec.basis, probs=to_empirical(rec)), rec.shots, rng)
+                for rec in data.records
+            ]
+            fids[b] = fidelity(target, reconstruct(resampled, n, opts)[0])
+        lo, point, hi = np.percentile(fids, [16.0, 50.0, 84.0])
+        assert bootstrap_ci(data.records, n, opts, target, B, seed) == (float(point), float(lo), float(hi))
 
     def test_point_sits_inside_the_band(self):
         target = named_state("Phi4", 2)

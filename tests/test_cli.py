@@ -21,6 +21,7 @@ from purestate.measurement import read_counts
 from purestate.reconstruction import ReconstructionOptions
 from purestate.benchmark import bootstrap_ci
 from purestate.cli import CONFIG_KEYS, cli_main, parse_n_range, read_config
+from test_reconstruction import reference_reconstruct
 
 
 def run_cli(*argv):
@@ -115,6 +116,40 @@ class TestSimulateReconstruct:
         assert set(obj) == {"n", "amps", "diagnostics"}
         assert len(obj["amps"]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "simulate_args",
+        [
+            ("--state", "haar", "--n", "3", "--shots", "512", "--seed", "7"),
+            ("--state", "phi1", "--n", "6", "--mode", "entangled", "--shots", "4096", "--seed", "3"),
+        ],
+        ids=["haar-n3-local", "phi1-n6-entangled"],
+    )
+    def test_estimate_json_and_summary_equal_the_reference_loop(self, tmp_path, capsys, simulate_args):
+        # the texts built from the per-block reference loop's plain dicts and lists
+        counts, est = tmp_path / "c.json", tmp_path / "est.json"
+        assert run_cli("simulate", *simulate_args, "--out", str(counts)) == 0
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--out", str(est)) == 0
+        out = capsys.readouterr().out
+
+        data = read_counts(counts)
+        mode = "entangled" if "entangled" in simulate_args else "local"
+        opts = ReconstructionOptions(mode=mode, m=2, family=tuple(data.family))
+        amps, ref = reference_reconstruct(data.records, data.n, opts)
+        cond_max = max(ref.conds.values(), default=0.0)
+        assert out == (
+            f"reconstructed n={data.n} ({mode}, m=2): {len(ref.conds)} systems, "
+            f"{len(ref.null_branches)} null branches, {len(ref.fallbacks)} fallbacks, "
+            f"{len(ref.default_phases)} default phases, cond_max={cond_max:.6g}\n"
+            f"wrote estimate to {est}\n"
+        )
+        obj = {
+            "n": data.n,
+            "amps": [[re, im] for re, im in zip(amps.real.tolist(), amps.imag.tolist())],
+            "diagnostics": ref.to_dict(),
+        }
+        assert est.read_text() == json.dumps(obj, indent=1) + "\n"
 
     def test_entangled_mode_pipeline(self, tmp_path, capsys):
         counts = tmp_path / "c.json"

@@ -1,6 +1,7 @@
 """Tests for amplitude extraction, phase systems, solving, and full reconstruction."""
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from purestate.measurement import (
 from purestate.reconstruction import (
     AmbiguityError,
     Diagnostics,
+    Level,
     PhaseSystem,
     ReconstructionOptions,
     amplitudes_from_counts,
@@ -564,14 +566,21 @@ class TestRowMonotonicity:
         assert resid(sys_can, x_can) <= resid(sys_can, x_ext) + 1e-12
 
 
+def level(j, nulls, betas, cond, cos, sin, fallback, default):
+    """A Level record from plain lists, as reconstruct appends one per level."""
+    arrays = [np.array(nulls, dtype=np.int64), np.array(betas, dtype=np.int64)]
+    arrays += [np.array(v, dtype=np.float64) for v in (cond, cos, sin)]
+    arrays += [np.array(v, dtype=bool) for v in (fallback, default)]
+    return Level(j, *arrays)
+
+
 class TestDiagnosticsSerialization:
     def test_infinite_conditions_become_strings(self):
         diag = Diagnostics(n=2)
-        diag.conds[(1, 0)] = 2.5
-        diag.conds[(2, 0)] = np.inf
-        diag.null_branches.append((1, 1))
-        diag.fallbacks.append((2, 0))
-        diag.default_phases.append((1, 0))
+        diag.levels.append(level(1, [1], [0], [2.5], [1.0], [0.0], [False], [True]))
+        diag.levels.append(level(2, [], [0], [np.inf], [0.6], [0.8], [True], [False]))
+        with pytest.raises(TypeError):
+            diag.conds[(1, 0)] = 3.0
         obj = diag.to_dict()
         assert obj["cond"]["1,0"] == 2.5
         assert obj["cond"]["2,0"] == "inf"
@@ -646,17 +655,38 @@ class TestOptionsValidation:
         assert fam[1].phi == pytest.approx(np.pi / 3, abs=1e-15)
 
 
+@dataclass
+class ReferenceDiagnostics:
+    """What reference_reconstruct records, in plain dicts and lists filled block by block."""
+
+    conds: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict)
+    null_branches: list = field(default_factory=list)
+    fallbacks: list = field(default_factory=list)
+    default_phases: list = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        cond = {f"{j},{beta}": (v if np.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
+        return {
+            "cond": cond,
+            "fallbacks": len(self.fallbacks),
+            "null_branches": len(self.null_branches),
+            "default_phases": len(self.default_phases),
+        }
+
+
 def reference_reconstruct(records, n, opts):
     """The per-block estimator: build_system + solve_phase on one block at a time, in (j, beta) order.
 
     reconstruct must agree with it bit for bit: same null / fallback /
     default-phase lists, same conds and phases, and the same amplitudes.
+    Its diagnostics are plain dicts and lists, filled one block at a time.
     """
     family = opts.resolved_family()
     emp = {str(rec.basis): to_empirical(rec) for rec in records}
     work = amplitudes_from_counts(next(r for r in records if r.basis == COMPUTATIONAL), n, opts.null_threshold)
     work = work.astype(np.complex128)
-    diag = Diagnostics(n=n)
+    diag = ReferenceDiagnostics()
     for j in range(1, n + 1):
         half = 1 << (j - 1)
         for beta in range(1 << (n - j)):
@@ -696,18 +726,37 @@ def reference_reconstruct(records, n, opts):
 def assert_matches_reference(records, n, opts):
     est, diag = reconstruct(records, n, opts)
     ref_amps, ref = reference_reconstruct(records, n, opts)
-    assert diag.null_branches == ref.null_branches
-    assert diag.fallbacks == ref.fallbacks
-    assert diag.default_phases == ref.default_phases
-    assert list(diag.conds) == list(ref.conds)
-    assert list(diag.phases) == list(ref.phases)
-    assert diag.conds == ref.conds
-    assert all(type(v) is float for v in diag.conds.values())
-    assert diag.phases == ref.phases
-    for cos_d, sin_d in diag.phases.values():
-        assert type(cos_d) is float and type(sin_d) is float
+    assert_diagnostics_equal(diag, ref)
     assert np.array_equal(est.amps, ref_amps), np.max(np.abs(est.amps - ref_amps))
     return diag
+
+
+def assert_diagnostics_equal(diag, ref):
+    """diag's views and lists hold exactly ref's entries, in ref's order, as Python ints and floats."""
+    for labels, want in (
+        (diag.null_branches, ref.null_branches),
+        (diag.fallbacks, ref.fallbacks),
+        (diag.default_phases, ref.default_phases),
+    ):
+        assert type(labels) is list and labels == want
+        assert all(type(j) is int and type(beta) is int for j, beta in labels)
+    counts = (diag.n_null_branches, diag.n_fallbacks, diag.n_default_phases)
+    assert counts == (len(ref.null_branches), len(ref.fallbacks), len(ref.default_phases))
+    assert all(type(c) is int for c in counts)
+    for view, want, is_value in (
+        (diag.conds, ref.conds, lambda v: type(v) is float),
+        (diag.phases, ref.phases, lambda v: type(v) is tuple and len(v) == 2 and all(type(x) is float for x in v)),
+    ):
+        got = dict(view)  # through keys and lookups
+        assert got == want and list(got) == list(want) and len(view) == len(want)
+        assert list(view.items()) == list(want.items())
+        assert list(view.values()) == list(want.values())
+        assert all(type(j) is int and type(beta) is int for j, beta in view)
+        assert all(map(is_value, got.values())) and all(map(is_value, view.values()))
+    assert diag.cond_max == max(ref.conds.values(), default=0.0)
+    assert type(diag.cond_max) is float
+    assert diag.to_dict() == ref.to_dict()
+    assert json.dumps(diag.to_dict()) == json.dumps(ref.to_dict())
 
 
 class TestKernelMatchesReference:
@@ -801,7 +850,7 @@ class TestKernelMatchesReference:
             est, diag = reconstruct(records, 6, opts)
         assert diag.fallbacks
         ref_amps, ref = reference_reconstruct(records, 6, opts)
-        assert (diag.fallbacks, diag.default_phases, diag.conds) == (ref.fallbacks, ref.default_phases, ref.conds)
+        assert (diag.fallbacks, diag.default_phases, dict(diag.conds)) == (ref.fallbacks, ref.default_phases, ref.conds)
         assert np.array_equal(est.amps, ref_amps)
 
     @pytest.mark.parametrize("extra", [False, True])
@@ -882,10 +931,100 @@ class TestKernelMatchesReference:
         assert_matches_reference(sampled_records(st, mode, m, shots, seed=seed), n, opts)
 
 
+def assert_levels_partition_blocks(diag, n):
+    """One Level per j in order; its null and live betas split the level's 2^(n-j) blocks."""
+    assert [lv.j for lv in diag.levels] == list(range(1, n + 1))
+    for lv in diag.levels:
+        both = np.concatenate([lv.nulls, lv.betas])
+        assert np.array_equal(np.sort(both), np.arange(1 << (n - lv.j)))
+        assert all(a.shape == lv.betas.shape for a in (lv.cond, lv.cos, lv.sin, lv.fallback, lv.default))
+    assert len(diag.conds) + diag.n_null_branches == (1 << n) - 1
+    assert len(diag.phases) == len(diag.conds)
+
+
+class TestDiagnosticsViews:
+    def test_one_qubit(self):
+        st = haar_random(1, seed=1700)
+        opts = ReconstructionOptions(mode="local", m=2)
+        diag = assert_matches_reference([exact_record(t) for t in exact_tables(st, "local", 2)], 1, opts)
+        assert_levels_partition_blocks(diag, 1)
+        assert list(diag.conds) == [(1, 0)] and diag.null_branches == []
+        assert diag.cond_max == diag.conds[(1, 0)]
+
+    def test_cond_max_is_zero_when_no_system_is_solved(self):
+        for amps in ([1.0, 0.0], [0, 0, 0, 0, 0, 1j, 0, 0]):
+            st = make_state(amps)
+            records = [exact_record(t) for t in exact_tables(st, "local", 2)]
+            diag = assert_matches_reference(records, st.n, ReconstructionOptions(mode="local", m=2))
+            assert_levels_partition_blocks(diag, st.n)
+            assert diag.cond_max == 0.0 and type(diag.cond_max) is float
+            assert len(diag.conds) == 0 and diag.n_null_branches == (1 << st.n) - 1
+            assert diag.to_dict() == {"cond": {}, "fallbacks": 0, "null_branches": (1 << st.n) - 1, "default_phases": 0}
+
+    def test_level_with_no_live_block(self):
+        st = make_state([0.0, 0.0, 0.6, 0.8j])
+        records = [exact_record(t) for t in exact_tables(st, "local", 2)]
+        diag = assert_matches_reference(records, 2, ReconstructionOptions(mode="local", m=2))
+        assert_levels_partition_blocks(diag, 2)
+        assert diag.levels[1].betas.size == 0 and diag.levels[1].nulls.tolist() == [0]
+        assert diag.null_branches == [(1, 0), (2, 0)]
+        assert list(diag.conds) == list(diag.phases) == [(1, 1)]
+        assert (1, 1) in diag.conds and "2,0" not in diag.phases
+        for null in diag.null_branches:  # (1, 0) sits in a level with a live block, (2, 0) in one without
+            assert null not in diag.conds and diag.conds.get(null) is None
+            with pytest.raises(KeyError):
+                diag.phases[null]
+        assert diag.phases[(1, 1)] == pytest.approx((0.0, 1.0), abs=1e-12)
+
+    def test_zero_row_default_phase_keeps_an_infinite_cond(self):
+        # level 1 leaves childA orthogonal to |-_1> and childB to |-_2>, exactly:
+        # every level-2 row is zero, so block (2, 0) gets the default phase with cond inf
+        fam = (make_qubit_basis(np.sqrt(0.5), np.sqrt(0.5), 0.0), make_qubit_basis(0.6, 0.8, 0.0))
+        comp = np.array([0.375, 0.375, (0.5 * 0.6) ** 2, (0.5 * 0.8) ** 2])
+        records = [
+            CountsRecord(basis=id, shots=0, counts=comp if id == COMPUTATIONAL else np.full(4, 0.9))
+            for id in estimation_basis_ids(2, 2, "local")
+        ]
+        opts = ReconstructionOptions(mode="local", m=2, family=fam, cond_threshold=np.inf)
+        diag = assert_matches_reference(records, 2, opts)
+        assert diag.default_phases == [(2, 0)] and diag.fallbacks == []
+        assert diag.conds[(2, 0)] == np.inf and diag.phases[(2, 0)] == (1.0, 0.0)
+        assert diag.cond_max == np.inf
+        obj = diag.to_dict()
+        assert obj["cond"]["2,0"] == "inf" and obj["default_phases"] == 1
+        json.dumps(obj)
+
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, 5.0])
+    def test_fail_policy_raises_at_the_first_fallback_label(self, threshold):
+        # under "fail" the first block residual_pick sends down the fallback path raises instead
+        raised = 0
+        for seed in range(4):
+            st = haar_random(5, seed=1800 + seed)
+            records = sampled_records(st, "local", 2, 1024, seed=seed)
+            opts = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold)
+            _, diag = reconstruct(records, 5, opts)
+            fail = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold, ambiguity_policy="fail")
+            if not diag.fallbacks:
+                reconstruct(records, 5, fail)
+                continue
+            with pytest.raises(AmbiguityError) as got:
+                reconstruct(records, 5, fail)
+            assert (got.value.j, got.value.beta) == diag.fallbacks[0]
+            raised += 1
+        assert raised > 0
+
+    def test_twelve_qubits_entangled(self):
+        # the shape of the mc-entangled-phi1-n12 benchmark: Phi1, m=2, 65536 shots
+        st = named_state("Phi1", 12)
+        records = sampled_records(st, "entangled", 2, 65536, seed=12)
+        diag = assert_matches_reference(records, 12, ReconstructionOptions(mode="entangled", m=2))
+        assert_levels_partition_blocks(diag, 12)
+
+
 class TestLargeSystems:
     def test_exact_recovery_at_sixteen_qubits_with_extra_rows(self):
         st = haar_random(16, seeded_rng(100000, (16, 0)))
         opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=True)
         est, diag = reconstruct_from_probs(exact_tables(st, "local", 2), 16, opts)
         assert fidelity(st, est) >= 1 - 1e-8
-        assert len(diag.conds) + diag.n_null_branches == (1 << 16) - 1
+        assert_levels_partition_blocks(diag, 16)
