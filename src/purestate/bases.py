@@ -203,7 +203,12 @@ def _entangled_block_offset(n: int, j: int) -> int:
 
 
 def basis_states(n: int, id: BasisId, family: list[QubitBasis]) -> list[PureState]:
-    """Ordered orthonormal basis of the 2^n-dimensional space for a basis id."""
+    """Ordered orthonormal basis of the 2^n-dimensional space for a basis id.
+
+    Every local and entangled outcome's state is the projector its
+    outcome_role names; the computational one-hots and the terminal
+    all-minus entangled state are the outcomes without a role.
+    """
     _check_id(id, n, len(family))
     dim = 1 << n
     if id.tag == "computational":
@@ -214,25 +219,13 @@ def basis_states(n: int, id: BasisId, family: list[QubitBasis]) -> list[PureStat
             out.append(PureState(n=n, amps=_freeze(amps)))
         return out
     qb = family[id.a - 1]
-    if id.tag == "local":
-        b = id.b
-        plus, minus = qb.plus_ket(), qb.minus_ket()
-        out = []
-        for k in range(dim):
-            beta = k >> b
-            prefix = np.zeros(1 << (n - b), dtype=np.complex128)
-            prefix[beta] = 1.0
-            kets = [prefix]
-            for q in range(b - 1, -1, -1):
-                kets.append(minus if (k >> q) & 1 else plus)
-            out.append(PureState(n=n, amps=_freeze(reduce(np.kron, kets))))
-        return out
-    # entangled: level blocks j = 1..n, then the all-minus state
     out = []
-    for j in range(1, n + 1):
-        for beta in range(1 << (n - j)):
-            out.append(projector(n, j, beta, qb))
-    out.append(PureState(n=n, amps=_freeze(reduce(np.kron, [qb.minus_ket()] * n))))
+    for k in range(dim):
+        role = outcome_role(id, k, n)
+        if role is None:  # the terminal all-minus entangled outcome
+            out.append(PureState(n=n, amps=_freeze(reduce(np.kron, [qb.minus_ket()] * n))))
+        else:
+            out.append(role_state(n, role, qb))
     return out
 
 

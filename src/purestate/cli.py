@@ -203,7 +203,7 @@ def cmd_reconstruct(args) -> int:
     estimate, diag = reconstruct(data.records, data.n, opts)
     print(
         f"reconstructed n={data.n} ({mode}, m={m}): "
-        f"{len(diag.conds)} systems, {diag.n_null_branches} null branches, "
+        f"{diag.n_systems} systems, {diag.n_null_branches} null branches, "
         f"{diag.n_fallbacks} fallbacks, {diag.n_default_phases} default phases, cond_max={diag.cond_max:.6g}"
     )
     if args.target:
@@ -223,7 +223,7 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ValueError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; allowed: {', '.join(CONFIG_KEYS)}")
 
-    def pick(flag, key, cast, fallback):
+    def pick(flag, key, cast, fallback=None):
         if flag is not None:
             return flag
         if key in cfg:
@@ -235,16 +235,17 @@ def cmd_bench(args) -> int:
         n_range = parse_n_range(n_text)
     except ValueError as e:
         raise UsageError(str(e))
-    config = BenchConfig(
-        n_range=n_range,
-        m=pick(args.m, "m", int, 2),
-        mode=pick(args.mode, "mode", str, "local"),
-        shots=pick(args.shots, "shots", int, 8192),
-        trials=pick(args.trials, "trials", int, 100),
-        state_family=pick(args.state, "state", str, "haar"),
-        seed=pick(args.seed, "seed", int, 0),
-        noise_lambda=pick(args.noise_lambda, "noise_lambda", float, None),
-    )
+    given = {
+        "m": pick(args.m, "m", int),
+        "mode": pick(args.mode, "mode", str),
+        "shots": pick(args.shots, "shots", int),
+        "trials": pick(args.trials, "trials", int),
+        "state_family": pick(args.state, "state", str),
+        "seed": pick(args.seed, "seed", int),
+        "noise_lambda": pick(args.noise_lambda, "noise_lambda", float),
+    }
+    # BenchConfig's own defaults fill whatever neither a flag nor the config gives
+    config = BenchConfig(n_range=n_range, **{k: v for k, v in given.items() if v is not None})
     result = bench_run(config)
     summary = result.summary()
     for n_key, stats in summary["per_n"].items():

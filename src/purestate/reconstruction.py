@@ -25,15 +25,15 @@ every block's path in one call.  build_system is the same row assembly run
 on a single block, a PhaseSystem of one block, and each system is summed
 over its own rows, so a block's rows, cond and phase are the same bits
 alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
-Level); its (j, beta) mappings and label lists are derived from them.
+Level); its (j, beta) dicts and label lists are built from them on access.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -141,107 +141,33 @@ class Level(NamedTuple):
     default: np.ndarray
 
 
-class _LevelView(Mapping):
-    """Read-only (j, beta) -> value mapping over the levels' arrays, level by level, beta ascending.
-
-    len is O(levels) and a lookup a binary search in its level; iterating
-    walks every block.
-    """
-
-    def __init__(self, levels: list):
-        self._levels = levels
-
-    def __len__(self) -> int:
-        return sum(lv.betas.size for lv in self._levels)
-
-    def __iter__(self):
-        for lv in self._levels:
-            for beta in lv.betas.tolist():
-                yield lv.j, beta
-
-    def __getitem__(self, key):
-        try:
-            j, beta = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        for lv in self._levels:
-            if lv.j == j:
-                i = int(np.searchsorted(lv.betas, beta))
-                if i < lv.betas.size and lv.betas[i] == beta:
-                    return self._value(lv, i)
-        raise KeyError(key)
-
-    def items(self):
-        return _LevelItems(self)
-
-    def values(self):
-        return _LevelValues(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _LevelItems(ItemsView):
-    def __iter__(self):
-        for lv in self._mapping._levels:
-            yield from zip(((lv.j, beta) for beta in lv.betas.tolist()), self._mapping._column(lv))
-
-
-class _LevelValues(ValuesView):
-    def __iter__(self):
-        for lv in self._mapping._levels:
-            yield from self._mapping._column(lv)
-
-
-class _CondView(_LevelView):
-    """Each solved system's condition number, a Python float."""
-
-    @staticmethod
-    def _column(lv: Level):
-        return lv.cond.tolist()
-
-    @staticmethod
-    def _value(lv: Level, i: int) -> float:
-        return lv.cond[i].item()
-
-
-class _PhaseView(_LevelView):
-    """Each solved system's (cos delta, sin delta), a tuple of Python floats."""
-
-    @staticmethod
-    def _column(lv: Level):
-        return zip(lv.cos.tolist(), lv.sin.tolist())
-
-    @staticmethod
-    def _value(lv: Level, i: int) -> tuple:
-        return lv.cos[i].item(), lv.sin[i].item()
-
-
 @dataclass(eq=False)
 class Diagnostics:
     """Per-run solve statistics, kept as one Level of arrays per level j.
 
-    conds and phases are read-only (j, beta) mappings over those arrays, one
-    entry per solved system, in level order and beta ascending: conds holds
-    the condition numbers (inf marks systems with no usable rows), phases
-    the (cos delta, sin delta) pairs.  null_branches, fallbacks and
-    default_phases are disjoint lists of (j, beta) labels built on each
-    access; together with conds they account for all 2^n - 1 phase
-    problems.  len(conds), len(phases), cond_max and the n_* counts cost
-    O(levels); iterating conds or phases, the label lists and to_dict walk
-    every block.
+    conds and phases are read-only (j, beta) dicts built from those arrays
+    on each access, one entry per solved system, in level order and beta
+    ascending: conds holds the condition numbers (inf marks systems with no
+    usable rows), phases the (cos delta, sin delta) pairs.  null_branches,
+    fallbacks and default_phases are disjoint lists of (j, beta) labels,
+    also built on each access; together with conds they account for all
+    2^n - 1 phase problems.  cond_max and the n_* counts cost O(levels).
     """
 
-    n: int
     levels: list = field(default_factory=list)
 
-    @property
-    def conds(self) -> _CondView:
-        return _CondView(self.levels)
+    def _by_block(self, column) -> MappingProxyType:
+        return MappingProxyType(
+            {(lv.j, beta): v for lv in self.levels for beta, v in zip(lv.betas.tolist(), column(lv))}
+        )
 
     @property
-    def phases(self) -> _PhaseView:
-        return _PhaseView(self.levels)
+    def conds(self) -> MappingProxyType:
+        return self._by_block(lambda lv: lv.cond.tolist())
+
+    @property
+    def phases(self) -> MappingProxyType:
+        return self._by_block(lambda lv: zip(lv.cos.tolist(), lv.sin.tolist()))
 
     @property
     def null_branches(self) -> list:
@@ -260,6 +186,10 @@ class Diagnostics:
         return max((lv.cond.max().item() for lv in self.levels if lv.cond.size), default=0.0)
 
     @property
+    def n_systems(self) -> int:
+        return sum(lv.betas.size for lv in self.levels)
+
+    @property
     def n_fallbacks(self) -> int:
         return sum(int(np.count_nonzero(lv.fallback)) for lv in self.levels)
 
@@ -272,7 +202,11 @@ class Diagnostics:
         return sum(int(np.count_nonzero(lv.default)) for lv in self.levels)
 
     def to_dict(self) -> dict:
-        cond = {f"{j},{beta}": (v if math.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
+        cond = {
+            f"{lv.j},{beta}": (v if math.isfinite(v) else "inf")
+            for lv in self.levels
+            for beta, v in zip(lv.betas.tolist(), lv.cond.tolist())
+        }
         return {
             "cond": cond,
             "fallbacks": self.n_fallbacks,
@@ -512,7 +446,7 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         raise ValueError(f"missing record for basis {missing[0]}")
     emp = [to_empirical(by_id[str(id)]) for id in ids]
 
-    diag = Diagnostics(n=n)
+    diag = Diagnostics()
     work = amplitudes_from_counts(comp, n, opts.null_threshold).astype(np.complex128)
     extra = opts.mode == "local" and opts.use_extra_rows
     fam = _FamilyArrays(opts.resolved_family()[: opts.m])

@@ -1,5 +1,7 @@
 """Tests for basis families, outcome bookkeeping, and circuit emission."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from purestate.bases import (
     make_qubit_basis,
     outcome_role,
     projector,
-    role_state,
     rotate_qubit,
 )
 
@@ -227,18 +228,24 @@ class TestOutcomeRole:
         with pytest.raises(ValueError):
             outcome_role(local_id(1, 1), 4, 2)
 
-    def test_role_states_reproduce_basis_states(self):
-        # every outcome that carries a role projects onto exactly that pattern
+    def test_basis_states_are_explicit_kronecker_products(self):
+        # basis_states goes through outcome_role, so check its encoding against products written out from k
         fam = default_family(2)
         n = 4
-        for id in (local_id(1, 2), local_id(2, 4), entangled_id(1), entangled_id(2)):
-            states = basis_states(n, id, fam)
-            for k, st in enumerate(states):
-                role = outcome_role(id, k, n)
-                if role is None:
-                    continue
-                rebuilt = role_state(n, role, fam[role.a - 1])
-                assert np.allclose(rebuilt.amps, st.amps, atol=1e-12)
+        for a, b in ((1, 1), (1, 2), (2, 4)):
+            qb = fam[a - 1]
+            for k, st in enumerate(basis_states(n, local_id(a, b), fam)):
+                signs = [qb.minus_ket() if (k >> q) & 1 else qb.plus_ket() for q in range(b - 1, -1, -1)]
+                assert np.array_equal(st.amps, reduce(np.kron, [np.eye(1 << (n - b))[k >> b]] + signs))
+        for a in (1, 2):
+            qb = fam[a - 1]
+            want = [
+                reduce(np.kron, [np.eye(1 << (n - j))[beta], qb.plus_ket()] + [qb.minus_ket()] * (j - 1))
+                for j in range(1, n + 1)
+                for beta in range(1 << (n - j))
+            ]
+            want.append(reduce(np.kron, [qb.minus_ket()] * n))
+            assert np.array_equal([st.amps for st in basis_states(n, entangled_id(a), fam)], want)
 
     def test_canonical_local_outcome_index(self):
         # the canonical (j, beta) outcome of a depth-j basis is (beta << j) + 2^{j-1} - 1

@@ -19,7 +19,7 @@ from purestate.measurement import (
     simulate_counts,
     to_empirical,
 )
-from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.reconstruction import Diagnostics, ReconstructionOptions, reconstruct
 from purestate.benchmark import (
     BenchConfig,
     bench_run,
@@ -119,6 +119,22 @@ class TestBenchRun:
         cfg = BenchConfig(n_range=(2,), shots=1024, trials=1, seed=3)
         row, truth, est = run_trial(cfg, 2, 0)
         assert row.fidelity == fidelity(truth, est)
+
+    def test_trials_and_bootstrap_read_no_per_block_mapping(self, monkeypatch):
+        # conds and phases build a dict over every solved block; the hot paths read only O(levels) summaries
+        def refuse(self):
+            raise AssertionError("per-block diagnostics mapping built on a hot path")
+
+        monkeypatch.setattr(Diagnostics, "conds", property(refuse))
+        monkeypatch.setattr(Diagnostics, "phases", property(refuse))
+        for mode in ("local", "entangled"):
+            row, truth, est = run_trial(BenchConfig(n_range=(4,), mode=mode, shots=1024, trials=1, seed=4), 4, 0)
+            assert row.fidelity == fidelity(truth, est)
+        target = make_bench_state("ghz", 4, None)
+        data = simulate_counts(target, estimation_basis_ids(4, 2, "local"), default_family(2), 1024, seed=4)
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=True)
+        point, lo, hi = bootstrap_ci(data.records, 4, opts, target, 100, seed=4)
+        assert lo <= point <= hi
 
     def test_memory_guard(self):
         with pytest.raises(ValueError):

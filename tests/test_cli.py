@@ -335,6 +335,11 @@ class TestBases:
         out = capsys.readouterr().out
         assert out.count("state ") == 4
 
+    def test_exact_zero_amplitudes_print_unsigned(self, capsys):
+        assert run_cli("bases", "--n", "2", "--basis", "local:1:1", "--states") == 0
+        out = capsys.readouterr().out
+        assert out.count("state ") == 4 and "-0.000000" not in out
+
     def test_qasm_for_local_basis(self, capsys):
         assert run_cli("bases", "--n", "2", "--basis", "local:1:1", "--qasm") == 0
         out = capsys.readouterr().out

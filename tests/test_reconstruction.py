@@ -576,7 +576,7 @@ def level(j, nulls, betas, cond, cos, sin, fallback, default):
 
 class TestDiagnosticsSerialization:
     def test_infinite_conditions_become_strings(self):
-        diag = Diagnostics(n=2)
+        diag = Diagnostics()
         diag.levels.append(level(1, [1], [0], [2.5], [1.0], [0.0], [False], [True]))
         diag.levels.append(level(2, [], [0], [np.inf], [0.6], [0.8], [True], [False]))
         with pytest.raises(TypeError):
@@ -743,6 +743,7 @@ def assert_diagnostics_equal(diag, ref):
     counts = (diag.n_null_branches, diag.n_fallbacks, diag.n_default_phases)
     assert counts == (len(ref.null_branches), len(ref.fallbacks), len(ref.default_phases))
     assert all(type(c) is int for c in counts)
+    assert diag.n_systems == len(ref.conds) and type(diag.n_systems) is int
     for view, want, is_value in (
         (diag.conds, ref.conds, lambda v: type(v) is float),
         (diag.phases, ref.phases, lambda v: type(v) is tuple and len(v) == 2 and all(type(x) is float for x in v)),
