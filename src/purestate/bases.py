@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,6 +53,13 @@ class QubitBasis:
     def unitary(self) -> np.ndarray:
         """U with U|0> = |+_a> and U|1> = |-_a>."""
         return np.column_stack([self.plus_ket(), self.minus_ket()])
+
+    @cached_property
+    def u_dagger(self) -> np.ndarray:
+        """U^dagger, the measurement rotation; built on first use, kept with the basis and read-only."""
+        m = self.unitary().conj().T
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -278,7 +285,7 @@ class Gate:
     basis: QubitBasis
 
     def matrix(self) -> np.ndarray:
-        return self.basis.unitary().conj().T
+        return self.basis.u_dagger
 
 
 def circuit_gates(id: BasisId, n: int, family: list[QubitBasis]) -> list[Gate]:

@@ -30,11 +30,10 @@ from .measurement import (
     CountsRecord,
     compose_lambdas,
     gate_noise_lambda,
-    sample_counts,
+    sampling_distribution,
     seeded_rng,
     simulate_counts,
     to_empirical,
-    ProbTable,
 )
 from .reconstruction import ReconstructionOptions, reconstruct
 from .states import (
@@ -254,21 +253,25 @@ def bootstrap_ci(
     """Bootstrap fidelity estimate against the target with a 16th-84th percentile band.
 
     Each resample redraws every record's counts multinomially from its own
-    empirical distribution (built once per call) and reconstructs from
-    scratch; exact-probability records (shots <= 0) are rejected before the
-    first draw.  The point estimate is the median of the resampled
-    fidelities, so it always sits inside the band; the plug-in value is
-    available through reconstruct + fidelity.
+    empirical distribution and reconstructs from scratch; exact-probability
+    records (shots <= 0) are rejected before the first draw.  Each record's
+    sampling_distribution is built once per call, so every draw is the one
+    sample_counts would make.  The point estimate is the median of the
+    resampled fidelities, so it always sits inside the band; the plug-in
+    value is available through reconstruct + fidelity.
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap resamples")
     if any(rec.shots <= 0 for rec in records):
         raise ValueError("cannot bootstrap exact-probability records")
-    tables = [(ProbTable(n=n, basis=rec.basis, probs=to_empirical(rec)), rec.shots) for rec in records]
+    probs = [sampling_distribution(to_empirical(rec)) for rec in records]
     fids = np.empty(B)
     for b in range(B):
         rng = seeded_rng(seed, (b,))
-        resampled = [sample_counts(table, shots, rng) for table, shots in tables]
+        resampled = [
+            CountsRecord(basis=rec.basis, shots=rec.shots, counts=rng.multinomial(rec.shots, p))
+            for rec, p in zip(records, probs)
+        ]
         est_b, _ = reconstruct(resampled, n, opts)
         fids[b] = fidelity(target, est_b)
     lo, point, hi = np.percentile(fids, [16.0, 50.0, 84.0])

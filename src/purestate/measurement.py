@@ -149,13 +149,17 @@ def seeded_rng(master_seed: int, key: tuple = ()) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=tuple(key))))
 
 
+def sampling_distribution(probs: np.ndarray) -> np.ndarray:
+    """The distribution sample_counts draws from: probs clipped at 0 and normalized to sum 1."""
+    p = np.clip(probs, 0.0, None)
+    return p / p.sum()
+
+
 def sample_counts(table: ProbTable, shots: int, rng: np.random.Generator) -> CountsRecord:
     """Multinomial draw of ``shots`` outcomes from a probability table."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    p = np.clip(table.probs, 0.0, None)
-    p = p / p.sum()
-    counts = rng.multinomial(shots, p)
+    counts = rng.multinomial(shots, sampling_distribution(table.probs))
     return CountsRecord(basis=table.basis, shots=shots, counts=counts)
 
 

@@ -21,9 +21,15 @@ this is self-consistent.
 
 reconstruct solves each level in one batched pass over all its blocks: the
 level's rows (_level_rows) form one PhaseSystem, and solve_phase decides
-every block's path in one call.  build_system is the same row assembly run
-on a single block, a PhaseSystem of one block, and each system is summed
-over its own rows, so a block's rows, cond and phase are the same bits
+every block's path in one call.  The rows need each child's transform
+under every family basis a: U_a^dagger^{x(j-1)} child with extra rows, else
+its <-_a|^{x(j-1)} contraction.  These are carried up the levels in one
+(m, .) array: a merged block [A; e^{i delta} B] transforms as one
+rotate_qubit on its top qubit of [T(A), e^{i delta} T(B)], so each level
+costs one rotation, and extra rows cost O(m n 2^n) in all.  build_system is
+the same row assembly run on a single block's transforms, a PhaseSystem of
+one block.  rotate_qubit is elementwise and each system is summed over its
+own rows, so a block's transforms, rows, cond and phase are the same bits
 alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
 Level); its (j, beta) dicts and label lists are built from them on access.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -43,6 +50,7 @@ from .bases import (
     _entangled_block_offset,
     default_family,
     estimation_basis_ids,
+    make_qubit_basis,
     rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
@@ -118,10 +126,20 @@ class ReconstructionOptions:
             fam = tuple(self.family)
             if len(fam) < self.m:
                 raise ValueError(f"family has {len(fam)} bases, need m={self.m}")
+            for i, qb in enumerate(fam):
+                try:
+                    make_qubit_basis(qb.u, qb.v, qb.phi)
+                except ValueError as e:
+                    raise ValueError(f"family entry {i} {qb!r}: {e}") from None
             object.__setattr__(self, "family", fam)
 
     def resolved_family(self) -> list[QubitBasis]:
         return list(self.family) if self.family is not None else default_family(self.m)
+
+    @cached_property
+    def _family_arrays(self) -> _FamilyArrays:
+        """The constants of the m bases reconstruct uses, built on first use and kept with these options."""
+        return _FamilyArrays(self.resolved_family()[: self.m])
 
 
 class Level(NamedTuple):
@@ -246,40 +264,45 @@ def _normal_solution(rows: np.ndarray) -> tuple:
 def build_system(
     j: int,
     beta: int,
-    childA: np.ndarray,
-    childB: np.ndarray,
+    ta: np.ndarray,
+    tb: np.ndarray,
     probs: np.ndarray,
     family: list[QubitBasis],
 ) -> PhaseSystem:
-    """Assemble the phase system for block (j, beta) from its slice of the level's probabilities.
+    """Assemble the phase system for block (j, beta) from its children's transforms and its probabilities.
 
-    childA and childB hold the block's two halves, 2^(j-1) amplitudes each.
     probs is (m, 2, 2^(j-1)), every outcome of family bases 1..m indexed by
     pivot-sign bit and tail bits (a set bit means -), or (m,), the canonical
-    outcome only.  Rows run basis by basis, then in outcome order; the
-    result is reconstruct's level system for a batch of this one block.
+    outcome only.  ta and tb are the transforms of the block's two halves
+    (childA, childB) for each basis a: with every outcome, (m, 2^(j-1)) holding
+    U_a^dagger^{x(j-1)} child, i.e. <W_w|child> for every tail pattern w; with
+    the canonical outcome only, (m,) holding <-_a|^{x(j-1)} child.  Rows run
+    basis by basis, then in outcome order; the result is reconstruct's level
+    system for a batch of this one block.
 
-    The canonical outcome (pivot +, all-minus tail) yields
-        X = e^{-i phi_a} <childA|W><W|childB>,   W = |-_a>^{x(j-1)},
-        row = (Re X, -Im X),  rhs = (P - u^2|<W|childA>|^2 - v^2|<W|childB>|^2) / (2uv).
-    Any other sign pattern yields the unscaled form
+    An outcome with pivot sign s0 and tail pattern w yields
         A = <s0|0><W_w|childA>,  B = <s0|1><W_w|childB>,  X = conj(A) B,
         row = (2 Re X, -2 Im X),  rhs = P - |A|^2 - |B|^2.
+    The canonical outcome (pivot +, all-minus tail W = |-_a>^{x(j-1)}) has
+    A = u <W|childA> and B = v e^{-i phi_a} <W|childB>; its row and rhs are
+    divided by 2uv, which makes them
+        X = e^{-i phi_a} <childA|W><W|childB>,
+        row = (Re X, -Im X),  rhs = (P - u^2|<W|childA>|^2 - v^2|<W|childB>|^2) / (2uv).
     """
     half = 1 << (j - 1)
-    childA = np.asarray(childA, dtype=np.complex128)
-    childB = np.asarray(childB, dtype=np.complex128)
-    if childA.shape != (half,) or childB.shape != (half,):
-        raise ValueError(f"children of block (j={j}, beta={beta}) need {half} amplitudes each")
-    if not (childA.any() and childB.any()):
-        raise ValueError(f"phase system (j={j}, beta={beta}) requires non-null children")
     probs = np.asarray(probs, dtype=np.float64)
     m = probs.shape[0] if probs.ndim else 0
     if m == 0 or probs.shape not in ((m,), (m, 2, half)):
         raise ValueError(f"probabilities of shape {probs.shape} fit neither (m,) nor (m, 2, {half})")
     if m > len(family):
         raise ValueError(f"probabilities for {m} bases, but the family has {len(family)}")
-    rows = _level_rows(np.stack([childA, childB])[None], probs[:, None], _FamilyArrays(family[:m]), probs.ndim == 3)
+    extra = probs.ndim == 3
+    ta = np.asarray(ta, dtype=np.complex128)
+    tb = np.asarray(tb, dtype=np.complex128)
+    shape = (m, half) if extra else (m,)
+    if ta.shape != shape or tb.shape != shape:
+        raise ValueError(f"transforms of block (j={j}, beta={beta}) need shape {shape}, got {ta.shape} and {tb.shape}")
+    rows = _level_rows(ta[:, None], tb[:, None], probs[:, None], _FamilyArrays(family[:m]), extra)
     return PhaseSystem(j=j, betas=np.array([beta]), rows=rows)
 
 
@@ -350,11 +373,16 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
 
 
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
+    """The records keyed by str(basis); each must hold 2^n outcomes, and non-integer ones must be finite and >= 0."""
     dim = 1 << n
     by_id = {}
     for rec in records:
-        if np.asarray(rec.counts).shape != (dim,):
-            raise ValueError(f"record {rec.basis} has {np.asarray(rec.counts).size} outcomes, expected {dim} for n={n}")
+        counts = np.asarray(rec.counts)
+        if counts.shape != (dim,):
+            raise ValueError(f"record {rec.basis} has {counts.size} outcomes, expected {dim} for n={n}")
+        # min and max are NaN when any entry is: both comparisons then fail
+        if counts.dtype.kind not in "biu" and not (counts.min() >= 0 and counts.max() < np.inf):
+            raise ValueError(f"record {rec.basis} holds counts or probabilities that are negative or not finite")
         by_id[str(rec.basis)] = rec
     return by_id
 
@@ -363,61 +391,48 @@ class _FamilyArrays:
     """The family's per-basis constants, stacked along a leading basis axis of length m."""
 
     def __init__(self, family: list[QubitBasis]):
-        self.u = np.array([qb.u for qb in family])[:, None]
-        self.v = np.array([qb.v for qb in family])[:, None]
-        self.e = np.exp(-1j * np.array([qb.phi for qb in family]))[:, None]
-        self.u_dagger = np.array([qb.unitary().conj().T for qb in family])
+        u = np.array([qb.u for qb in family])[:, None]
+        v = np.array([qb.v for qb in family])[:, None]
+        e = np.exp(-1j * np.array([qb.phi for qb in family]))[:, None]
+        self.u_dagger = np.array([qb.u_dagger for qb in family])
+        self.minus_row = self.u_dagger[:, 1:]  # <-_a|
         # A = ca <W|childA>, B = cb <W|childB> for pivot sign + (column 0) and - (column 1)
-        self.ca = np.hstack([self.u, self.v])
-        self.cb = np.hstack([self.v * self.e, -self.u * self.e])
+        self.ca, self.cb = np.hstack([u, v]), np.hstack([v * e, -u * e])
+        self.two_uv = 2.0 * u * v
 
 
-def _canonical_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
-    """Rows and rhs (stacked on axis 0) of canonical outcomes (pivot +, all-minus tail).
-
-    wa, wb, p are (m, L).
-    """
-    x = fam.e * np.conj(wa) * wb
-    rhs = (p - fam.u**2 * np.abs(wa) ** 2 - fam.v**2 * np.abs(wb) ** 2) / (2.0 * fam.u * fam.v)
-    return np.stack([x.real, -x.imag, rhs])
-
-
-def _pattern_rows(wa: np.ndarray, wb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
-    """Rows and rhs (stacked on axis 0) of every outcome, each shaped like p: (m, L, pivot sign, tail).
-
-    wa, wb are (m, L, h): <W_w|childA>, <W_w|childB> for every tail pattern w.
-    """
-    a = fam.ca[:, None, :, None] * wa[:, :, None, :]
-    b = fam.cb[:, None, :, None] * wb[:, :, None, :]
-    x = np.conj(a) * b
-    out = np.stack([2.0 * x.real, -2.0 * x.imag, p - np.abs(a) ** 2 - np.abs(b) ** 2])
-    c = wa.shape[2] - 1  # all-minus tail
-    out[:, :, :, 0, c] = _canonical_rows(wa[:, :, c], wb[:, :, c], p[:, :, 0, c], fam)
-    return out
+def _outcome_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """Write 2 Re X, -2 Im X and p - |A|^2 - |B|^2, X = conj(A) B, into out[0], out[1] and out[2]."""
+    x = np.conj(a)
+    x *= b
+    np.multiply(x.real, 2.0, out=out[0])
+    np.multiply(x.imag, -2.0, out=out[1])
+    np.subtract(p, np.abs(a) ** 2, out=out[2])
+    out[2] -= np.abs(b) ** 2
 
 
-def _level_rows(blocks: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
+def _level_rows(ta: np.ndarray, tb: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
     """Row columns 0, 1 and rhs (axis 0) of every block's phase system, shape (3, L, k).
 
-    blocks is (L, 2, h): the two children of each block.  p holds the
-    outcome probabilities per family basis: (m, L, 2, h) with extra rows,
-    else the canonical outcome's (m, L).  Each block's k rows run basis by
-    basis, then in outcome order, and lie contiguous in memory.
+    ta and tb hold the transforms of each block's two children, one row per
+    family basis or a single row shared by all: (m, L, h) with extra rows,
+    else (m, L) (see build_system).  p holds the outcome probabilities per
+    family basis: (m, L, 2, h) with extra rows, else the canonical outcome's
+    (m, L).  Each block's k rows run basis by basis, then in outcome order,
+    and lie contiguous in memory: they are written straight into that layout.
     """
-    L, _, h = blocks.shape
-    m = len(fam.u)
-    # U_a^dagger on each of the low k qubits gives <W_w|child> for every tail pattern w;
-    # its <-_a| row alone contracts the tail to the canonical <-_a|^{x k}
-    M = fam.u_dagger if extra else fam.u_dagger[:, 1:]
-    w = blocks.reshape(1, -1)
-    for q in range(h.bit_length() - 1):
-        w = rotate_qubit(w, q if extra else 0, M)
-    w = np.broadcast_to(w, (m, w.shape[1])).reshape(m, L, 2, -1)
+    m, L = p.shape[:2]
+    rows = np.empty((3, L, m) + p.shape[2:])
+    out = rows.swapaxes(1, 2)  # (3, m, L, ...), shaped like p
     if extra:
-        rows = _pattern_rows(w[:, :, 0], w[:, :, 1], p, fam)
+        a, b = fam.ca[:, None, :, None] * ta[:, :, None, :], fam.cb[:, None, :, None] * tb[:, :, None, :]
+        _outcome_rows(a, b, p, out)
+        canonical = out[:, :, :, 0, -1]  # pivot +, all-minus tail
     else:
-        rows = _canonical_rows(w[:, :, 0, 0], w[:, :, 1, 0], p, fam)
-    return np.ascontiguousarray(rows.reshape(3, m, L, -1).swapaxes(1, 2)).reshape(3, L, -1)
+        _outcome_rows(fam.ca[:, :1] * ta, fam.cb[:, :1] * tb, p, out)
+        canonical = out
+    canonical /= fam.two_uv
+    return rows.reshape(3, L, -1)
 
 
 def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions) -> tuple[PureState, Diagnostics]:
@@ -432,44 +447,73 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     Each level is one batched pass over all its live blocks: _level_rows
     assembles every block's rows at once, and one solve_phase call returns
     every block's cond and phase and decides its least squares, fallback,
-    default phase or AmbiguityError.  The diagnostics keep those arrays as
-    the level's Level record; no per-block object is built.
+    default phase or AmbiguityError.  The rows are built from the children's
+    transforms, carried up the levels: once a level is solved, its B halves
+    take their phases and one rotate_qubit on the new top qubit turns the
+    merged blocks into the next level's children transforms.  The
+    diagnostics keep the solve's arrays as the level's Level record; no
+    per-block object is built.
     """
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
     if comp is None:
         raise ValueError("computational-basis record is required")
     # a-major: local L_ab sits at (a-1)*n + (b-1), entangled E_a at a-1
-    ids = estimation_basis_ids(n, opts.m, opts.mode)[1:]
-    missing = [str(id) for id in ids if str(id) not in by_id]
+    ids = [str(id) for id in estimation_basis_ids(n, opts.m, opts.mode)[1:]]
+    missing = [id for id in ids if id not in by_id]
     if missing:
         raise ValueError(f"missing record for basis {missing[0]}")
-    emp = [to_empirical(by_id[str(id)]) for id in ids]
+    recs = [by_id[id] for id in ids]
 
     diag = Diagnostics()
-    work = amplitudes_from_counts(comp, n, opts.null_threshold).astype(np.complex128)
+    amps = amplitudes_from_counts(comp, n, opts.null_threshold)
+    work = amps.astype(np.complex128)
+    fam = opts._family_arrays
     extra = opts.mode == "local" and opts.use_extra_rows
-    fam = _FamilyArrays(opts.resolved_family()[: opts.m])
+    if opts.mode == "entangled":
+        emp = np.stack([to_empirical(rec) for rec in recs])
+    # The level's children transforms, one row per family basis: U_a^dagger^{x(j-1)} of each
+    # child with extra rows, else its <-_a|^{x(j-1)} contraction.  At j = 1 a child is one
+    # amplitude, its own transform, so work itself serves every basis.
+    carry = work[None]
+    rotation = fam.u_dagger if extra else fam.minus_row
+    # whether each child of the level holds a nonzero amplitude; None while every one does
+    occupied = None if amps.all() else amps != 0
     for j in range(1, n + 1):
-        half = 1 << (j - 1)
-        view = work.reshape(-1, 2, half)
-        live = view.any(axis=2).all(axis=1)
-        blocks = np.arange(live.size)
-        nulls, betas = blocks[~live], blocks[live]
-        if betas.size == 0:
-            empty, unset = np.empty(0), np.zeros(0, dtype=bool)
-            diag.levels.append(Level(j, nulls, betas, empty, empty, empty, unset, unset))
-            continue
-        if opts.mode == "local":
-            p = np.stack(emp[j - 1 :: n]).reshape(opts.m, -1, 2, half)[:, betas]
-            if not extra:
-                p = p[:, :, 0, half - 1]
+        half, L = 1 << (j - 1), 1 << (n - j)
+        t = carry.reshape(carry.shape[0], L, 2, -1)
+        view = work.reshape(L, 2, half)
+        # live picks the level's live blocks: a slice while every block is, so nothing is gathered
+        if occupied is None:
+            nulls, betas, live = np.empty(0, dtype=np.intp), np.arange(L), slice(None)
         else:
-            p = np.stack(emp)[:, _entangled_block_offset(n, j) + betas]
-        sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(view[betas], p, fam, extra))
-        cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
-        view[betas, 1] *= (cos_d + 1j * sin_d)[:, None]
+            pair = occupied.reshape(L, 2)
+            occupied, both = pair.any(axis=1), pair.all(axis=1)
+            nulls, betas = np.flatnonzero(~both), np.flatnonzero(both)
+            live = betas
+        if betas.size:
+            if opts.mode == "entangled":
+                off = _entangled_block_offset(n, j)
+                p = emp[:, off : off + L][:, live]
+            elif extra:
+                p = np.stack([to_empirical(rec) for rec in recs[j - 1 :: n]]).reshape(-1, L, 2, half)[:, live]
+            else:  # the canonical outcomes only: pivot +, all-minus tail
+                p = np.stack([to_empirical(rec)[half - 1 :: 2 * half] for rec in recs[j - 1 :: n]])[:, live]
+            ta, tb = t[:, live, 0], t[:, live, 1]
+            if not extra:
+                ta, tb = ta[:, :, 0], tb[:, :, 0]
+            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(ta, tb, p, fam, extra))
+            cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
+            phase = (cos_d + 1j * sin_d)[:, None]
+            view[live, 1] *= phase
+            if j > 1:  # at j = 1 carry is a view of work
+                t[:, live, 1] *= phase
+        else:
+            cond = cos_d = sin_d = np.empty(0)
+            fallback = default = np.zeros(0, dtype=bool)
         diag.levels.append(Level(j, nulls, betas, cond, cos_d, sin_d, fallback, default))
+        if j < n:
+            carry = rotate_qubit(carry, j - 1 if extra else 0, rotation)
     norm = float(np.linalg.norm(work))
     if norm == 0.0:
         raise ValueError("all amplitudes clamped to zero; nothing to reconstruct")

@@ -232,7 +232,7 @@ class TestBootstrap:
         data = simulate_counts(st, ids, default_family(2), 256, seed=0)
         recs = data.records[:-1] + [exact_record(born_probs(st, ids[-1], default_family(2)))]
         drawn = []
-        monkeypatch.setattr(benchmark, "sample_counts", lambda *args: drawn.append(args))
+        monkeypatch.setattr(benchmark, "seeded_rng", lambda *args: drawn.append(args))  # each resample's stream
         with pytest.raises(ValueError, match="cannot bootstrap exact-probability records"):
             bootstrap_ci(recs, 2, ReconstructionOptions(), st, 100, seed=0)
         assert drawn == []

@@ -12,6 +12,7 @@ from scipy import stats
 from purestate.states import haar_random, make_state, state_from_dict, state_to_dict
 from purestate.bases import (
     COMPUTATIONAL,
+    QubitBasis,
     apply_gates,
     circuit_gates,
     default_family,
@@ -19,6 +20,7 @@ from purestate.bases import (
     entangled_index_map,
     estimation_basis_ids,
     local_id,
+    make_qubit_basis,
 )
 from purestate.measurement import (
     CountsData,
@@ -125,6 +127,17 @@ class TestBornChain:
         st = haar_random(4, seed=8)
         for id in estimation_basis_ids(4, 2, "local") + [entangled_id(2)]:
             assert np.array_equal(born_probs(st, id, fam).probs, from_scratch(st, id, fam))
+
+    def test_each_basis_matrix_is_built_once(self, monkeypatch):
+        built = []
+        unitary = QubitBasis.unitary
+        monkeypatch.setattr(QubitBasis, "unitary", lambda qb: built.append(qb) or unitary(qb))
+        fam = [make_qubit_basis(0.6, 0.8, 0.3), make_qubit_basis(0.8, 0.6, 1.9)]
+        st = haar_random(5, seed=10)
+        ids = estimation_basis_ids(5, 2, "local") + estimation_basis_ids(5, 2, "entangled")[1:]
+        self.check(st, ids, fam)
+        assert built == fam  # 20 local and 10 entangled gate applications, one matrix per basis
+        assert not fam[0].u_dagger.flags.writeable
 
     def test_invalid_id_in_a_run_rejected(self):
         st = haar_random(3, seed=9)

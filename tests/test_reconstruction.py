@@ -1,7 +1,9 @@
 """Tests for amplitude extraction, phase systems, solving, and full reconstruction."""
 
 import json
+import tracemalloc
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from purestate.states import (
 )
 from purestate.bases import (
     COMPUTATIONAL,
+    QubitBasis,
     default_family,
     entangled_id,
     estimation_basis_ids,
@@ -26,6 +29,7 @@ from purestate.bases import (
     make_qubit_basis,
     outcome_role,
     role_state,
+    rotate_qubit,
 )
 from purestate.measurement import (
     CountsRecord,
@@ -81,6 +85,28 @@ def block_probs(st, j, beta, family):
             role = outcome_role(local_id(a, j), k, st.n)
             probs[role_index(role)] = abs(np.vdot(role_state(st.n, role, qb).amps, st.amps)) ** 2
     return probs
+
+
+def transforms(family, extra, *children):
+    """Each child's transform for every basis of family, from dense Kronecker products.
+
+    A child of 2^k amplitudes maps to (m, 2^k), U_a^dagger^{x k} child, with
+    extra rows, else to (m,), <-_a|^{x k} child.
+    """
+    out = []
+    for child in children:
+        child = np.asarray(child, dtype=np.complex128)
+        k = child.size.bit_length() - 1
+        factors = [qb.unitary().conj().T if extra else qb.minus_ket().conj()[None] for qb in family]
+        mats = [reduce(np.kron, [f] * k, np.eye(1)) for f in factors]
+        out.append(np.array([M @ child if extra else (M @ child)[0] for M in mats]))
+    return out
+
+
+def build_from_children(j, beta, childA, childB, probs, family):
+    """build_system on the block's raw children, transformed from scratch for the bases probs covers."""
+    ta, tb = transforms(family[: len(probs)], np.ndim(probs) == 3, childA, childB)
+    return build_system(j, beta, ta, tb, probs, family)
 
 
 UNBALANCED = (
@@ -161,7 +187,7 @@ class TestBuildSystem:
     def test_unit_children_give_unit_determinant(self):
         # scalar children of modulus 1 turn the m=2 canonical rows into the identity
         fam = default_family(2)
-        sys = build_system(1, 0, [1.0], [1.0], [0.5, 0.5], fam)
+        sys = build_from_children(1, 0, [1.0], [1.0], [0.5, 0.5], fam)
         assert sys.rows.shape == (3, 1, 2)
         assert np.allclose(rows_of(sys), np.eye(2), atol=1e-12)
         assert np.isclose(np.linalg.det(rows_of(sys)), 1.0, atol=1e-12)
@@ -173,7 +199,7 @@ class TestBuildSystem:
         st = make_state([1 / np.sqrt(2), 1j / np.sqrt(2)])
         c = np.abs(st.amps)
         probs = [float(born_probs(st, local_id(a, 1), fam).probs[0]) for a in (1, 2)]
-        sys = build_system(1, 0, c[:1], c[1:], probs, fam)
+        sys = build_from_children(1, 0, c[:1], c[1:], probs, fam)
         # |c_0 c_1| = 1/2 scales both rows and right-hand sides
         assert np.allclose(rows_of(sys), [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
         assert np.allclose(rhs_of(sys), [0.0, 0.5], atol=1e-12)
@@ -191,7 +217,7 @@ class TestBuildSystem:
         for j, beta in ((1, 2), (2, 1), (3, 0)):
             lo, half = beta << j, 1 << (j - 1)
             probs = block_probs(st, j, beta, fam)
-            sys = build_system(j, beta, st.amps[lo : lo + half], st.amps[lo + half : lo + 2 * half], probs, fam)
+            sys = build_from_children(j, beta, st.amps[lo : lo + half], st.amps[lo + half : lo + 2 * half], probs, fam)
             assert (sys.j, sys.betas.tolist()) == (j, [beta])
             assert sys.rows.shape == (3, 1, 3 << j)
             assert np.allclose(rows_of(sys) @ np.array([1.0, 0.0]), rhs_of(sys), atol=1e-12)
@@ -203,7 +229,7 @@ class TestBuildSystem:
         j, beta = 2, 1
         # rotating the stored child by -delta makes delta the true relative phase
         childB = st.amps[6:8] * np.exp(-1j * delta)
-        sys = build_system(j, beta, st.amps[4:6], childB, block_probs(st, j, beta, fam), fam)
+        sys = build_from_children(j, beta, st.amps[4:6], childB, block_probs(st, j, beta, fam), fam)
         x = np.array([np.cos(delta), np.sin(delta)])
         assert np.allclose(rows_of(sys) @ x, rhs_of(sys), atol=1e-12)
         cos_d, sin_d, *_ = solve_one(sys)
@@ -216,15 +242,17 @@ class TestBuildSystem:
         st = haar_random(3, seed=29)
         j, beta = 3, 0
         probs = block_probs(st, j, beta, fam)
-        full = build_system(j, beta, st.amps[:4], st.amps[4:], probs, fam)
-        canon = build_system(j, beta, st.amps[:4], st.amps[4:], probs[:, 0, 3], fam)
+        ta, tb = transforms(fam, True, st.amps[:4], st.amps[4:])
+        full = build_system(j, beta, ta, tb, probs, fam)
+        # the all-minus tail entry of the full transform is the canonical outcome's
+        canon = build_system(j, beta, ta[:, 3], tb[:, 3], probs[:, 0, 3], fam)
         assert np.array_equal(full.rows[:, :, [3, 11]], canon.rows)
 
     def test_orthogonal_child_yields_zero_information_row(self):
         # childB proportional to |+_1> is invisible through the all-minus tail
         fam = default_family(2)
         qb = fam[0]
-        sys = build_system(2, 0, qb.minus_ket(), qb.plus_ket(), [0.4], [qb])
+        sys = build_from_children(2, 0, qb.minus_ket(), qb.plus_ket(), [0.4], [qb])
         assert np.allclose(rows_of(sys)[0], [0.0, 0.0], atol=1e-15)
         assert solve_one(sys)[4] == np.inf
 
@@ -233,26 +261,33 @@ class TestBuildSystem:
         rng = np.random.default_rng(31)
         for trial in range(10):
             st = haar_random(2, seed=300 + trial)
-            sys = build_system(1, 0, st.amps[:1], st.amps[1:2], rng.uniform(0, 1, size=3), fam)
+            sys = build_from_children(1, 0, st.amps[:1], st.amps[1:2], rng.uniform(0, 1, size=3), fam)
             s = np.linalg.svd(rows_of(sys), compute_uv=False)
             assert np.isclose(solve_one(sys)[4], s[0] / s[1], rtol=1e-9)
 
     def test_validation_errors(self):
         fam = default_family(2)
-        one = [1.0]
-        with pytest.raises(ValueError):
-            build_system(1, 0, [0.0], one, [0.5, 0.5], fam)  # null child
-        with pytest.raises(ValueError):
-            build_system(1, 0, one, [0.0], [0.5, 0.5], fam)
-        with pytest.raises(ValueError):
-            build_system(1, 0, [1.0, 0.0], one, [0.5, 0.5], fam)  # child of the wrong level
-        with pytest.raises(ValueError):
-            build_system(2, 0, [1.0, 0.0], one, [0.5, 0.5], fam)
+        one = np.ones(2)
+        wrong = ((np.ones(1), one), (one, np.ones(3)), (np.ones((2, 1)), one), (np.ones((2, 2)), np.ones((2, 2))))
+        for ta, tb in wrong:
+            with pytest.raises(ValueError, match="transforms of block"):  # not (m,) for canonical rows
+                build_system(1, 0, ta, tb, [0.5, 0.5], fam)
+        with pytest.raises(ValueError, match="transforms of block"):  # extra rows at j=2 need (m, 2)
+            build_system(2, 0, one, one, np.full((2, 2, 2), 0.25), fam)
+        with pytest.raises(ValueError, match="transforms of block"):
+            build_system(2, 0, np.ones((2, 1)), np.ones((2, 1)), np.full((2, 2, 2), 0.25), fam)
         for probs in (np.empty(0), np.empty((2, 2, 2)), np.empty((2, 2)), np.empty((2, 1, 1)), 0.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="probabilities of shape"):
                 build_system(1, 0, one, one, probs, fam)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the family has 1"):
             build_system(1, 0, one, one, [0.5, 0.5], fam[:1])  # more bases than the family
+
+    def test_null_transforms_give_zero_rows(self):
+        # a zero transform pins nothing: every row is zero, and solve_phase gives the default phase
+        fam = default_family(2)
+        sys = build_system(1, 0, np.zeros(2), np.ones(2), [0.5, 0.5], fam)
+        assert np.array_equal(rows_of(sys), np.zeros((2, 2)))
+        assert solve_one(sys)[3]
 
 
 class TestSolvePhase:
@@ -524,6 +559,31 @@ class TestReconstructSampled:
         with pytest.raises(ValueError):
             reconstruct(records, 3, ReconstructionOptions(mode="local", m=2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_exact_records_must_be_finite_and_non_negative(self, bad, position):
+        # position 0 is the computational record, position 3 local:1:3
+        st = haar_random(3, seed=41)
+        tables = exact_tables(st, "local", 2)
+        probs = tables[position].probs.copy()
+        probs[5] = bad
+        tables[position] = ProbTable(n=3, basis=tables[position].basis, probs=probs)
+        name = str(tables[position].basis)
+        message = f"record {name} holds counts or probabilities that are negative or not finite"
+        with pytest.raises(ValueError, match=message):
+            reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2))
+        with pytest.raises(ValueError, match=f"record {name} "):
+            reconstruct([exact_record(t) for t in tables], 3, ReconstructionOptions(mode="local", m=2))
+
+    def test_float_counts_of_sampled_records_are_checked_too(self):
+        st = haar_random(2, seed=42)
+        records = sampled_records(st, "entangled", 2, 512, seed=1)
+        counts = records[1].counts.astype(float)
+        counts[0] = np.nan
+        records[1] = CountsRecord(basis=records[1].basis, shots=512, counts=counts)
+        with pytest.raises(ValueError, match="record entangled:1 holds"):
+            reconstruct(records, 2, ReconstructionOptions(mode="entangled", m=2))
+
     def test_fail_policy_surfaces_ambiguous_systems(self):
         # a condition threshold at the floor forces every solve onto the fallback path
         st = haar_random(2, seed=37)
@@ -554,8 +614,8 @@ class TestRowMonotonicity:
         emp = {str(r.basis): to_empirical(r) for r in records}
         j, beta = 2, 0
         probs = np.stack([emp[str(local_id(a, j))][:4].reshape(2, 2) for a in (1, 2)])
-        sys_can = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs[:, 0, 1], fam)
-        sys_ext = build_system(j, beta, st.amps[0:2], st.amps[2:4], probs, fam)
+        sys_can = build_from_children(j, beta, st.amps[0:2], st.amps[2:4], probs[:, 0, 1], fam)
+        sys_ext = build_from_children(j, beta, st.amps[0:2], st.amps[2:4], probs, fam)
         x_can = np.linalg.lstsq(rows_of(sys_can), rhs_of(sys_can), rcond=None)[0]
         x_ext = np.linalg.lstsq(rows_of(sys_ext), rhs_of(sys_ext), rcond=None)[0]
 
@@ -648,6 +708,42 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="family must be a tuple or list of QubitBasis"):
             ReconstructionOptions(family=family)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            QubitBasis(np.nan, 0.5, 0.0),
+            QubitBasis(0.5, 0.5, 0.0),  # u^2 + v^2 = 1/2
+            QubitBasis(-np.sqrt(0.5), np.sqrt(0.5), 0.0),
+            QubitBasis(1.0, 0.0, 0.0),  # the computational basis
+            QubitBasis(np.sqrt(0.5), np.sqrt(0.5), np.inf),
+            QubitBasis(np.sqrt(0.5), np.sqrt(0.5), "0"),
+        ],
+    )
+    def test_family_entries_obey_the_basis_rules(self, entry):
+        family = (default_family(2)[0], entry)
+        with pytest.raises(ValueError, match=r"family entry 1 QubitBasis"):
+            ReconstructionOptions(family=family)
+        with pytest.raises(ValueError, match=r"family entry 1 QubitBasis"):
+            ReconstructionOptions(m=3, family=default_family(3)[:1] + [entry, default_family(3)[2]])
+
+    def test_family_entries_within_the_norm_tolerance_are_kept(self):
+        s = np.sqrt(0.5)
+        family = (QubitBasis(s, s, 0.0), QubitBasis(s * (1 + 1e-14), s, 1.0))
+        assert ReconstructionOptions(family=family).family == family
+
+    def test_family_arrays_are_built_once_per_options(self, monkeypatch):
+        built = []
+        arrays = reconstruction._FamilyArrays
+        monkeypatch.setattr(reconstruction, "_FamilyArrays", lambda fam: built.append(fam) or arrays(fam))
+        st = haar_random(3, seed=40)
+        records = [exact_record(t) for t in exact_tables(st, "local", 2)]
+        opts = ReconstructionOptions(mode="local", m=2)
+        first = reconstruct(records, 3, opts)[0]
+        assert np.array_equal(reconstruct(records, 3, opts)[0].amps, first.amps)
+        assert len(built) == 1
+        reconstruct(records, 3, ReconstructionOptions(mode="local", m=2))
+        assert len(built) == 2
+
     def test_default_family_resolution(self):
         opts = ReconstructionOptions(m=3)
         fam = opts.resolved_family()
@@ -681,21 +777,30 @@ def reference_reconstruct(records, n, opts):
     reconstruct must agree with it bit for bit: same null / fallback /
     default-phase lists, same conds and phases, and the same amplitudes.
     Its diagnostics are plain dicts and lists, filled one block at a time.
+    Each block's children transforms are carried block by block: a solved
+    block's B half takes its phase, and after the level every block goes
+    through rotate_qubit on its top qubit on its own.
     """
     family = opts.resolved_family()
+    extra = opts.mode == "local" and opts.use_extra_rows
+    u_dagger = np.array([qb.unitary().conj().T for qb in family[: opts.m]])
+    rotation = u_dagger if extra else u_dagger[:, 1:]
     emp = {str(rec.basis): to_empirical(rec) for rec in records}
     work = amplitudes_from_counts(next(r for r in records if r.basis == COMPUTATIONAL), n, opts.null_threshold)
     work = work.astype(np.complex128)
+    # one row per basis: U_a^dagger^{x(j-1)} of each level-j child with extra rows, else its <-_a|^{x(j-1)}
+    carried = np.repeat(work[None], opts.m, axis=0)
     diag = ReferenceDiagnostics()
     for j in range(1, n + 1):
         half = 1 << (j - 1)
+        width = 2 * half if extra else 2  # a block's entries in carried
         for beta in range(1 << (n - j)):
             lo = beta << j
+            t = carried[:, beta * width : (beta + 1) * width]
             if not work[lo : lo + half].any() or not work[lo + half : lo + 2 * half].any():
                 diag.null_branches.append((j, beta))
                 continue
             # every outcome this block reads, placed through outcome_role rather than the kernel's gather
-            extra = opts.mode == "local" and opts.use_extra_rows
             probs = np.empty((opts.m, 2, half) if extra else opts.m)
             for a in range(1, opts.m + 1):
                 if opts.mode == "local":
@@ -709,7 +814,8 @@ def reference_reconstruct(records, n, opts):
                     assert (role.j, role.beta, role.a) == (j, beta, a)
                     assert extra or role.is_canonical
                     probs[role_index(role) if extra else a - 1] = emp[str(id)][k]
-            sys = build_system(j, beta, work[lo : lo + half], work[lo + half : lo + 2 * half], probs, family)
+            ta, tb = (t[:, : width // 2], t[:, width // 2 :]) if extra else (t[:, 0], t[:, 1])
+            sys = build_system(j, beta, ta, tb, probs, family)
             cos_d, sin_d, fallback, default, cond = solve_one(sys, opts)
             diag.conds[(j, beta)] = cond
             diag.phases[(j, beta)] = (cos_d, sin_d)
@@ -718,6 +824,9 @@ def reference_reconstruct(records, n, opts):
             if default:
                 diag.default_phases.append((j, beta))
             work[lo + half : lo + 2 * half] *= cos_d + 1j * sin_d
+            t[:, width // 2 :] *= cos_d + 1j * sin_d
+        blocks = np.split(carried, 1 << (n - j), axis=1)
+        carried = np.concatenate([rotate_qubit(t, j - 1 if extra else 0, rotation) for t in blocks], axis=1)
     work /= np.linalg.norm(work)
     idx = np.flatnonzero(np.abs(work) > 1e-10)[0]
     return work * (abs(work[idx]) / work[idx]), diag
@@ -861,16 +970,18 @@ class TestKernelMatchesReference:
         # a block's rows, rhs and cond are the same bits alone (build_system) as in a batch of blocks
         half = 1 << (j - 1)
         fam = default_family(m)
-        blocks = haar_random(j + 3, seed=1500 + 10 * j + m).amps.reshape(-1, 2, half)
-        L = blocks.shape[0]
+        L = 16
         rng = np.random.default_rng(j * m)
+        shape = (m, L, half) if extra else (m, L)
+        ta, tb = rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape)
         p = rng.uniform(0.0, 1.0, size=(m, L, 2, half) if extra else (m, L))
-        rows = reconstruction._level_rows(blocks, p, reconstruction._FamilyArrays(fam), extra)
+        rows = reconstruction._level_rows(ta, tb, p, reconstruction._FamilyArrays(fam), extra)
         opts = ReconstructionOptions(m=m)
         level = solve_phase(PhaseSystem(j=j, betas=np.arange(L), rows=rows), opts)
         assert rows.shape == (3, L, m * 2 * half if extra else m)
+        assert rows.flags.c_contiguous
         for i in range(L):
-            sys = build_system(j, i, blocks[i, 0], blocks[i, 1], p[:, i], fam)
+            sys = build_system(j, i, ta[:, i], tb[:, i], p[:, i], fam)
             assert np.array_equal(sys.rows, rows[:, i : i + 1])
             for got, want in zip(level, solve_phase(sys, opts)):
                 assert got[i] == want[0]
@@ -1020,6 +1131,51 @@ class TestDiagnosticsViews:
         records = sampled_records(st, "entangled", 2, 65536, seed=12)
         diag = assert_matches_reference(records, 12, ReconstructionOptions(mode="entangled", m=2))
         assert_levels_partition_blocks(diag, 12)
+
+
+class TestCarriedTransforms:
+    @pytest.mark.parametrize("variant", ["canonical", "extra", "entangled"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_carried_transforms_match_from_scratch(self, n, variant, monkeypatch):
+        # every level's children transforms, as the kernel carries them, against dense
+        # U_a^dagger^{x(j-1)} (or <-_a|^{x(j-1)}) products of the children rebuilt from the solved phases
+        mode, extra = ("entangled" if variant == "entangled" else "local"), variant == "extra"
+        st = haar_random(n, seed=1900 + n)
+        opts = ReconstructionOptions(mode=mode, m=3, use_extra_rows=extra)
+        records = [exact_record(t) for t in exact_tables(st, mode, 3)]
+        seen = []
+        level_rows = reconstruction._level_rows
+
+        def capture(ta, tb, *args):
+            seen.append((ta.copy(), tb.copy()))  # the kernel then phases its carried B halves in place
+            return level_rows(ta, tb, *args)
+
+        monkeypatch.setattr(reconstruction, "_level_rows", capture)
+        est, diag = reconstruct(records, n, opts)
+        assert fidelity(st, est) > 1 - 1e-10
+        assert len(seen) == n
+        family = opts.resolved_family()
+        work = amplitudes_from_counts(records[0], n).astype(np.complex128)
+        for lv, got in zip(diag.levels, seen):
+            blocks = work.reshape(-1, 2, 1 << (lv.j - 1))[lv.betas]
+            for half, t in zip((blocks[:, 0], blocks[:, 1]), got):
+                want = np.stack(transforms(family, extra, *half), axis=1)
+                assert np.allclose(np.broadcast_to(t, want.shape), want, rtol=0, atol=1e-12)
+            work.reshape(-1, 2, 1 << (lv.j - 1))[lv.betas, 1] *= (lv.cos + 1j * lv.sin)[:, None]
+
+    def test_canonical_rows_stack_the_local_tables_one_level_at_a_time(self):
+        # exact_record copies each of the 29 tables, and the level pass holds about 17
+        # tables' worth at its peak; stacking all 28 local tables at once would add 28
+        n = 14
+        tables = exact_tables(haar_random(n, seed=1950), "local", 2)
+        table_bytes = tables[0].probs.nbytes
+        tracemalloc.start()
+        try:
+            reconstruct_from_probs(tables, n, ReconstructionOptions(mode="local", m=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(tables) + 24) * table_bytes, peak / table_bytes
 
 
 class TestLargeSystems:
