@@ -352,7 +352,12 @@ def rotate_qubit(amps: np.ndarray, q: int, M: np.ndarray) -> np.ndarray:
 
 
 def apply_gates(amps: np.ndarray, n: int, gates: list[Gate]) -> np.ndarray:
-    """Apply a gate list to an amplitude vector (used to realize basis measurements)."""
+    """Apply a gate list to an amplitude vector: the local-basis simulation, and the entangled ladder.
+
+    ``measurement.born_tables`` computes entangled tables by contraction and
+    runs no controlled gate; the controlled branch realizes the circuit that
+    ``circuit_gates`` describes, which tests compare those tables against.
+    """
     out = np.array(amps, dtype=np.complex128)
     if out.shape != (1 << n,):
         raise ValueError(f"amplitude vector of shape {out.shape} does not hold n={n} qubits")

@@ -28,6 +28,7 @@ from .measurement import (
     R_LOCAL,
     CountsData,
     CountsRecord,
+    check_noise_weight,
     compose_lambdas,
     gate_noise_lambda,
     sampling_distribution,
@@ -52,6 +53,14 @@ from .states import (
 STATE_FAMILIES = ("haar", "separable", "phi1", "phi2", "phi3", "phi4", "ghz")
 
 
+def _system_size(n) -> int:
+    """n as an int when it is a whole real number >= 1 (so 2.0 is 2); bools, strings and fractions are rejected."""
+    whole = isinstance(n, numbers.Integral) or (isinstance(n, numbers.Real) and float(n).is_integer())
+    if isinstance(n, bool) or not whole or n < 1:
+        raise ValueError(f"n_range entries must be whole numbers >= 1, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     n_range: tuple
@@ -64,16 +73,15 @@ class BenchConfig:
     noise_lambda: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_range", tuple(int(n) for n in self.n_range))
+        object.__setattr__(self, "n_range", tuple(_system_size(n) for n in self.n_range))
         if not self.n_range:
             raise ValueError("n_range must be non-empty")
         if _require_int(self.trials, "trials") < 1 or _require_int(self.shots, "shots") < 1:
             raise ValueError("trials and shots must be >= 1")
         if _require_int(self.m, "m") < 2:
             raise ValueError(f"m={self.m}: the basis family needs at least 2 bases")
-        lam = self.noise_lambda
-        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam <= 1.0):
-            raise ValueError(f"noise_lambda must be a number in [0, 1], got {lam!r}")
+        if self.noise_lambda is not None:
+            check_noise_weight(self.noise_lambda, "noise_lambda")
         if self.state_family not in STATE_FAMILIES:
             raise ValueError(f"unknown state family {self.state_family!r}")
         if self.mode not in ("local", "entangled"):

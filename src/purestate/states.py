@@ -101,13 +101,22 @@ def make_state(amps) -> PureState:
     return PureState(n=d.bit_length() - 1, amps=_freeze(amps / norm))
 
 
+def _product(factors: list) -> np.ndarray:
+    """reduce(np.kron, factors) for 1-D factors, bit for bit: one multiply per entry, as an outer product."""
+    return reduce(lambda x, y: np.multiply.outer(x, y).ravel(), factors)
+
+
 def haar_random(n: int, seed) -> PureState:
-    """Haar-uniform random state: a normalized vector of 2^n standard complex Gaussians."""
+    """Haar-uniform random state: z / ||z|| for z a vector of 2^n standard complex Gaussians.
+
+    The 2^n real parts are drawn first, then the 2^n imaginary parts; z is
+    divided by its norm once, so the amplitudes are exactly z / ||z||.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return make_state(z / np.linalg.norm(z))
+    return PureState(n=n, amps=_freeze(z / np.linalg.norm(z)))
 
 
 def random_separable(n: int, seed) -> PureState:
@@ -119,7 +128,7 @@ def random_separable(n: int, seed) -> PureState:
     for _ in range(n):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         factors.append(z / np.linalg.norm(z))
-    return make_state(reduce(np.kron, factors))
+    return make_state(_product(factors))
 
 
 def named_state(kind: str, n: int) -> PureState:
@@ -134,14 +143,14 @@ def named_state(kind: str, n: int) -> PureState:
     if kind in ("Phi1", "Phi2"):
         sign = -1.0 if kind == "Phi1" else 1.0
         q = np.array([1.0, sign * np.exp(1j * np.pi / 4)]) / np.sqrt(2)
-        return make_state(reduce(np.kron, [q] * n))
+        return make_state(_product([q] * n))
     if kind == "Phi3":
         bell = np.zeros(4, dtype=np.complex128)
         bell[0] = bell[3] = 1.0 / np.sqrt(2)
         factors = [bell] * (n // 2)
         if n % 2:
             factors.append(np.array([1.0, 0.0], dtype=np.complex128))
-        return make_state(reduce(np.kron, factors))
+        return make_state(_product(factors))
     if kind == "Phi4":
         if n < 2:
             raise ValueError("Phi4 requires n >= 2")

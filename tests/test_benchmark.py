@@ -39,6 +39,12 @@ class TestBenchConfig:
     def test_range_is_coerced_to_ints(self):
         cfg = BenchConfig(n_range=[2.0, 3.0])
         assert cfg.n_range == (2, 3)
+        assert BenchConfig(n_range=(np.int64(4),)).n_range == (4,)
+
+    def test_range_entries_must_be_whole_sizes(self):
+        for bad in (2.7, True, "3", 0, -1, 0.0, float("nan"), float("inf"), None):
+            with pytest.raises(ValueError, match="n_range"):
+                BenchConfig(n_range=(2, bad))
 
     def test_validation(self):
         with pytest.raises(ValueError):

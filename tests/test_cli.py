@@ -253,6 +253,13 @@ class TestSimulateReconstruct:
         capsys.readouterr()
         assert run_cli("simulate", "--state", str(statef), "--n", "3", "--out", str(counts)) == 2
 
+    def test_noise_lambda_outside_the_unit_interval_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        for bad in ("nan", "-0.4", "inf", "1.5"):
+            assert run_cli("simulate", "--state", "ghz", "--n", "2", "--noise-lambda", bad, "--out", str(counts)) == 2
+            assert "noise_lambda" in capsys.readouterr().err
+            assert not counts.exists()
+
     def test_random_target_name_rejected(self, tmp_path, capsys):
         counts = tmp_path / "c.json"
         run_cli("simulate", "--state", "ghz", "--n", "2", "--out", str(counts))

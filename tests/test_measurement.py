@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
-from purestate.states import haar_random, make_state, state_from_dict, state_to_dict
+import purestate.measurement as measurement
+from purestate.states import haar_random, make_state, named_state, state_from_dict, state_to_dict
 from purestate.bases import (
     COMPUTATIONAL,
     QubitBasis,
@@ -146,6 +147,44 @@ class TestBornChain:
                 list(born_tables(st, ids, default_family(2)))
 
 
+class TestEntangledContraction:
+    """Every entangled table in one contraction pass, equal to the controlled ladder's bit for bit."""
+
+    def test_batched_pass_equals_the_ladder(self):
+        for n in range(1, 11):
+            for m in (2, 3, 4):
+                fam = default_family(m)
+                ids = [entangled_id(a) for a in range(1, m + 1)]
+                for st in (haar_random(n, seed=500 + n), named_state("Phi1", n)):
+                    for id, t in zip(ids, born_tables(st, ids, fam)):
+                        assert np.array_equal(t.probs, from_scratch(st, id, fam)), (n, m, id)
+
+    def test_one_id_equals_its_table_from_the_batched_pass(self):
+        fam = [make_qubit_basis(0.6, 0.8, 0.3), make_qubit_basis(0.8, 0.6, 1.9), make_qubit_basis(0.28, 0.96, 4.0)]
+        for n in (1, 4, 7):
+            st = haar_random(n, seed=60 + n)
+            ids = [entangled_id(3), COMPUTATIONAL, entangled_id(1), local_id(2, 1), entangled_id(2), entangled_id(1)]
+            for id, t in zip(ids, born_tables(st, ids, fam)):
+                assert np.array_equal(born_probs(st, id, fam).probs, t.probs), (n, id)
+
+    def test_no_gate_runs_on_the_entangled_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the entangled tables ran a gate")
+
+        monkeypatch.setattr(measurement, "apply_gates", refuse)
+        monkeypatch.setattr(measurement, "circuit_gates", refuse)
+        st = haar_random(5, seed=3)
+        tables = list(born_tables(st, [entangled_id(2), entangled_id(1)], default_family(2)))
+        assert [t.basis for t in tables] == [entangled_id(2), entangled_id(1)]
+        assert all(np.isclose(t.probs.sum(), 1.0, atol=1e-12) for t in tables)
+
+    def test_out_of_range_family_index_rejected(self):
+        st = haar_random(3, seed=4)
+        for a in (0, 3, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                list(born_tables(st, [COMPUTATIONAL, entangled_id(a)], default_family(2)))
+
+
 class TestWhiteNoise:
     def test_identity_at_zero(self):
         table = ProbTable(n=1, basis=COMPUTATIONAL, probs=np.array([0.3, 0.7]))
@@ -171,6 +210,9 @@ class TestWhiteNoise:
             mix_white_noise(table, -0.1)
         with pytest.raises(ValueError):
             mix_white_noise(table, 1.1)
+        for bad in (float("nan"), float("inf"), -float("inf"), True, "0.1"):
+            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+                mix_white_noise(table, bad)
 
     def test_commutes_with_marginalization(self):
         # tracing out the low qubit before or after mixing gives the same result
@@ -274,6 +316,12 @@ class TestSimulateCounts:
         assert noiseless.records[0].counts[1] == 0
         # the mixed distribution puts weight 0.25 on the dead outcome
         assert noisy.records[0].counts[1] > 700
+
+    def test_noise_lambda_outside_the_unit_interval_rejected(self):
+        st = make_state([1.0, 0.0])
+        for bad in (float("nan"), -0.4, float("inf"), -float("inf"), 1.5, True):
+            with pytest.raises(ValueError, match="noise_lambda"):
+                simulate_counts(st, [COMPUTATIONAL], default_family(2), 64, seed=0, noise_lambda=bad)
 
 
 class TestExactRecords:

@@ -1,6 +1,7 @@
 """Tests for state construction, named benchmark states, and serialization."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -74,6 +75,23 @@ class TestHaarRandom:
         with pytest.raises(ValueError):
             haar_random(0, seed=1)
 
+    def test_amplitudes_are_z_over_its_norm_bit_for_bit(self):
+        # the documented draw: 2^n real parts, then 2^n imaginary parts, divided by the norm once
+        for n in range(1, 13):
+            for seed in (0, 7, [41, n]):
+                rng = np.random.default_rng(seed)
+                z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+                assert np.array_equal(haar_random(n, seed).amps, z / np.linalg.norm(z)), (n, seed)
+
+    def test_a_keyed_stream_gives_z_over_its_norm(self):
+        # purestate simulate passes a PCG64 generator keyed by (seed, (n, 0)); n=16 is the benchmark's size
+        def stream():
+            return np.random.Generator(np.random.PCG64(np.random.SeedSequence(100_000, spawn_key=(16, 0))))
+
+        rng = stream()
+        z = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+        assert np.array_equal(haar_random(16, stream()).amps, z / np.linalg.norm(z))
+
     def test_single_probability_moments(self):
         # For Haar states p_0 = |<0|psi>|^2 ~ Beta(1, d-1):
         # mean 1/d, variance (d-1) / (d^2 (d+1)).
@@ -99,6 +117,15 @@ class TestRandomSeparable:
     def test_determinism(self):
         assert np.array_equal(random_separable(3, seed=5).amps, random_separable(3, seed=5).amps)
 
+    def test_equals_the_kron_chain_bit_for_bit(self):
+        for n in range(1, 15):
+            rng = np.random.default_rng(n)
+            factors = []
+            for _ in range(n):
+                z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                factors.append(z / np.linalg.norm(z))
+            assert np.array_equal(random_separable(n, seed=n).amps, make_state(reduce(np.kron, factors)).amps), n
+
 
 class TestNamedStates:
     def test_product_families_match_kron_closed_form(self):
@@ -107,6 +134,17 @@ class TestNamedStates:
             expected = np.kron(np.kron(q, q), q)
             st = named_state(kind, 3)
             assert np.allclose(st.amps, expected, atol=1e-15)
+
+    def test_products_equal_the_kron_chain_bit_for_bit(self):
+        bell = np.zeros(4, dtype=np.complex128)
+        bell[0] = bell[3] = 1.0 / np.sqrt(2)
+        zero = np.array([1.0, 0.0], dtype=np.complex128)
+        for n in range(1, 15):
+            for kind, sign in (("Phi1", -1.0), ("Phi2", 1.0)):
+                q = np.array([1.0, sign * np.exp(1j * np.pi / 4)]) / np.sqrt(2)
+                assert np.array_equal(named_state(kind, n).amps, make_state(reduce(np.kron, [q] * n)).amps)
+            chain = make_state(reduce(np.kron, [bell] * (n // 2) + [zero] * (n % 2))).amps
+            assert np.array_equal(named_state("Phi3", n).amps, chain), n
 
     def test_bell_chain_even(self):
         st = named_state("Phi3", 4)
