@@ -3,9 +3,15 @@
 A benchmark trial draws (or prepares) a state, simulates all required basis
 measurements at the configured shot count, reconstructs, and records the
 fidelity against the known input.  Per-trial RNG streams are derived from the
-master seed by key splitting (state stream key (n, trial), basis streams
-(n, trial, basis index)), so any single trial can be reproduced in isolation
-and trial order never matters.
+non-negative integer master seed by key splitting (state stream key
+(n, trial), basis streams (n, trial, basis index)), so any single trial can
+be reproduced in isolation and trial order never matters.  Only the random
+families (haar, separable) draw a state stream.  The named families (phi1-phi4,
+ghz) fix the state, so their noise-mixed Born tables are built once per
+(config, n) in the config's trial plan, and each trial only draws its counts
+from them on the basis streams.  Both kinds draw through
+``measurement.sample_tables``, so a trial's records are the same bits either
+way.
 
 Results are emitted as a tidy CSV (one row per trial) plus a JSON summary
 with per-n medians, means and interquartile ranges; both the median and the
@@ -19,6 +25,7 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +33,13 @@ from .bases import default_family, estimation_basis_ids
 from .measurement import (
     R_ENTANGLING,
     R_LOCAL,
-    CountsData,
     CountsRecord,
+    born_tables,
     check_noise_weight,
     compose_lambdas,
     gate_noise_lambda,
+    mix_white_noise,
+    sample_tables,
     sampling_distribution,
     seeded_rng,
     simulate_counts,
@@ -42,7 +51,6 @@ from .states import (
     PureState,
     _freeze,
     _require_int,
-    exceeds_memory_bound,
     fidelity,
     global_phase_normalize,
     haar_random,
@@ -51,6 +59,8 @@ from .states import (
 )
 
 STATE_FAMILIES = ("haar", "separable", "phi1", "phi2", "phi3", "phi4", "ghz")
+# families whose trials draw their state from the (n, trial) stream; the rest fix it per n
+RANDOM_FAMILIES = ("haar", "separable")
 
 
 def _system_size(n) -> int:
@@ -78,6 +88,8 @@ class BenchConfig:
             raise ValueError("n_range must be non-empty")
         if _require_int(self.trials, "trials") < 1 or _require_int(self.shots, "shots") < 1:
             raise ValueError("trials and shots must be >= 1")
+        if _require_int(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if _require_int(self.m, "m") < 2:
             raise ValueError(f"m={self.m}: the basis family needs at least 2 bases")
         if self.noise_lambda is not None:
@@ -86,6 +98,57 @@ class BenchConfig:
             raise ValueError(f"unknown state family {self.state_family!r}")
         if self.mode not in ("local", "entangled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    def _trial_plan(self, n: int) -> TrialPlan:
+        """The plan for trials at n: built on the first trial at n, kept until a trial at another n."""
+        plan = self.__dict__.get("_plan")
+        if plan is None or plan.n != n:
+            plan = TrialPlan.build(self, n)
+            object.__setattr__(self, "_plan", plan)
+        return plan
+
+
+class TrialPlan(NamedTuple):
+    """What every trial of one config at one n shares.
+
+    ``truth`` and ``tables`` (the noise-mixed Born tables, one per basis id,
+    read-only) are None for the random families, whose state changes from
+    trial to trial.
+    """
+
+    n: int
+    family: list
+    ids: list
+    opts: ReconstructionOptions
+    truth: PureState | None
+    tables: list | None
+
+    @classmethod
+    def build(cls, cfg: BenchConfig, n: int) -> TrialPlan:
+        family = default_family(cfg.m)
+        ids = estimation_basis_ids(n, cfg.m, cfg.mode)
+        opts = ReconstructionOptions(mode=cfg.mode, m=cfg.m, family=family, use_extra_rows=(cfg.mode == "local"))
+        if cfg.state_family in RANDOM_FAMILIES:
+            return cls(n, family, ids, opts, None, None)
+        truth = make_bench_state(cfg.state_family, n, None)
+        tables = list(born_tables(truth, ids, family))
+        if cfg.noise_lambda:
+            tables = [mix_white_noise(table, cfg.noise_lambda) for table in tables]
+        for table in tables:
+            table.probs.flags.writeable = False
+        return cls(n, family, ids, opts, truth, tables)
+
+
+def trial_bytes(cfg: BenchConfig, n: int) -> int:
+    """Bytes a trial of cfg at n holds at its peak, as bench_run's memory guard counts them.
+
+    The working set of eight 2^n complex128 vectors (``states.exceeds_memory_bound``),
+    plus one int64 counts vector per basis record (m·n+1 in local mode, m+1 in
+    entangled mode), plus for the named families the plan's float64 table per basis.
+    """
+    records = cfg.m * n + 1 if cfg.mode == "local" else cfg.m + 1
+    tables = 0 if cfg.state_family in RANDOM_FAMILIES else records
+    return (16 * 8 + 8 * (records + tables)) * (1 << n)
 
 
 @dataclass(frozen=True)
@@ -176,24 +239,27 @@ def run_trial(cfg: BenchConfig, n: int, trial: int) -> tuple[TrialRow, PureState
     single noise-swamped low-level system poison all its ancestor merges.
     Entangled bases offer one outcome per block, so there the systems stay at
     m equations and the low-m medians degrade accordingly.
+
+    The family, basis ids and options come from the config's plan for n; a
+    named-family trial also takes its state and tables from there and only
+    draws the counts.
     """
-    state_rng = seeded_rng(cfg.seed, (n, trial))
-    state = make_bench_state(cfg.state_family, n, state_rng)
-    family = default_family(cfg.m)
-    ids = estimation_basis_ids(n, cfg.m, cfg.mode)
-    data = simulate_counts(
-        state,
-        ids,
-        family,
-        cfg.shots,
-        seed=cfg.seed,
-        seed_key=(n, trial),
-        noise_lambda=cfg.noise_lambda or 0.0,
-    )
-    opts = ReconstructionOptions(
-        mode=cfg.mode, m=cfg.m, family=family, use_extra_rows=(cfg.mode == "local")
-    )
-    estimate, diag = reconstruct(data.records, n, opts)
+    plan = cfg._trial_plan(n)
+    if plan.tables is None:
+        state = make_bench_state(cfg.state_family, n, seeded_rng(cfg.seed, (n, trial)))
+        records = simulate_counts(
+            state,
+            plan.ids,
+            plan.family,
+            cfg.shots,
+            seed=cfg.seed,
+            seed_key=(n, trial),
+            noise_lambda=cfg.noise_lambda or 0.0,
+        ).records
+    else:
+        state = plan.truth
+        records = sample_tables(plan.tables, cfg.shots, cfg.seed, (n, trial))
+    estimate, diag = reconstruct(records, n, plan.opts)
     row = TrialRow(
         n=n,
         trial=trial,
@@ -205,9 +271,13 @@ def run_trial(cfg: BenchConfig, n: int, trial: int) -> tuple[TrialRow, PureState
 
 
 def bench_run(cfg: BenchConfig, memory_bound_bytes: int = MEMORY_BOUND_BYTES) -> BenchResult:
-    """Run the full trial grid; deterministic for a fixed config."""
+    """Run the full trial grid; deterministic for a fixed config.
+
+    Every n is checked against memory_bound_bytes (``trial_bytes``) before the first trial.
+    """
     for n in cfg.n_range:
-        if exceeds_memory_bound(n, memory_bound_bytes):
+        # the first test keeps 1 << n from being built for an absurd n
+        if n >= memory_bound_bytes.bit_length() or trial_bytes(cfg, n) > memory_bound_bytes:
             raise ValueError(f"n={n} exceeds the configured memory bound")
     t0 = time.perf_counter()
     rows = []
@@ -268,7 +338,7 @@ def bootstrap_ci(
     resampled fidelities, so it always sits inside the band; the plug-in
     value is available through reconstruct + fidelity.
     """
-    if B < 100:
+    if _require_int(B, "B") < 100:
         raise ValueError("need at least 100 bootstrap resamples")
     if any(rec.shots <= 0 for rec in records):
         raise ValueError("cannot bootstrap exact-probability records")

@@ -15,7 +15,10 @@ slower projector-by-projector path is kept as an independent cross-check.
 Sampling uses numpy's ``Generator.multinomial`` (PCG64), which draws the
 outcome vector by sequential binomial conditioning in C.  Streams are pinned
 by deriving one ``SeedSequence`` per (master seed, key tuple) so any record
-can be regenerated in isolation.
+can be regenerated in isolation; the master seed must be a non-negative
+integer, since ``None`` would draw fresh OS entropy on every call.
+``sample_tables`` is the one loop that draws a list of tables, one keyed
+stream each: ``simulate_counts`` and the benchmark's trials both go through it.
 """
 
 from __future__ import annotations
@@ -196,7 +199,13 @@ def compose_lambdas(lams) -> float:
 
 
 def seeded_rng(master_seed: int, key: tuple = ()) -> np.random.Generator:
-    """PCG64 stream pinned to (master seed, key); identical inputs give identical draws."""
+    """PCG64 stream pinned to (master seed, key); identical inputs give identical draws.
+
+    The master seed must be a non-negative integer: bools, floats, strings and
+    None (which would seed from OS entropy) are rejected.
+    """
+    if _require_int(master_seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=tuple(key))))
 
 
@@ -207,8 +216,8 @@ def sampling_distribution(probs: np.ndarray) -> np.ndarray:
 
 
 def sample_counts(table: ProbTable, shots: int, rng: np.random.Generator) -> CountsRecord:
-    """Multinomial draw of ``shots`` outcomes from a probability table."""
-    if shots <= 0:
+    """Multinomial draw of ``shots`` outcomes from a probability table; shots must be a positive integer."""
+    if _require_int(shots, "shots") <= 0:
         raise ValueError("shots must be positive")
     counts = rng.multinomial(shots, sampling_distribution(table.probs))
     return CountsRecord(basis=table.basis, shots=shots, counts=counts)
@@ -240,16 +249,23 @@ def simulate_counts(
     Each basis gets its own pinned RNG stream keyed by (*seed_key, basis
     position), so appending bases never perturbs earlier records.
     noise_lambda must be a real number in [0, 1]; 0 leaves the tables as
-    they are.
+    they are.  Tables are computed one at a time as they are drawn.
     """
     noise_lambda = check_noise_weight(noise_lambda, "noise_lambda")
-    records = []
-    for idx, table in enumerate(born_tables(state, ids, family)):
-        if noise_lambda > 0.0:
-            table = mix_white_noise(table, noise_lambda)
-        rng = seeded_rng(seed, (*seed_key, idx))
-        records.append(sample_counts(table, shots, rng))
-    return CountsData(n=state.n, family=list(family), records=records)
+    tables = born_tables(state, ids, family)
+    if noise_lambda > 0.0:
+        tables = (mix_white_noise(table, noise_lambda) for table in tables)
+    return CountsData(n=state.n, family=list(family), records=sample_tables(tables, shots, seed, seed_key))
+
+
+def sample_tables(tables, shots: int, seed: int, seed_key: tuple = ()) -> list[CountsRecord]:
+    """One sample_counts per table, table idx drawn from the stream (seed, (*seed_key, idx)).
+
+    A record depends only on its table, the shots and its stream, so the
+    same tables drawn under the same key give the same records however they
+    were built.
+    """
+    return [sample_counts(table, shots, seeded_rng(seed, (*seed_key, idx))) for idx, table in enumerate(tables)]
 
 
 # Top of the int64 counts vector: shots beyond it cannot be stored.

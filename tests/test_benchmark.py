@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from purestate.states import fidelity, haar_random, make_state, named_state
+from purestate.states import MEMORY_BOUND_BYTES, fidelity, haar_random, make_state, named_state
 from purestate.bases import default_family, estimation_basis_ids
 import purestate.benchmark as benchmark
 from purestate.measurement import (
@@ -30,6 +30,7 @@ from purestate.benchmark import (
     prep_noise_lambda,
     read_rows_csv,
     run_trial,
+    trial_bytes,
     write_rows_csv,
     write_summary_json,
 )
@@ -76,6 +77,14 @@ class TestBenchConfig:
                 with pytest.raises(ValueError, match=field):
                     BenchConfig(n_range=(2,), **{field: bad})
 
+    @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            BenchConfig(n_range=(2,), seed=bad)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert BenchConfig(n_range=(2,), seed=np.int64(3)).seed == 3
+
 
 class TestMakeBenchState:
     def test_named_kinds_are_deterministic(self):
@@ -106,20 +115,61 @@ class TestBenchRun:
         b = bench_run(cfg)
         assert [r.fidelity for r in a.rows] == [r.fidelity for r in b.rows]
 
-    def test_single_trial_matches_the_manual_pipeline_bitwise(self):
-        cfg = BenchConfig(n_range=(3,), m=2, mode="local", shots=2048, trials=1, seed=11)
+    @pytest.mark.parametrize("noise_lambda", [None, 0.07])
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    @pytest.mark.parametrize("family", benchmark.STATE_FAMILIES)
+    def test_single_trial_matches_the_manual_pipeline_bitwise(self, family, mode, noise_lambda):
+        # every trial equals the from-scratch pipeline: its own state stream, tables and options
+        n, trials, seed = 4, 3, 11
+        cfg = BenchConfig(
+            n_range=(n,), m=2, mode=mode, shots=2048, trials=trials, seed=seed,
+            state_family=family, noise_lambda=noise_lambda,
+        )
         result = bench_run(cfg)
+        for trial, row in enumerate(result.rows):
+            state = make_bench_state(family, n, seeded_rng(seed, (n, trial)))
+            ids = estimation_basis_ids(n, 2, mode)
+            data = simulate_counts(
+                state, ids, default_family(2), 2048, seed=seed, seed_key=(n, trial), noise_lambda=noise_lambda or 0.0
+            )
+            opts = ReconstructionOptions(
+                mode=mode, m=2, family=tuple(default_family(2)), use_extra_rows=(mode == "local")
+            )
+            est, diag = reconstruct(data.records, n, opts)
 
-        state = make_bench_state("haar", 3, seeded_rng(11, (3, 0)))
-        ids = estimation_basis_ids(3, 2, "local")
-        data = simulate_counts(state, ids, default_family(2), 2048, seed=11, seed_key=(3, 0))
-        opts = ReconstructionOptions(mode="local", m=2, family=tuple(default_family(2)), use_extra_rows=True)
-        est, diag = reconstruct(data.records, 3, opts)
+            assert (row.n, row.trial) == (n, trial)
+            assert row.fidelity == fidelity(state, est)
+            assert row.cond_max == diag.cond_max
+            assert row.fallbacks == diag.n_fallbacks
+            _, truth, est_trial = run_trial(cfg, n, trial)
+            assert np.array_equal(truth.amps, state.amps)
+            assert np.array_equal(est_trial.amps, est.amps)
 
-        row = result.rows[0]
-        assert row.fidelity == fidelity(state, est)
-        assert row.cond_max == diag.cond_max
-        assert row.fallbacks == diag.n_fallbacks
+    def test_named_state_trials_reuse_one_plan_per_n(self, monkeypatch):
+        # phi1: the state and its Born tables are built once per (config, n); no trial builds a state stream
+        calls = {"named_state": 0, "born_tables": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(benchmark, "named_state", counted("named_state", benchmark.named_state))
+        monkeypatch.setattr(benchmark, "born_tables", counted("born_tables", benchmark.born_tables))
+        streams = []
+        monkeypatch.setattr(benchmark, "seeded_rng", lambda *args: streams.append(args))
+        cfg = BenchConfig(n_range=(3, 4), mode="entangled", shots=1024, trials=4, seed=2, state_family="phi1")
+        rows = bench_run(cfg).rows
+        assert calls == {"named_state": 2, "born_tables": 2}
+        assert streams == []
+        # the plan keeps only the last n it served
+        assert cfg._trial_plan(4) is cfg._trial_plan(4)
+        assert calls["named_state"] == 2
+        assert run_trial(cfg, 3, 1)[0] == rows[1]
+        assert calls == {"named_state": 3, "born_tables": 3}
+        assert all(not table.probs.flags.writeable for table in cfg._trial_plan(3).tables)
 
     def test_run_trial_returns_truth_and_estimate(self):
         cfg = BenchConfig(n_range=(2,), shots=1024, trials=1, seed=3)
@@ -148,6 +198,32 @@ class TestBenchRun:
         # a tighter explicit bound trips at small n too
         with pytest.raises(ValueError):
             bench_run(BenchConfig(n_range=(8,), trials=1), memory_bound_bytes=1024)
+
+    @pytest.mark.parametrize(
+        "mode, family, held",
+        [
+            ("local", "haar", 17),  # m·n+1 int64 count vectors
+            ("local", "phi1", 34),  # plus the plan's float64 table per basis
+            ("entangled", "separable", 3),  # m+1 records
+            ("entangled", "ghz", 6),
+        ],
+    )
+    def test_memory_guard_counts_records_and_cached_tables(self, mode, family, held):
+        n = 8
+        working_set = 16 * 8 * (1 << n)  # eight complex128 vectors: the guard's old budget
+        cfg = BenchConfig(n_range=(n,), m=2, mode=mode, shots=64, trials=1, state_family=family)
+        assert trial_bytes(cfg, n) == working_set + held * 8 * (1 << n)
+        with pytest.raises(ValueError, match="memory bound"):
+            bench_run(cfg, memory_bound_bytes=trial_bytes(cfg, n) - 1)
+        assert len(bench_run(cfg, memory_bound_bytes=trial_bytes(cfg, n)).rows) == 1
+
+    def test_memory_guard_refuses_large_count_sets_at_the_default_bound(self):
+        # local m=2 holds 47 count vectors at n=23 (2.9 GiB), which eight complex vectors (1 GiB) did not count
+        for n, mode, family in ((23, "local", "haar"), (22, "local", "phi1"), (24, "entangled", "haar")):
+            with pytest.raises(ValueError, match="memory bound"):
+                bench_run(BenchConfig(n_range=(n,), mode=mode, trials=1, state_family=family))
+        for n, mode, family in ((22, "local", "haar"), (21, "local", "phi1"), (23, "entangled", "ghz")):
+            assert trial_bytes(BenchConfig(n_range=(n,), mode=mode, state_family=family), n) <= MEMORY_BOUND_BYTES
 
     def test_summary_shape(self):
         cfg = BenchConfig(n_range=(2,), shots=256, trials=5, seed=2, state_family="separable")
@@ -219,11 +295,19 @@ class TestPreparationNoise:
 
 
 class TestBootstrap:
-    def test_rejects_small_resample_counts(self):
+    @pytest.mark.parametrize("B", [99, 150.0, True, "150"])
+    def test_rejects_small_resample_counts(self, B):
         st = named_state("Phi4", 2)
         data = simulate_counts(st, estimation_basis_ids(2, 2, "local"), default_family(2), 256, seed=0)
         with pytest.raises(ValueError):
-            bootstrap_ci(data.records, 2, ReconstructionOptions(), st, 99, seed=0)
+            bootstrap_ci(data.records, 2, ReconstructionOptions(), st, B, seed=0)
+
+    @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        st = named_state("Phi4", 2)
+        data = simulate_counts(st, estimation_basis_ids(2, 2, "local"), default_family(2), 256, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            bootstrap_ci(data.records, 2, ReconstructionOptions(), st, 100, seed=bad)
 
     def test_rejects_exact_probability_records(self):
         st = named_state("Phi4", 2)

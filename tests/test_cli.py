@@ -291,6 +291,10 @@ class TestBench:
         obj = json.loads(json_path.read_text())
         assert set(obj["per_n"]) == {"2", "3"}
 
+    def test_negative_seed_is_data_error(self, capsys):
+        assert run_cli("bench", "--n", "2", "--trials", "1", "--seed", "-1") == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_reversed_range_is_usage_error(self, capsys):
         assert run_cli("bench", "--n", "5..2", "--trials", "1") == 1
 

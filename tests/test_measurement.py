@@ -269,10 +269,20 @@ class TestSampling:
         # 5 sigma with sigma = sqrt(shots)/2 = 500
         assert abs(rec.counts[0] - 500_000) < 2500
 
-    def test_rejects_nonpositive_shots(self):
+    @pytest.mark.parametrize("shots", [0, True, 512.0, "512"])
+    def test_rejects_nonpositive_shots(self, shots):
         table = ProbTable(n=1, basis=COMPUTATIONAL, probs=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            sample_counts(table, 0, seeded_rng(0))
+        with pytest.raises(ValueError, match="shots"):
+            sample_counts(table, shots, seeded_rng(0))
+
+    @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
+    def test_master_seed_must_be_a_non_negative_integer(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            seeded_rng(bad, (1, 2))
+
+    def test_numpy_integer_master_seed_gives_the_int_stream(self):
+        a = seeded_rng(np.int64(7), (1,)).integers(1 << 62, size=4)
+        assert np.array_equal(a, seeded_rng(7, (1,)).integers(1 << 62, size=4))
 
     def test_sampling_is_unbiased(self):
         # pool many independent draws and chi-square against the exact law
@@ -316,6 +326,28 @@ class TestSimulateCounts:
         assert noiseless.records[0].counts[1] == 0
         # the mixed distribution puts weight 0.25 on the dead outcome
         assert noisy.records[0].counts[1] > 700
+
+    @pytest.mark.parametrize("shots", [0, -5, True, 512.0])
+    def test_shots_must_be_a_positive_integer(self, shots):
+        st = make_state([1.0, 0.0])
+        with pytest.raises(ValueError, match="shots"):
+            simulate_counts(st, [COMPUTATIONAL], default_family(2), shots, seed=0)
+
+    @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, bad):
+        st = make_state([1.0, 0.0])
+        with pytest.raises(ValueError, match="seed"):
+            simulate_counts(st, [COMPUTATIONAL], default_family(2), 64, seed=bad)
+
+    def test_records_are_the_keyed_draws_of_the_tables(self):
+        # simulate_counts draws through sample_tables: table idx from stream (seed, (*seed_key, idx))
+        st = haar_random(3, seed=45)
+        ids = estimation_basis_ids(3, 2, "entangled")
+        data = simulate_counts(st, ids, default_family(2), 300, seed=4, seed_key=(3, 9), noise_lambda=0.1)
+        tables = [mix_white_noise(t, 0.1) for t in born_tables(st, ids, default_family(2))]
+        for idx, (rec, table) in enumerate(zip(data.records, tables)):
+            want = sample_counts(table, 300, seeded_rng(4, (3, 9, idx)))
+            assert rec.basis == want.basis and np.array_equal(rec.counts, want.counts)
 
     def test_noise_lambda_outside_the_unit_interval_rejected(self):
         st = make_state([1.0, 0.0])
