@@ -20,6 +20,14 @@ per rotated qubit in its low b bits (bit 0 means +, bit 1 means -), which is
 exactly the bit pattern a hardware run reads after the basis-change circuit.
 For entangled bases outcomes are listed level-block by level-block
 (j = 1, ..., n) followed by the terminal all-minus state.
+
+``circuit_gates`` describes each basis's measurement circuit: U_a^dagger on
+every rotated qubit of a local basis, a ladder of multi-controlled
+U_a^dagger gates for an entangled one.  ``apply_gates`` simulates the local
+circuits only; the entangled tables come from the one-qubit contraction in
+``measurement.born_tables``.  Both go through ``rotate_qubit``, the one
+place U_a^dagger is applied.  ``basis_states`` spells out every outcome's
+state, for ``purestate bases --states``.
 """
 
 from __future__ import annotations
@@ -178,15 +186,6 @@ def basis_id_from_dict(obj: dict) -> BasisId:
     raise ValueError(f"unknown basis tag {tag!r}")
 
 
-def projector(n: int, j: int, beta: int, basis: QubitBasis) -> PureState:
-    """The canonical phase projector |beta>_{n-j} (x) |+_a> (x) |-_a>^{x(j-1)}."""
-    if not 1 <= j <= n:
-        raise ValueError(f"level j={j} out of range for n={n}")
-    if not 0 <= beta < (1 << (n - j)):
-        raise ValueError(f"block beta={beta} out of range at level j={j}")
-    return _pattern_state(n, j, beta, 1, (-1,) * (j - 1), basis)
-
-
 def _pattern_state(n: int, j: int, beta: int, sign0: int, tail, basis: QubitBasis) -> PureState:
     """|beta>_{n-j} (x) |sign0_a> (x) |tail_a ...> as a full 2^n statevector."""
     plus, minus = basis.plus_ket(), basis.minus_ket()
@@ -259,20 +258,6 @@ def outcome_role(id: BasisId, outcome_index: int, n: int) -> OutcomeRole | None:
         j += 1
     beta = outcome_index - _entangled_block_offset(n, j)
     return OutcomeRole(j=j, beta=beta, sign0=1, tail=(-1,) * (j - 1), a=id.a)
-
-
-def entangled_index_map(n: int) -> np.ndarray:
-    """perm[l] = computational index the l-th entangled-basis state maps to under its circuit.
-
-    Level-j block states land on 2^j*beta + 2^{j-1} - 1 and the terminal
-    all-minus state on 2^n - 1; the map is a permutation.
-    """
-    perm = np.empty(1 << n, dtype=np.int64)
-    for j in range(1, n + 1):
-        off = _entangled_block_offset(n, j)
-        perm[off : off + (1 << (n - j))] = (np.arange(1 << (n - j), dtype=np.int64) << j) + (1 << (j - 1)) - 1
-    perm[-1] = (1 << n) - 1
-    return perm
 
 
 @dataclass(frozen=True)
@@ -352,25 +337,18 @@ def rotate_qubit(amps: np.ndarray, q: int, M: np.ndarray) -> np.ndarray:
 
 
 def apply_gates(amps: np.ndarray, n: int, gates: list[Gate]) -> np.ndarray:
-    """Apply a gate list to an amplitude vector: the local-basis simulation, and the entangled ladder.
+    """Apply a local basis's gate list, one uncontrolled U_a^dagger per rotated qubit, to an amplitude vector.
 
-    ``measurement.born_tables`` computes entangled tables by contraction and
-    runs no controlled gate; the controlled branch realizes the circuit that
-    ``circuit_gates`` describes, which tests compare those tables against.
+    A controlled gate (a rung of the entangled ladder) raises ValueError:
+    ``measurement.born_tables`` computes entangled tables by contraction.
     """
     out = np.array(amps, dtype=np.complex128)
     if out.shape != (1 << n,):
         raise ValueError(f"amplitude vector of shape {out.shape} does not hold n={n} qubits")
+    if any(g.controls for g in gates):
+        raise ValueError("apply_gates runs uncontrolled gates only")
     for g in gates:
-        k = g.target
-        if not g.controls:
-            out = rotate_qubit(out, k, g.matrix())
-            continue
-        if tuple(g.controls) != tuple(range(k)):
-            raise ValueError("only controls on all qubits below the target are supported")
-        # fires only where the low k bits are all 1; the target is qubit 0 of that slice
-        t = out.reshape(-1, 1 << k)
-        t[:, -1] = rotate_qubit(t[:, -1], 0, g.matrix())
+        out = rotate_qubit(out, g.target, g.matrix())
     return out
 
 
@@ -379,7 +357,10 @@ def estimation_basis_ids(n: int, m: int, mode: str) -> list[BasisId]:
 
     local: computational plus L_ab for a = 1..m, b = 1..n (m*n + 1 bases).
     entangled: computational plus E_a for a = 1..m (m + 1 bases).
+    n must be an integer >= 1.
     """
+    if _require_int(n, "n") < 1:
+        raise ValueError(f"n={n}: a system needs at least 1 qubit")
     if mode == "local":
         return [COMPUTATIONAL] + [local_id(a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
     if mode == "entangled":

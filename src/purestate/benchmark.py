@@ -1,4 +1,4 @@
-"""Monte Carlo benchmark runs, bootstrap error bars, and a grid-search cross-check.
+"""Monte Carlo benchmark runs and bootstrap error bars.
 
 A benchmark trial draws (or prepares) a state, simulates all required basis
 measurements at the configured shot count, reconstructs, and records the
@@ -12,6 +12,10 @@ ghz) fix the state, so their noise-mixed Born tables are built once per
 from them on the basis streams.  Both kinds draw through
 ``measurement.sample_tables``, so a trial's records are the same bits either
 way.
+
+Every trial reconstructs with ``ReconstructionOptions``' defaults for its
+mode and m, which is the estimator ``purestate reconstruct`` and
+``purestate bootstrap`` run on a counts file.
 
 Results are emitted as a tidy CSV (one row per trial) plus a JSON summary
 with per-n medians, means and interquartile ranges; both the median and the
@@ -49,11 +53,11 @@ from .reconstruction import ReconstructionOptions, reconstruct
 from .states import (
     MEMORY_BOUND_BYTES,
     PureState,
-    _freeze,
     _require_int,
+    exceeds_memory_bound,
     fidelity,
-    global_phase_normalize,
     haar_random,
+    held_bytes,
     named_state,
     random_separable,
 )
@@ -127,7 +131,7 @@ class TrialPlan(NamedTuple):
     def build(cls, cfg: BenchConfig, n: int) -> TrialPlan:
         family = default_family(cfg.m)
         ids = estimation_basis_ids(n, cfg.m, cfg.mode)
-        opts = ReconstructionOptions(mode=cfg.mode, m=cfg.m, family=family, use_extra_rows=(cfg.mode == "local"))
+        opts = ReconstructionOptions(mode=cfg.mode, m=cfg.m, family=family)
         if cfg.state_family in RANDOM_FAMILIES:
             return cls(n, family, ids, opts, None, None)
         truth = make_bench_state(cfg.state_family, n, None)
@@ -139,16 +143,19 @@ class TrialPlan(NamedTuple):
         return cls(n, family, ids, opts, truth, tables)
 
 
-def trial_bytes(cfg: BenchConfig, n: int) -> int:
-    """Bytes a trial of cfg at n holds at its peak, as bench_run's memory guard counts them.
+def _vectors_held(cfg: BenchConfig, n: int) -> int:
+    """The 2^n-entry 8-byte vectors a trial of cfg at n holds besides its working set.
 
-    The working set of eight 2^n complex128 vectors (``states.exceeds_memory_bound``),
-    plus one int64 counts vector per basis record (m·n+1 in local mode, m+1 in
+    One int64 counts vector per basis record (m·n+1 in local mode, m+1 in
     entangled mode), plus for the named families the plan's float64 table per basis.
     """
     records = cfg.m * n + 1 if cfg.mode == "local" else cfg.m + 1
-    tables = 0 if cfg.state_family in RANDOM_FAMILIES else records
-    return (16 * 8 + 8 * (records + tables)) * (1 << n)
+    return records if cfg.state_family in RANDOM_FAMILIES else 2 * records
+
+
+def trial_bytes(cfg: BenchConfig, n: int) -> int:
+    """Bytes a trial of cfg at n holds at its peak, as bench_run's memory guard counts them (``states.held_bytes``)."""
+    return held_bytes(n, _vectors_held(cfg, n))
 
 
 @dataclass(frozen=True)
@@ -222,23 +229,24 @@ def prep_gate_counts(kind: str, n: int) -> tuple[int, int]:
     raise ValueError(f"no preparation circuit for state family {kind!r}")
 
 
-def prep_noise_lambda(kind: str, n: int, r_local: float = R_LOCAL, r_entangling: float = R_ENTANGLING) -> float:
-    """White-noise weight of the whole preparation circuit, composed gate by gate."""
+def prep_noise_lambda(kind: str, n: int) -> float:
+    """White-noise weight of the whole preparation circuit, composed gate by gate at R_LOCAL / R_ENTANGLING."""
     n1, n2 = prep_gate_counts(kind, n)
-    lam1 = gate_noise_lambda(n, r_local)
-    lam2 = gate_noise_lambda(n, r_entangling)
+    lam1 = gate_noise_lambda(n, R_LOCAL)
+    lam2 = gate_noise_lambda(n, R_ENTANGLING)
     return compose_lambdas([lam1] * n1 + [lam2] * n2)
 
 
 def run_trial(cfg: BenchConfig, n: int, trial: int) -> tuple[TrialRow, PureState, PureState]:
     """One benchmark trial; returns its row plus (truth, estimate) for callers that need them.
 
-    Local-mode trials feed every outcome of each product basis into the phase
-    systems (2^j equations per basis at level j): the bases are measured in
-    full anyway, and keeping only the one canonical outcome per block makes a
-    single noise-swamped low-level system poison all its ancestor merges.
-    Entangled bases offer one outcome per block, so there the systems stay at
-    m equations and the low-m medians degrade accordingly.
+    Local-mode trials, like every default ``ReconstructionOptions``, feed
+    every outcome of each product basis into the phase systems (2^j
+    equations per basis at level j): the bases are measured in full anyway,
+    and keeping only the one canonical outcome per block makes a single
+    noise-swamped low-level system poison all its ancestor merges.
+    Entangled bases offer one outcome per block, so there the systems stay
+    at m equations and the low-m medians degrade accordingly.
 
     The family, basis ids and options come from the config's plan for n; a
     named-family trial also takes its state and tables from there and only
@@ -276,8 +284,7 @@ def bench_run(cfg: BenchConfig, memory_bound_bytes: int = MEMORY_BOUND_BYTES) ->
     Every n is checked against memory_bound_bytes (``trial_bytes``) before the first trial.
     """
     for n in cfg.n_range:
-        # the first test keeps 1 << n from being built for an absurd n
-        if n >= memory_bound_bytes.bit_length() or trial_bytes(cfg, n) > memory_bound_bytes:
+        if exceeds_memory_bound(n, _vectors_held(cfg, n), memory_bound_bytes):
             raise ValueError(f"n={n} exceeds the configured memory bound")
     t0 = time.perf_counter()
     rows = []
@@ -295,23 +302,6 @@ def write_rows_csv(path: str, rows: list) -> None:
         w.writerow(["n", "trial", "fidelity", "cond_max", "fallbacks"])
         for r in rows:
             w.writerow([r.n, r.trial, repr(r.fidelity), repr(r.cond_max), r.fallbacks])
-
-
-def read_rows_csv(path: str) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                TrialRow(
-                    n=int(rec["n"]),
-                    trial=int(rec["trial"]),
-                    fidelity=float(rec["fidelity"]),
-                    cond_max=float(rec["cond_max"]),
-                    fallbacks=int(rec["fallbacks"]),
-                )
-            )
-    return rows
 
 
 def write_summary_json(path: str, result: BenchResult) -> None:
@@ -354,93 +344,3 @@ def bootstrap_ci(
         fids[b] = fidelity(target, est_b)
     lo, point, hi = np.percentile(fids, [16.0, 50.0, 84.0])
     return float(point), float(lo), float(hi)
-
-
-def oracle_grid_reconstruct(
-    records: list,
-    n: int,
-    resolution: int = 10_000,
-    family: list = None,
-) -> PureState:
-    """Independent estimator: grid search over relative phases maximizing the counts likelihood.
-
-    Amplitudes are fixed to sqrt(p) exactly as in the main algorithm; the
-    free relative phases (one per non-null amplitude past the first) are then
-    scanned globally on a coarse lattice and the best candidates refined
-    until the lattice step falls below 2*pi/resolution.  Intended as a slow
-    cross-check for tiny systems, not as an estimator in its own right.
-    """
-    from .bases import basis_states
-    from .reconstruction import amplitudes_from_counts
-
-    if n > 2:
-        raise ValueError("grid search is limited to n <= 2")
-    if resolution < 10_000:
-        raise ValueError("resolution below 1e4 grid points per phase")
-    by_tag = {str(r.basis): r for r in records}
-    comp = by_tag.get("computational")
-    if comp is None:
-        raise ValueError("computational-basis record is required")
-    if family is None:
-        m = max((r.basis.a for r in records if r.basis.tag != "computational"), default=2)
-        family = default_family(m)
-    c = amplitudes_from_counts(comp, n)
-    live = np.flatnonzero(c)
-    dim = 1 << n
-
-    # stack all outcome projectors and counts into one matrix pair
-    proj_rows = []
-    weights = []
-    for rec in records:
-        states = basis_states(n, rec.basis, family)
-        w = np.asarray(rec.counts, dtype=np.float64)
-        for k in range(dim):
-            if w[k] > 0:
-                proj_rows.append(np.conj(states[k].amps))
-                weights.append(w[k])
-    M = np.array(proj_rows)
-    wts = np.array(weights)
-
-    free = live[1:] if live.size > 1 else np.array([], dtype=np.int64)
-    if free.size == 0:
-        amps = c.astype(np.complex128)
-        return global_phase_normalize(PureState(n=n, amps=_freeze(amps / np.linalg.norm(amps))))
-
-    def loglik(phases: np.ndarray) -> np.ndarray:
-        # phases: (k, N) angles for the free amplitudes; returns (N,)
-        out = np.empty(phases.shape[1])
-        for lo in range(0, phases.shape[1], 1 << 15):
-            chunk = phases[:, lo : lo + (1 << 15)]
-            amps = np.repeat(c.astype(np.complex128)[:, None], chunk.shape[1], axis=1)
-            amps[free, :] *= np.exp(1j * chunk)
-            p = np.abs(M @ amps) ** 2
-            out[lo : lo + chunk.shape[1]] = wts @ np.log(p + 1e-300)
-        return out
-
-    k = free.size
-    coarse = 64
-    step = 2 * np.pi / coarse
-    axes = [np.arange(coarse) * step] * k
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    ll = loglik(mesh)
-    keep = min(16, ll.size)
-    centers = mesh[:, np.argsort(ll)[-keep:]]
-
-    target_step = 2 * np.pi / resolution
-    while step > target_step:
-        step /= 4.0
-        offsets = np.arange(-4, 5) * step
-        cand_list = []
-        for idx in range(centers.shape[1]):
-            local_axes = [centers[d, idx] + offsets for d in range(k)]
-            grid = np.stack([g.ravel() for g in np.meshgrid(*local_axes, indexing="ij")])
-            cand_list.append(grid)
-        cands = np.concatenate(cand_list, axis=1)
-        ll = loglik(cands)
-        order = np.argsort(ll)[-keep:]
-        centers = cands[:, order]
-
-    best = centers[:, -1]
-    amps = c.astype(np.complex128)
-    amps[free] *= np.exp(1j * best)
-    return global_phase_normalize(PureState(n=n, amps=_freeze(amps / np.linalg.norm(amps))))

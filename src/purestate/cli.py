@@ -1,5 +1,9 @@
 """Command-line driver: simulate counts, reconstruct states, run benchmarks.
 
+reconstruct and bootstrap build ``ReconstructionOptions`` from their flags
+and its defaults, as bench's trials do, so every subcommand runs the same
+estimator on the same counts.
+
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand), 2 data
 error (unreadable or inconsistent input files, or data whose phase system
 ambiguity_policy 'fail' refuses).
@@ -33,7 +37,7 @@ from .benchmark import (
 )
 from .measurement import read_counts, seeded_rng, simulate_counts, write_counts
 from .reconstruction import AmbiguityError, ReconstructionOptions, estimate_to_dict, reconstruct
-from .states import fidelity, load_state, save_state
+from .states import exceeds_memory_bound, fidelity, load_state, save_state
 
 # keys of a bench config file: the bench flags, with --noise-lambda spelled noise_lambda
 CONFIG_KEYS = ("n", "m", "mode", "shots", "trials", "state", "seed", "noise_lambda")
@@ -96,7 +100,6 @@ def build_parser() -> _Parser:
     rec.add_argument("--out", help="estimate JSON output path")
     rec.add_argument("--mode", choices=("local", "entangled"), help="default: inferred from the records")
     rec.add_argument("--m", type=int, help="default: largest basis index present")
-    rec.add_argument("--use-extra-rows", action="store_true")
     rec.add_argument("--null-threshold", type=float)
     rec.add_argument("--cond-threshold", type=float, default=1e6)
     rec.add_argument("--ambiguity-policy", choices=("residual_pick", "fail"), default="residual_pick")
@@ -133,7 +136,6 @@ def build_parser() -> _Parser:
     boo.add_argument("--seed", type=int, default=0)
     boo.add_argument("--mode", choices=("local", "entangled"))
     boo.add_argument("--m", type=int)
-    boo.add_argument("--use-extra-rows", action="store_true")
     boo.set_defaults(func=cmd_bootstrap)
     return p
 
@@ -169,6 +171,10 @@ def _infer_mode_m(data, mode, m):
 def cmd_simulate(args) -> int:
     if args.state.lower() not in STATE_FAMILIES and not os.path.exists(args.state):
         raise UsageError(f"state {args.state!r} is neither a named family nor an existing file")
+    family = default_family(args.m)
+    ids = estimation_basis_ids(args.n, args.m, args.mode)
+    if exceeds_memory_bound(args.n, len(ids)):
+        raise ValueError(f"n={args.n} with {len(ids)} records exceeds the memory bound")
     if args.state.lower() in STATE_FAMILIES:
         rng = seeded_rng(args.seed, (args.n, 0))
         state = make_bench_state(args.state, args.n, rng)
@@ -176,8 +182,6 @@ def cmd_simulate(args) -> int:
         state = load_state(args.state)
         if state.n != args.n:
             raise ValueError(f"state file has n={state.n}, flag says n={args.n}")
-    family = default_family(args.m)
-    ids = estimation_basis_ids(args.n, args.m, args.mode)
     data = simulate_counts(
         state, ids, family, args.shots, seed=args.seed, seed_key=(args.n, 0), noise_lambda=args.noise_lambda
     )
@@ -195,7 +199,6 @@ def cmd_reconstruct(args) -> int:
         mode=mode,
         m=m,
         family=tuple(data.family),
-        use_extra_rows=args.use_extra_rows,
         null_threshold=args.null_threshold,
         cond_threshold=args.cond_threshold,
         ambiguity_policy=args.ambiguity_policy,
@@ -279,9 +282,9 @@ def _parse_basis_token(token: str):
 
 def cmd_bases(args) -> int:
     family = default_family(args.m)
+    ids = [_parse_basis_token(args.basis)] if args.basis else estimation_basis_ids(args.n, args.m, args.mode)
     for i, qb in enumerate(family, start=1):
         print(f"family a={i}: u={qb.u:.17g} v={qb.v:.17g} phi={qb.phi:.17g}")
-    ids = [_parse_basis_token(args.basis)] if args.basis else estimation_basis_ids(args.n, args.m, args.mode)
     for id in ids:
         if args.qasm and id.tag == "entangled":
             raise UsageError("--qasm covers computational and local bases only")
@@ -300,7 +303,7 @@ def cmd_bootstrap(args) -> int:
     data = read_counts(args.infile)
     mode, m = _infer_mode_m(data, args.mode, args.m)
     target = _load_target(args.target, data.n)
-    opts = ReconstructionOptions(mode=mode, m=m, family=tuple(data.family), use_extra_rows=args.use_extra_rows)
+    opts = ReconstructionOptions(mode=mode, m=m, family=tuple(data.family))
     point, lo, hi = bootstrap_ci(data.records, data.n, opts, target, args.resamples, args.seed)
     print(f"fidelity {point:.12g} ci16 {lo:.12g} ci84 {hi:.12g}")
     return 0

@@ -9,8 +9,7 @@ Entangled-basis probabilities come from the one-qubit contraction that
 reconstruction carries up its levels: at each level one U_a^dagger on the
 carried <-_a|^{j-1}|psi>, for every listed family basis at once.  That is the
 arithmetic of the controlled ladder, which stays the circuit that measures
-them (``circuit_gates``), so the tables equal the ladder's bit for bit.  A
-slower projector-by-projector path is kept as an independent cross-check.
+them (``circuit_gates``), so the tables equal the ladder's bit for bit.
 
 Sampling uses numpy's ``Generator.multinomial`` (PCG64), which draws the
 outcome vector by sequential binomial conditioning in C.  Streams are pinned
@@ -19,6 +18,10 @@ can be regenerated in isolation; the master seed must be a non-negative
 integer, since ``None`` would draw fresh OS entropy on every call.
 ``sample_tables`` is the one loop that draws a list of tables, one keyed
 stream each: ``simulate_counts`` and the benchmark's trials both go through it.
+
+``counts_data_from_dict`` checks the file's n and record count against the
+memory bound (``states.exceeds_memory_bound``: eight 2^n complex working
+vectors plus one int64 counts vector per record) before it parses a record.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .bases import (
     apply_gates,
     basis_id_from_dict,
     basis_id_to_dict,
-    basis_states,
     circuit_gates,
     family_from_dicts,
     family_to_dicts,
@@ -158,12 +160,6 @@ def born_tables(state: PureState, ids: list[BasisId], family: list[QubitBasis]):
 def born_probs(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbTable:
     """Outcome probabilities of one basis: the table born_tables gives for it (fast path)."""
     return next(born_tables(state, [id], family))
-
-
-def born_probs_naive(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbTable:
-    """Outcome probabilities by explicit projection onto each basis state (cross-check path)."""
-    p = np.array([abs(np.vdot(b.amps, state.amps)) ** 2 for b in basis_states(state.n, id, family)])
-    return ProbTable(n=state.n, basis=id, probs=p)
 
 
 def check_noise_weight(lam, what: str = "noise weight") -> float:
@@ -313,7 +309,7 @@ def _first_bad_count(values: list, shots: int) -> int:
 
 def counts_from_dict(obj: dict, n: int) -> CountsRecord:
     """One record from its JSON form; of several malformed outcomes the first in file order is reported."""
-    if exceeds_memory_bound(n):
+    if exceeds_memory_bound(n, 1):
         raise ValueError(f"n={n} exceeds the memory bound for a counts vector")
     basis = basis_id_from_dict(_require_json(obj, dict, "record")["basis"])
     shots = _require_int(obj["shots"], "shots")
@@ -355,8 +351,11 @@ def counts_data_from_dict(obj: dict) -> CountsData:
     n = _require_int(_require_json(obj, dict, "counts data")["n"], "n")
     if n < 1:
         raise ValueError(f"bad system size n={n}")
+    objs = _require_json(obj["records"], list, "records")
+    if exceeds_memory_bound(n, len(objs)):
+        raise ValueError(f"{len(objs)} records at n={n} exceed the memory bound")
     family = family_from_dicts(obj["family"])
-    records = [counts_from_dict(r, n) for r in _require_json(obj["records"], list, "records")]
+    records = [counts_from_dict(r, n) for r in objs]
     seen = set()
     for rec in records:
         key = str(rec.basis)

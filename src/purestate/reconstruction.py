@@ -96,14 +96,18 @@ class ReconstructionOptions:
     product bases (a = 1..m, b = 1..n), "entangled" the ladder bases
     (a = 1..m); both need the computational record.  family defaults to the
     balanced phase family of size m and must match the one the records were
-    measured in.  null_threshold of None picks 0.5/shots for sampled records
-    (zero observed counts clamp to a null amplitude) and 0 for exact ones.
+    measured in.  use_extra_rows (local mode only) feeds every outcome of
+    each local basis into the phase systems, the estimator every subcommand
+    runs; False keeps the one canonical outcome per block, the only one an
+    entangled basis offers.  null_threshold of None picks 0.5/shots for
+    sampled records (zero observed counts clamp to a null amplitude) and 0
+    for exact ones.
     """
 
     mode: str = "local"
     m: int = 2
     family: tuple = None
-    use_extra_rows: bool = False
+    use_extra_rows: bool = True
     null_threshold: float = None
     cond_threshold: float = 1e6
     ambiguity_policy: str = "residual_pick"

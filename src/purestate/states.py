@@ -46,10 +46,19 @@ class PureState:
         return f"PureState(n={self.n})"
 
 
-def exceeds_memory_bound(n: int, bound: int = MEMORY_BOUND_BYTES) -> bool:
-    """True when eight 2^n-entry complex128 vectors (16 bytes per amplitude) would not fit in ``bound`` bytes."""
+def held_bytes(n: int, vectors: int = 0) -> int:
+    """Bytes a run at n holds: eight 2^n-entry complex128 working vectors, plus ``vectors`` 8-byte ones.
+
+    The 8-byte vectors are one int64 counts vector per record and, where a
+    run keeps them, one float64 table per basis.
+    """
+    return (16 * 8 + 8 * vectors) << n
+
+
+def exceeds_memory_bound(n: int, vectors: int = 0, bound: int = MEMORY_BOUND_BYTES) -> bool:
+    """True when ``held_bytes(n, vectors)`` would not fit in ``bound`` bytes."""
     # the first test keeps 1 << n from being built for an absurd n
-    return n >= bound.bit_length() or 16 * (1 << n) * 8 > bound
+    return n >= bound.bit_length() or held_bytes(n, vectors) > bound
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

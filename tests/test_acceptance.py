@@ -19,7 +19,8 @@ from purestate.measurement import (
     write_counts,
 )
 from purestate.reconstruction import PhaseSystem, ReconstructionOptions, reconstruct, solve_phase
-from purestate.benchmark import BenchConfig, bench_run, oracle_grid_reconstruct, prep_noise_lambda
+from purestate.benchmark import BenchConfig, bench_run, prep_noise_lambda
+from reference import oracle_grid_reconstruct
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -88,7 +89,7 @@ def test_criterion_5_exact_probabilities_recover_everything():
     family = default_family(2)
     worst = 1.0
     fallbacks = 0
-    opts = ReconstructionOptions(mode="local", m=2)
+    opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=False)
     for n in range(2, 7):
         ids = estimation_basis_ids(n, 2, "local")
         for i in range(100):

@@ -17,16 +17,15 @@ from purestate.bases import (
     emit_circuit,
     emit_qasm,
     entangled_id,
-    entangled_index_map,
     estimation_basis_ids,
     family_from_dicts,
     family_to_dicts,
     local_id,
     make_qubit_basis,
     outcome_role,
-    projector,
     rotate_qubit,
 )
+from reference import entangled_index_map, projector, run_circuit
 
 
 def random_basis(seed):
@@ -284,7 +283,7 @@ class TestEntangledIndexMap:
             perm = entangled_index_map(n)
             gates = circuit_gates(entangled_id(2), n, fam)
             for pos, st in enumerate(basis_states(n, entangled_id(2), fam)):
-                out = apply_gates(st.amps, n, gates)
+                out = run_circuit(st.amps, n, gates)
                 expected = np.zeros(1 << n, dtype=np.complex128)
                 expected[perm[pos]] = 1.0
                 assert np.allclose(out, expected, atol=1e-12)
@@ -336,11 +335,20 @@ class TestCircuits:
         u = float(lines[0].split()[4])
         assert np.isclose(u, 1 / np.sqrt(2), atol=1e-15)
 
-    def test_apply_gates_rejects_partial_control_patterns(self):
+    def test_apply_gates_rejects_controlled_gates(self):
+        fam = default_family(2)
+        ladder = circuit_gates(entangled_id(1), 3, fam)
+        amps = np.zeros(8, dtype=np.complex128)
+        for gates in (ladder, ladder[1:], circuit_gates(local_id(1, 2), 3, fam) + ladder[2:]):
+            with pytest.raises(ValueError, match="uncontrolled gates only"):
+                apply_gates(amps, 3, gates)
+        assert np.array_equal(apply_gates(amps, 3, ladder[:1]), amps)  # the ladder's first gate has no control
+
+    def test_reference_circuit_rejects_partial_control_patterns(self):
         qb = random_basis(5)
         bad = Gate("u_dagger", (1,), 0, qb)
         with pytest.raises(ValueError):
-            apply_gates(np.zeros(8, dtype=np.complex128), 3, [bad])
+            run_circuit(np.zeros(8, dtype=np.complex128), 3, [bad])
 
     def test_apply_gates_rejects_a_vector_of_another_size(self):
         gates = circuit_gates(local_id(1, 1), 2, default_family(2))
@@ -425,6 +433,13 @@ class TestEstimationBasisIds:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             estimation_basis_ids(3, 2, "global")
+
+    @pytest.mark.parametrize("n", [0, -2, True, 2.0, "3", None])
+    def test_system_size_must_be_an_integer_of_at_least_one(self, n):
+        for mode in ("local", "entangled"):
+            with pytest.raises(ValueError, match="n"):
+                estimation_basis_ids(n, 2, mode)
+        assert len(estimation_basis_ids(np.int64(1), 2, "local")) == 3
 
 
 class TestDescriptorSerialization:

@@ -25,15 +25,14 @@ from purestate.benchmark import (
     bench_run,
     bootstrap_ci,
     make_bench_state,
-    oracle_grid_reconstruct,
     prep_gate_counts,
     prep_noise_lambda,
-    read_rows_csv,
     run_trial,
     trial_bytes,
     write_rows_csv,
     write_summary_json,
 )
+from reference import oracle_grid_reconstruct, read_rows_csv
 
 
 class TestBenchConfig:

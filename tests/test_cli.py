@@ -10,18 +10,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import purestate
-from purestate.states import load_state, named_state
+from purestate.states import fidelity, load_state, named_state
 from purestate.measurement import read_counts
-from purestate.reconstruction import ReconstructionOptions
-from purestate.benchmark import bootstrap_ci
+from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.benchmark import BenchConfig, bootstrap_ci, run_trial
 from purestate.cli import CONFIG_KEYS, cli_main, parse_n_range, read_config
-from test_reconstruction import reference_reconstruct
+from reference import reference_reconstruct
 
 
 def run_cli(*argv):
@@ -85,7 +86,7 @@ class TestSimulateReconstruct:
         assert data.n == 3 and len(data.records) == 7
 
         assert run_cli(
-            "reconstruct", "--in", str(counts), "--use-extra-rows", "--target", "ghz",
+            "reconstruct", "--in", str(counts), "--target", "ghz",
         ) == 0
         out = capsys.readouterr().out
         assert "reconstructed n=3 (local, m=2)" in out
@@ -103,7 +104,7 @@ class TestSimulateReconstruct:
         assert truth.n == 2
 
         assert run_cli(
-            "reconstruct", "--in", str(counts), "--use-extra-rows", "--target", str(statef),
+            "reconstruct", "--in", str(counts), "--target", str(statef),
         ) == 0
         assert fidelity_from(capsys.readouterr().out) >= 0.98
 
@@ -241,7 +242,21 @@ class TestSimulateReconstruct:
         capsys.readouterr()
         assert run_cli("reconstruct", "--in", str(counts), "--cond-threshold", "5", "--ambiguity-policy", "fail") == 2
         err = capsys.readouterr().err
-        assert err == "data error: phase system (j=2, beta=0): condition number 11.3 above threshold\n"
+        # the extra-rows estimator's system; canonical rows alone give this block cond 11.3
+        assert err == "data error: phase system (j=2, beta=0): condition number 6.35 above threshold\n"
+
+    def test_run_beyond_the_memory_bound_is_refused_before_any_allocation(self, tmp_path, capsys):
+        # local m=2 at n=24: 49 int64 count vectors of 2^24 entries (6.1 GiB), plus the state
+        counts = tmp_path / "c.json"
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", "--n", "24", "--m", "2", "--out", str(counts)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert capsys.readouterr().err == "data error: n=24 with 49 records exceeds the memory bound\n"
+        assert not counts.exists()
 
     def test_unknown_state_name_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--state", "bell", "--n", "2", "--out", str(tmp_path / "x.json")) == 1
@@ -366,9 +381,55 @@ class TestBases:
         assert "controls" not in out  # circuit lines use the bracket format
         assert "[0]" in out  # the controlled gate on qubit 1
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_system_size_below_one_is_data_error(self, capsys, n):
+        assert run_cli("bases", "--n", n) == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_basis_token_is_usage_error(self, capsys):
         assert run_cli("bases", "--n", "2", "--basis", "local:1") == 1
         assert run_cli("bases", "--n", "2", "--basis", "sideways:1") == 1
+
+
+class TestOneEstimator:
+    """reconstruct, bootstrap and bench trials evaluate the same estimator on the same counts."""
+
+    @pytest.mark.parametrize(
+        "n, mode, shots, seed",
+        [(3, "local", 512, 7), (4, "entangled", 2048, 5)],
+        ids=["haar-n3-local", "haar-n4-entangled"],
+    )
+    def test_every_subcommand_runs_the_bench_estimator(self, tmp_path, capsys, n, mode, shots, seed):
+        # simulate's file holds the counts of bench trial 0: state stream (seed, (n, 0)), basis streams (seed, (n, 0, i))
+        counts, statef, est = tmp_path / "c.json", tmp_path / "s.json", tmp_path / "est.json"
+        sim = ("--state", "haar", "--n", str(n), "--mode", mode, "--shots", str(shots), "--seed", str(seed))
+        assert run_cli("simulate", *sim, "--out", str(counts), "--save-state", str(statef)) == 0
+        capsys.readouterr()
+        cfg = BenchConfig(n_range=(n,), mode=mode, shots=shots, trials=1, state_family="haar", seed=seed)
+        opts = cfg._trial_plan(n).opts
+        data, truth = read_counts(counts), load_state(statef)
+        want, _ = reconstruct(data.records, n, opts)
+
+        assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef), "--out", str(est)) == 0
+        assert f"fidelity {fidelity(truth, want):.12g}\n" in capsys.readouterr().out
+        amps = np.array(json.loads(est.read_text())["amps"])
+        assert np.array_equal(amps[:, 0] + 1j * amps[:, 1], want.amps)
+
+        assert run_cli("bootstrap", "--in", str(counts), "--target", str(statef), "--resamples", "100") == 0
+        band = bootstrap_ci(data.records, n, opts, truth, 100, 0)
+        assert capsys.readouterr().out == "fidelity {:.12g} ci16 {:.12g} ci84 {:.12g}\n".format(*band)
+
+        # bench's trial 0 draws this state and these counts, so it reaches the same estimate
+        row, _, bench_est = run_trial(cfg, n, 0)
+        assert np.array_equal(bench_est.amps, want.amps) and row.fidelity == fidelity(truth, want)
+
+    @pytest.mark.parametrize("subcommand", ["reconstruct", "bootstrap"])
+    def test_the_extra_rows_flag_is_gone(self, tmp_path, capsys, subcommand):
+        counts = tmp_path / "c.json"
+        assert run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts)) == 0
+        capsys.readouterr()
+        assert run_cli(subcommand, "--in", str(counts), "--target", "ghz", "--use-extra-rows") == 1
+        assert "--use-extra-rows" in capsys.readouterr().err
 
 
 class TestBootstrap:
@@ -385,26 +446,6 @@ class TestBootstrap:
         assert toks[0] == "fidelity" and toks[2] == "ci16" and toks[4] == "ci84"
         point, lo, hi = float(toks[1]), float(toks[3]), float(toks[5])
         assert lo <= point <= hi
-
-    def test_extra_rows_flag_bands_the_reconstruct_estimator(self, tmp_path, capsys):
-        counts, state = tmp_path / "c.json", tmp_path / "s.json"
-        run_cli("simulate", "--state", "haar", "--n", "3", "--shots", "512", "--seed", "7",
-                "--out", str(counts), "--save-state", str(state))
-        assert run_cli("reconstruct", "--in", str(counts), "--use-extra-rows", "--target", str(state)) == 0
-        plug_in = fidelity_from(capsys.readouterr().out)
-        bands = {}
-        for flags in ((), ("--use-extra-rows",)):
-            assert run_cli("bootstrap", "--in", str(counts), "--target", str(state), "--resamples", "100", *flags) == 0
-            toks = capsys.readouterr().out.split()
-            bands[flags] = (float(toks[1]), float(toks[3]), float(toks[5]))
-        data = read_counts(counts)
-        opts = ReconstructionOptions(mode="local", m=2, family=tuple(data.family), use_extra_rows=True)
-        want = bootstrap_ci(data.records, 3, opts, load_state(state), 100, 0)
-        point, lo, hi = bands[("--use-extra-rows",)]
-        assert (point, lo, hi) == pytest.approx(want, abs=1e-11)
-        # canonical rows alone collapse on this record; the flag's band sits by the plug-in value
-        assert bands[()][0] < 0.5 < lo
-        assert abs(point - plug_in) < 0.01
 
     def test_zero_shot_file_is_data_error(self, tmp_path, capsys):
         counts = tmp_path / "c.json"

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from hypothesis import strategies as hst
 from scipy import stats
 
 import purestate.measurement as measurement
-from purestate.states import haar_random, make_state, named_state, state_from_dict, state_to_dict
+from purestate.states import (
+    exceeds_memory_bound,
+    haar_random,
+    held_bytes,
+    make_state,
+    named_state,
+    state_from_dict,
+    state_to_dict,
+)
 from purestate.bases import (
     COMPUTATIONAL,
     QubitBasis,
-    apply_gates,
     circuit_gates,
     default_family,
     entangled_id,
-    entangled_index_map,
     estimation_basis_ids,
     local_id,
     make_qubit_basis,
@@ -28,7 +35,6 @@ from purestate.measurement import (
     CountsRecord,
     ProbTable,
     born_probs,
-    born_probs_naive,
     born_tables,
     compose_lambdas,
     counts_data_from_dict,
@@ -45,6 +51,7 @@ from purestate.measurement import (
     to_empirical,
     write_counts,
 )
+from reference import born_probs_naive, entangled_index_map, run_circuit
 
 
 class TestBornProbs:
@@ -92,7 +99,7 @@ class TestBornProbs:
 
 def from_scratch(st, id, fam):
     """|amplitudes|^2 after the basis's whole gate list, applied to the state itself."""
-    p = np.abs(apply_gates(st.amps, st.n, circuit_gates(id, st.n, fam))) ** 2
+    p = np.abs(run_circuit(st.amps, st.n, circuit_gates(id, st.n, fam))) ** 2
     return p[entangled_index_map(st.n)] if id.tag == "entangled" else p
 
 
@@ -540,6 +547,25 @@ class TestCountsMessages:
             counts_from_dict({"basis": {"tag": "computational"}, "shots": 1, "counts": {"1" * 40: 1}}, 40)
         with pytest.raises(ValueError, match="memory bound"):
             counts_from_dict(record({}), 10**12)
+
+    def test_the_bound_counts_the_working_set_and_one_vector_per_record(self):
+        assert held_bytes(3) == 16 * 8 * 8 and held_bytes(3, 7) == (16 * 8 + 8 * 7) * 8
+        # local m=2 reads m*n+1 records: 45 fit at n=22, 47 do not at n=23
+        assert not exceeds_memory_bound(22, 45) and exceeds_memory_bound(22, 49) and exceeds_memory_bound(23, 47)
+        assert exceeds_memory_bound(10**12) and exceeds_memory_bound(24, 1)
+
+    def test_record_count_is_checked_before_any_record_is_parsed(self):
+        # 49 records (local, m=2) at n=24 would be 6.1 GiB of int64 counts
+        rec = {"basis": {"tag": "computational"}, "shots": 1, "counts": {"1" * 24: 1}}
+        obj = {"n": 24, "family": [], "records": [rec] * 49}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^49 records at n=24 exceed the memory bound$"):
+                counts_data_from_dict(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_file_level_messages(self):
         good = counts_data_to_dict(random_counts_data(2, "local", 2, 32, seed=90))

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -23,13 +22,11 @@ from purestate.bases import (
     COMPUTATIONAL,
     QubitBasis,
     default_family,
-    entangled_id,
     estimation_basis_ids,
     local_id,
     make_qubit_basis,
     outcome_role,
     role_state,
-    rotate_qubit,
 )
 from purestate.measurement import (
     CountsRecord,
@@ -53,6 +50,7 @@ from purestate.reconstruction import (
     reconstruct_from_probs,
     solve_phase,
 )
+from reference import reference_reconstruct, role_index, solve_one
 
 
 def comp_record(counts, shots):
@@ -69,12 +67,6 @@ def sampled_records(state, mode, m, shots, seed, family=None, noise_lambda=0.0):
     ids = estimation_basis_ids(state.n, m, mode)
     family = default_family(m) if family is None else family
     return simulate_counts(state, ids, family, shots, seed=seed, noise_lambda=noise_lambda).records
-
-
-def role_index(role):
-    """Where build_system's probability layout holds an outcome: [a-1, pivot-sign bit, tail bits], a set bit meaning -."""
-    tail = sum(1 << q for q, sign in enumerate(reversed(role.tail)) if sign == -1)
-    return role.a - 1, int(role.sign0 == -1), tail
 
 
 def block_probs(st, j, beta, family):
@@ -135,12 +127,6 @@ def rows_of(sys):
 
 def rhs_of(sys):
     return sys.rows[2, 0]
-
-
-def solve_one(sys, opts=None):
-    """solve_phase on a one-block system: (cos, sin, fallback, default_phase, cond) as Python scalars."""
-    cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts or ReconstructionOptions())
-    return float(cos_d[0]), float(sin_d[0]), bool(fallback[0]), bool(default[0]), float(cond[0])
 
 
 class TestAmplitudesFromCounts:
@@ -460,7 +446,7 @@ class TestReconstructExactStatistics:
     def test_extra_rows_agree_at_infinite_statistics(self):
         st = haar_random(3, seed=77)
         tables = exact_tables(st, "local", 2)
-        base, _ = reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2))
+        base, _ = reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2, use_extra_rows=False))
         extra, _ = reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2, use_extra_rows=True))
         assert fidelity(base, extra) >= 1 - 1e-9
 
@@ -516,7 +502,7 @@ class TestReconstructSampled:
         # with canonical rows only, one bad low-level phase poisons the merge tree
         st = haar_random(5, seed=3)
         records = sampled_records(st, "local", 2, 8192, seed=3)
-        base, _ = reconstruct(records, 5, ReconstructionOptions(mode="local", m=2))
+        base, _ = reconstruct(records, 5, ReconstructionOptions(mode="local", m=2, use_extra_rows=False))
         extra, _ = reconstruct(records, 5, ReconstructionOptions(mode="local", m=2, use_extra_rows=True))
         f_base = fidelity(st, base)
         f_extra = fidelity(st, extra)
@@ -751,87 +737,6 @@ class TestOptionsValidation:
         assert fam[1].phi == pytest.approx(np.pi / 3, abs=1e-15)
 
 
-@dataclass
-class ReferenceDiagnostics:
-    """What reference_reconstruct records, in plain dicts and lists filled block by block."""
-
-    conds: dict = field(default_factory=dict)
-    phases: dict = field(default_factory=dict)
-    null_branches: list = field(default_factory=list)
-    fallbacks: list = field(default_factory=list)
-    default_phases: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        cond = {f"{j},{beta}": (v if np.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
-        return {
-            "cond": cond,
-            "fallbacks": len(self.fallbacks),
-            "null_branches": len(self.null_branches),
-            "default_phases": len(self.default_phases),
-        }
-
-
-def reference_reconstruct(records, n, opts):
-    """The per-block estimator: build_system + solve_phase on one block at a time, in (j, beta) order.
-
-    reconstruct must agree with it bit for bit: same null / fallback /
-    default-phase lists, same conds and phases, and the same amplitudes.
-    Its diagnostics are plain dicts and lists, filled one block at a time.
-    Each block's children transforms are carried block by block: a solved
-    block's B half takes its phase, and after the level every block goes
-    through rotate_qubit on its top qubit on its own.
-    """
-    family = opts.resolved_family()
-    extra = opts.mode == "local" and opts.use_extra_rows
-    u_dagger = np.array([qb.unitary().conj().T for qb in family[: opts.m]])
-    rotation = u_dagger if extra else u_dagger[:, 1:]
-    emp = {str(rec.basis): to_empirical(rec) for rec in records}
-    work = amplitudes_from_counts(next(r for r in records if r.basis == COMPUTATIONAL), n, opts.null_threshold)
-    work = work.astype(np.complex128)
-    # one row per basis: U_a^dagger^{x(j-1)} of each level-j child with extra rows, else its <-_a|^{x(j-1)}
-    carried = np.repeat(work[None], opts.m, axis=0)
-    diag = ReferenceDiagnostics()
-    for j in range(1, n + 1):
-        half = 1 << (j - 1)
-        width = 2 * half if extra else 2  # a block's entries in carried
-        for beta in range(1 << (n - j)):
-            lo = beta << j
-            t = carried[:, beta * width : (beta + 1) * width]
-            if not work[lo : lo + half].any() or not work[lo + half : lo + 2 * half].any():
-                diag.null_branches.append((j, beta))
-                continue
-            # every outcome this block reads, placed through outcome_role rather than the kernel's gather
-            probs = np.empty((opts.m, 2, half) if extra else opts.m)
-            for a in range(1, opts.m + 1):
-                if opts.mode == "local":
-                    id = local_id(a, j)
-                    ks = range(lo, lo + 2 * half) if extra else [lo + half - 1]
-                else:
-                    id = entangled_id(a)
-                    ks = [(1 << n) - (1 << (n - j + 1)) + beta]
-                for k in ks:
-                    role = outcome_role(id, k, n)
-                    assert (role.j, role.beta, role.a) == (j, beta, a)
-                    assert extra or role.is_canonical
-                    probs[role_index(role) if extra else a - 1] = emp[str(id)][k]
-            ta, tb = (t[:, : width // 2], t[:, width // 2 :]) if extra else (t[:, 0], t[:, 1])
-            sys = build_system(j, beta, ta, tb, probs, family)
-            cos_d, sin_d, fallback, default, cond = solve_one(sys, opts)
-            diag.conds[(j, beta)] = cond
-            diag.phases[(j, beta)] = (cos_d, sin_d)
-            if fallback:
-                diag.fallbacks.append((j, beta))
-            if default:
-                diag.default_phases.append((j, beta))
-            work[lo + half : lo + 2 * half] *= cos_d + 1j * sin_d
-            t[:, width // 2 :] *= cos_d + 1j * sin_d
-        blocks = np.split(carried, 1 << (n - j), axis=1)
-        carried = np.concatenate([rotate_qubit(t, j - 1 if extra else 0, rotation) for t in blocks], axis=1)
-    work /= np.linalg.norm(work)
-    idx = np.flatnonzero(np.abs(work) > 1e-10)[0]
-    return work * (abs(work[idx]) / work[idx]), diag
-
-
 def assert_matches_reference(records, n, opts):
     est, diag = reconstruct(records, n, opts)
     ref_amps, ref = reference_reconstruct(records, n, opts)
@@ -916,7 +821,9 @@ class TestKernelMatchesReference:
         for seed in range(6):
             st = haar_random(5, seed=1200 + seed)
             records = sampled_records(st, "local", 2, 1024, seed=seed)
-            opts = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold, ambiguity_policy="fail")
+            opts = ReconstructionOptions(
+                mode="local", m=2, use_extra_rows=False, cond_threshold=threshold, ambiguity_policy="fail"
+            )
             try:
                 reference_reconstruct(records, 5, opts)
             except AmbiguityError as e:
@@ -947,7 +854,8 @@ class TestKernelMatchesReference:
             records = [exact_record(t) for t in exact_tables(st, mode, m)]
         else:
             records = sampled_records(st, mode, m, 1024, seed=7, noise_lambda=0.06)
-        assert_matches_reference(records, st.n, ReconstructionOptions(mode=mode, m=m, cond_threshold=threshold))
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=False, cond_threshold=threshold)
+        assert_matches_reference(records, st.n, opts)
 
     def test_fallback_blocks_are_solved_without_build_system(self, monkeypatch):
         def no_rebuild(*args, **kwargs):
@@ -1097,7 +1005,7 @@ class TestDiagnosticsViews:
             CountsRecord(basis=id, shots=0, counts=comp if id == COMPUTATIONAL else np.full(4, 0.9))
             for id in estimation_basis_ids(2, 2, "local")
         ]
-        opts = ReconstructionOptions(mode="local", m=2, family=fam, cond_threshold=np.inf)
+        opts = ReconstructionOptions(mode="local", m=2, family=fam, use_extra_rows=False, cond_threshold=np.inf)
         diag = assert_matches_reference(records, 2, opts)
         assert diag.default_phases == [(2, 0)] and diag.fallbacks == []
         assert diag.conds[(2, 0)] == np.inf and diag.phases[(2, 0)] == (1.0, 0.0)
@@ -1113,9 +1021,11 @@ class TestDiagnosticsViews:
         for seed in range(4):
             st = haar_random(5, seed=1800 + seed)
             records = sampled_records(st, "local", 2, 1024, seed=seed)
-            opts = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold)
+            opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=False, cond_threshold=threshold)
             _, diag = reconstruct(records, 5, opts)
-            fail = ReconstructionOptions(mode="local", m=2, cond_threshold=threshold, ambiguity_policy="fail")
+            fail = ReconstructionOptions(
+                mode="local", m=2, use_extra_rows=False, cond_threshold=threshold, ambiguity_policy="fail"
+            )
             if not diag.fallbacks:
                 reconstruct(records, 5, fail)
                 continue
@@ -1171,7 +1081,7 @@ class TestCarriedTransforms:
         table_bytes = tables[0].probs.nbytes
         tracemalloc.start()
         try:
-            reconstruct_from_probs(tables, n, ReconstructionOptions(mode="local", m=2))
+            reconstruct_from_probs(tables, n, ReconstructionOptions(mode="local", m=2, use_extra_rows=False))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
