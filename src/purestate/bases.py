@@ -153,7 +153,13 @@ def family_from_dicts(objs: list[dict]) -> list[QubitBasis]:
     return [make_qubit_basis(o["u"], o["v"], o["phi"]) for o in family]
 
 
+def _require_qubits(n) -> None:
+    if _require_int(n, "n") < 1:
+        raise ValueError(f"n={n}: a system needs at least 1 qubit")
+
+
 def _check_id(id: BasisId, n: int, m: int) -> None:
+    _require_qubits(n)
     if id.tag == "computational":
         return
     if id.tag == "local":
@@ -218,12 +224,7 @@ def basis_states(n: int, id: BasisId, family: list[QubitBasis]) -> list[PureStat
     _check_id(id, n, len(family))
     dim = 1 << n
     if id.tag == "computational":
-        out = []
-        for k in range(dim):
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[k] = 1.0
-            out.append(PureState(n=n, amps=_freeze(amps)))
-        return out
+        return [PureState(n=n, amps=_freeze(one_hot)) for one_hot in np.eye(dim, dtype=np.complex128)]
     qb = family[id.a - 1]
     out = []
     for k in range(dim):
@@ -352,6 +353,10 @@ def apply_gates(amps: np.ndarray, n: int, gates: list[Gate]) -> np.ndarray:
     return out
 
 
+# which basis family a run measures, and so which records reconstruct reads
+ESTIMATION_MODES = ("local", "entangled")
+
+
 def estimation_basis_ids(n: int, m: int, mode: str) -> list[BasisId]:
     """The bases one estimation run measures, in the documented deterministic order.
 
@@ -359,10 +364,9 @@ def estimation_basis_ids(n: int, m: int, mode: str) -> list[BasisId]:
     entangled: computational plus E_a for a = 1..m (m + 1 bases).
     n must be an integer >= 1.
     """
-    if _require_int(n, "n") < 1:
-        raise ValueError(f"n={n}: a system needs at least 1 qubit")
+    _require_qubits(n)
+    if mode not in ESTIMATION_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected {' or '.join(map(repr, ESTIMATION_MODES))}")
     if mode == "local":
         return [COMPUTATIONAL] + [local_id(a, b) for a in range(1, m + 1) for b in range(1, n + 1)]
-    if mode == "entangled":
-        return [COMPUTATIONAL] + [entangled_id(a) for a in range(1, m + 1)]
-    raise ValueError(f"unknown mode {mode!r}; expected 'local' or 'entangled'")
+    return [COMPUTATIONAL] + [entangled_id(a) for a in range(1, m + 1)]

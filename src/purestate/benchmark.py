@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import default_family, estimation_basis_ids
+from .bases import ESTIMATION_MODES, default_family, estimation_basis_ids
 from .measurement import (
     R_ENTANGLING,
     R_LOCAL,
@@ -100,7 +100,7 @@ class BenchConfig:
             check_noise_weight(self.noise_lambda, "noise_lambda")
         if self.state_family not in STATE_FAMILIES:
             raise ValueError(f"unknown state family {self.state_family!r}")
-        if self.mode not in ("local", "entangled"):
+        if self.mode not in ESTIMATION_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def _trial_plan(self, n: int) -> TrialPlan:

@@ -5,8 +5,8 @@ and its defaults, as bench's trials do, so every subcommand runs the same
 estimator on the same counts.
 
 Exit codes: 0 success, 1 usage error (bad flags, unknown subcommand), 2 data
-error (unreadable or inconsistent input files, or data whose phase system
-ambiguity_policy 'fail' refuses).
+error (unreadable or inconsistent input files, a run beyond the memory bound,
+or data whose phase system ambiguity_policy 'fail' refuses).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 
 from .bases import (
     COMPUTATIONAL,
+    ESTIMATION_MODES,
     basis_states,
     default_family,
     emit_circuit,
@@ -27,6 +28,7 @@ from .bases import (
     local_id,
 )
 from .benchmark import (
+    RANDOM_FAMILIES,
     STATE_FAMILIES,
     BenchConfig,
     bench_run,
@@ -53,13 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_n_range(text: str) -> list[int]:
-    """'4' -> [4]; '2..10' -> [2..10]; '2,5,7' -> [2, 5, 7]."""
+    """'4' -> [4]; '2..10' -> [2..10]; '2,5,7' -> [2, 5, 7]; ValueError on malformed text, and
+    MemoryError, before it is expanded, on a range whose top exceeds the memory bound."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if exceeds_memory_bound(hi):
+            raise MemoryError(f"n={hi} exceeds the memory bound")
         return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -86,7 +91,7 @@ def build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="sample measurement counts from a known state")
     sim.add_argument("--state", default="haar", help=f"one of {'/'.join(STATE_FAMILIES)} or a state JSON file")
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--mode", choices=("local", "entangled"), default="local")
+    sim.add_argument("--mode", choices=ESTIMATION_MODES, default="local")
     sim.add_argument("--m", type=int, default=2)
     sim.add_argument("--shots", type=int, default=8192)
     sim.add_argument("--seed", type=int, default=0)
@@ -98,7 +103,7 @@ def build_parser() -> _Parser:
     rec = sub.add_parser("reconstruct", help="estimate the state from a counts file")
     rec.add_argument("--in", dest="infile", required=True, help="counts JSON input path")
     rec.add_argument("--out", help="estimate JSON output path")
-    rec.add_argument("--mode", choices=("local", "entangled"), help="default: inferred from the records")
+    rec.add_argument("--mode", choices=ESTIMATION_MODES, help="default: inferred from the records")
     rec.add_argument("--m", type=int, help="default: largest basis index present")
     rec.add_argument("--null-threshold", type=float)
     rec.add_argument("--cond-threshold", type=float, default=1e6)
@@ -110,7 +115,7 @@ def build_parser() -> _Parser:
     ben.add_argument("--config", help="key=value config file; explicit flags win")
     ben.add_argument("--n", help="qubit counts: '6', '2..10', or '2,4,6'")
     ben.add_argument("--m", type=int)
-    ben.add_argument("--mode", choices=("local", "entangled"))
+    ben.add_argument("--mode", choices=ESTIMATION_MODES)
     ben.add_argument("--shots", type=int)
     ben.add_argument("--trials", type=int)
     ben.add_argument("--state", help=f"one of {'/'.join(STATE_FAMILIES)}")
@@ -123,7 +128,7 @@ def build_parser() -> _Parser:
     bas = sub.add_parser("bases", help="print basis descriptors and circuits")
     bas.add_argument("--n", type=int, required=True)
     bas.add_argument("--m", type=int, default=2)
-    bas.add_argument("--mode", choices=("local", "entangled"), default="local")
+    bas.add_argument("--mode", choices=ESTIMATION_MODES, default="local")
     bas.add_argument("--basis", help="single basis id like 'local:1:2' or 'entangled:1'")
     bas.add_argument("--qasm", action="store_true", help="standard-assembly output (local bases only)")
     bas.add_argument("--states", action="store_true", help="also print the basis statevectors")
@@ -134,7 +139,7 @@ def build_parser() -> _Parser:
     boo.add_argument("--target", required=True, help="named state or state JSON file")
     boo.add_argument("--resamples", type=int, default=200)
     boo.add_argument("--seed", type=int, default=0)
-    boo.add_argument("--mode", choices=("local", "entangled"))
+    boo.add_argument("--mode", choices=ESTIMATION_MODES)
     boo.add_argument("--m", type=int)
     boo.set_defaults(func=cmd_bootstrap)
     return p
@@ -142,7 +147,7 @@ def build_parser() -> _Parser:
 
 def _load_target(spec: str, n: int):
     if spec.lower() in STATE_FAMILIES:
-        if spec.lower() in ("haar", "separable"):
+        if spec.lower() in RANDOM_FAMILIES:
             raise UsageError("target must be a deterministic named state or a state JSON file")
         return make_bench_state(spec, n, None)
     if os.path.exists(spec):
@@ -151,20 +156,16 @@ def _load_target(spec: str, n: int):
 
 
 def _infer_mode_m(data, mode, m):
-    local_as = [r.basis.a for r in data.records if r.basis.tag == "local"]
-    ent_as = [r.basis.a for r in data.records if r.basis.tag == "entangled"]
+    # each mode's family indices on record; with no --mode, the first mode (in ESTIMATION_MODES order) on record
+    on_record = {k: [r.basis.a for r in data.records if r.basis.tag == k] for k in ESTIMATION_MODES}
     if mode is None:
-        if local_as:
-            mode = "local"
-        elif ent_as:
-            mode = "entangled"
-        else:
+        mode = next((k for k in ESTIMATION_MODES if on_record[k]), None)
+        if mode is None:
             raise ValueError("counts file has no estimation-basis records")
     if m is None:
-        pool = local_as if mode == "local" else ent_as
-        if not pool:
+        if not on_record[mode]:
             raise ValueError(f"counts file has no {mode} records")
-        m = max(pool)
+        m = max(on_record[mode])
     return mode, m
 
 
@@ -283,13 +284,17 @@ def _parse_basis_token(token: str):
 def cmd_bases(args) -> int:
     family = default_family(args.m)
     ids = [_parse_basis_token(args.basis)] if args.basis else estimation_basis_ids(args.n, args.m, args.mode)
+    if args.qasm and any(id.tag == "entangled" for id in ids):
+        raise UsageError("--qasm covers computational and local bases only")
+    # refuse before printing: the circuits check n and each id; --states holds 2^n states of 2^n
+    # amplitudes, 2^(n+1) 8-byte vectors (the first test keeps 2 << n small)
+    texts = [emit_qasm(id, args.n, family) if args.qasm else emit_circuit(id, args.n, family) for id in ids]
+    if args.states and (exceeds_memory_bound(args.n) or exceeds_memory_bound(args.n, 2 << args.n)):
+        raise ValueError(f"n={args.n}: the basis states exceed the memory bound")
     for i, qb in enumerate(family, start=1):
         print(f"family a={i}: u={qb.u:.17g} v={qb.v:.17g} phi={qb.phi:.17g}")
-    for id in ids:
-        if args.qasm and id.tag == "entangled":
-            raise UsageError("--qasm covers computational and local bases only")
+    for id, text in zip(ids, texts):
         print(f"# basis {id}")
-        text = emit_qasm(id, args.n, family) if args.qasm else emit_circuit(id, args.n, family)
         if text:
             print(text)
         if args.states:
@@ -324,7 +329,7 @@ def cli_main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, AmbiguityError) as e:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, AmbiguityError, MemoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

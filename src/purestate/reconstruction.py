@@ -21,16 +21,19 @@ this is self-consistent.
 
 reconstruct solves each level in one batched pass over all its blocks: the
 level's rows (_level_rows) form one PhaseSystem, and solve_phase decides
-every block's path in one call.  The rows need each child's transform
-under every family basis a: U_a^dagger^{x(j-1)} child with extra rows, else
-its <-_a|^{x(j-1)} contraction.  These are carried up the levels in one
-(m, .) array: a merged block [A; e^{i delta} B] transforms as one
-rotate_qubit on its top qubit of [T(A), e^{i delta} T(B)], so each level
-costs one rotation, and extra rows cost O(m n 2^n) in all.  build_system is
-the same row assembly run on a single block's transforms, a PhaseSystem of
-one block.  rotate_qubit is elementwise and each system is summed over its
-own rows, so a block's transforms, rows, cond and phase are the same bits
-alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
+every block's path in one call.  The three estimator variants differ only
+in the outcomes they feed one layout: (m, L, s, h) probabilities, s pivot
+signs times h tail patterns, are (2, 2^(j-1)) with extra rows and (1, 1)
+for the canonical outcome alone (canonical rows; entangled bases).  The
+rows need each child's transform under every family basis a, (m, L, h):
+U_a^dagger^{x(j-1)} child with extra rows, else its <-_a|^{x(j-1)}
+contraction.  These are carried up the levels in one (m, .) array: a
+merged block [A; e^{i delta} B] transforms as one rotate_qubit on its top
+qubit of [T(A), e^{i delta} T(B)], so each level costs one rotation, and
+extra rows cost O(m n 2^n) in all.  build_system is the same row assembly
+run on a single block's transforms.  rotate_qubit is elementwise and each
+system is summed over its own rows, so a block's transforms, rows, cond
+and phase are the same bits alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
 Level); its (j, beta) dicts and label lists are built from them on access.
 """
 
@@ -46,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import (
+    ESTIMATION_MODES,
     QubitBasis,
     _entangled_block_offset,
     default_family,
@@ -113,7 +117,7 @@ class ReconstructionOptions:
     ambiguity_policy: str = "residual_pick"
 
     def __post_init__(self):
-        if self.mode not in ("local", "entangled"):
+        if self.mode not in ESTIMATION_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if _require_int(self.m, "m") < 2:
             raise ValueError("need at least 2 bases (m >= 2)")
@@ -224,11 +228,7 @@ class Diagnostics:
         return sum(int(np.count_nonzero(lv.default)) for lv in self.levels)
 
     def to_dict(self) -> dict:
-        cond = {
-            f"{lv.j},{beta}": (v if math.isfinite(v) else "inf")
-            for lv in self.levels
-            for beta, v in zip(lv.betas.tolist(), lv.cond.tolist())
-        }
+        cond = {f"{j},{beta}": (v if math.isfinite(v) else "inf") for (j, beta), v in self.conds.items()}
         return {
             "cond": cond,
             "fallbacks": self.n_fallbacks,
@@ -280,9 +280,11 @@ def build_system(
     outcome only.  ta and tb are the transforms of the block's two halves
     (childA, childB) for each basis a: with every outcome, (m, 2^(j-1)) holding
     U_a^dagger^{x(j-1)} child, i.e. <W_w|child> for every tail pattern w; with
-    the canonical outcome only, (m,) holding <-_a|^{x(j-1)} child.  Rows run
-    basis by basis, then in outcome order; the result is reconstruct's level
-    system for a batch of this one block.
+    the canonical outcome only, (m,) holding <-_a|^{x(j-1)} child.  Both map
+    onto _level_rows's one layout as a batch of this one block, the canonical
+    outcome as one pivot sign and one tail pattern: (m, 1, 2, 2^(j-1)) or
+    (m, 1, 1, 1) probabilities.  Rows run basis by basis, then in outcome
+    order; the result is reconstruct's level system for that batch.
 
     An outcome with pivot sign s0 and tail pattern w yields
         A = <s0|0><W_w|childA>,  B = <s0|1><W_w|childB>,  X = conj(A) B,
@@ -300,13 +302,13 @@ def build_system(
         raise ValueError(f"probabilities of shape {probs.shape} fit neither (m,) nor (m, 2, {half})")
     if m > len(family):
         raise ValueError(f"probabilities for {m} bases, but the family has {len(family)}")
-    extra = probs.ndim == 3
     ta = np.asarray(ta, dtype=np.complex128)
     tb = np.asarray(tb, dtype=np.complex128)
-    shape = (m, half) if extra else (m,)
+    shape = probs.shape[:1] + probs.shape[2:]
     if ta.shape != shape or tb.shape != shape:
         raise ValueError(f"transforms of block (j={j}, beta={beta}) need shape {shape}, got {ta.shape} and {tb.shape}")
-    rows = _level_rows(ta[:, None], tb[:, None], probs[:, None], _FamilyArrays(family[:m]), extra)
+    s, h = probs.shape[1:] or (1, 1)  # the canonical outcome is one pivot sign and one tail pattern
+    rows = _level_rows(ta.reshape(m, 1, h), tb.reshape(m, 1, h), probs.reshape(m, 1, s, h), _FamilyArrays(family[:m]))
     return PhaseSystem(j=j, betas=np.array([beta]), rows=rows)
 
 
@@ -405,36 +407,28 @@ class _FamilyArrays:
         self.two_uv = 2.0 * u * v
 
 
-def _outcome_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """Write 2 Re X, -2 Im X and p - |A|^2 - |B|^2, X = conj(A) B, into out[0], out[1] and out[2]."""
-    x = np.conj(a)
+def _level_rows(ta: np.ndarray, tb: np.ndarray, p: np.ndarray, fam: _FamilyArrays) -> np.ndarray:
+    """Row columns 0, 1 and rhs (axis 0) of every block's phase system, shape (3, L, k).
+
+    p holds the outcome probabilities per family basis and block, (m, L, s, h):
+    s pivot signs times h tail patterns, (2, 2^(j-1)) for every outcome of a
+    local basis, (1, 1) for the canonical outcome (pivot +, all-minus tail)
+    alone.  ta and tb hold the transforms of each block's two children, (m, L, h)
+    or one row (1, L, h) shared by all bases (see build_system).  Each block's
+    k = m s h rows run basis by basis, then in outcome order, and lie
+    contiguous in memory: they are written straight into that layout.
+    """
+    m, L, s = p.shape[:3]
+    rows = np.empty((3, L, m) + p.shape[2:])
+    out = rows.swapaxes(1, 2)  # (3, m, L, s, h), shaped like p
+    a, b = fam.ca[:, None, :s, None] * ta[:, :, None, :], fam.cb[:, None, :s, None] * tb[:, :, None, :]
+    x = np.conj(a)  # X = conj(A) B: row (2 Re X, -2 Im X), rhs p - |A|^2 - |B|^2
     x *= b
     np.multiply(x.real, 2.0, out=out[0])
     np.multiply(x.imag, -2.0, out=out[1])
     np.subtract(p, np.abs(a) ** 2, out=out[2])
     out[2] -= np.abs(b) ** 2
-
-
-def _level_rows(ta: np.ndarray, tb: np.ndarray, p: np.ndarray, fam: _FamilyArrays, extra: bool) -> np.ndarray:
-    """Row columns 0, 1 and rhs (axis 0) of every block's phase system, shape (3, L, k).
-
-    ta and tb hold the transforms of each block's two children, one row per
-    family basis or a single row shared by all: (m, L, h) with extra rows,
-    else (m, L) (see build_system).  p holds the outcome probabilities per
-    family basis: (m, L, 2, h) with extra rows, else the canonical outcome's
-    (m, L).  Each block's k rows run basis by basis, then in outcome order,
-    and lie contiguous in memory: they are written straight into that layout.
-    """
-    m, L = p.shape[:2]
-    rows = np.empty((3, L, m) + p.shape[2:])
-    out = rows.swapaxes(1, 2)  # (3, m, L, ...), shaped like p
-    if extra:
-        a, b = fam.ca[:, None, :, None] * ta[:, :, None, :], fam.cb[:, None, :, None] * tb[:, :, None, :]
-        _outcome_rows(a, b, p, out)
-        canonical = out[:, :, :, 0, -1]  # pivot +, all-minus tail
-    else:
-        _outcome_rows(fam.ca[:, :1] * ta, fam.cb[:, :1] * tb, p, out)
-        canonical = out
+    canonical = out[:, :, :, 0, -1]  # pivot +, all-minus tail
     canonical /= fam.two_uv
     return rows.reshape(3, L, -1)
 
@@ -473,14 +467,15 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     amps = amplitudes_from_counts(comp, n, opts.null_threshold)
     work = amps.astype(np.complex128)
     fam = opts._family_arrays
-    extra = opts.mode == "local" and opts.use_extra_rows
     if opts.mode == "entangled":
         emp = np.stack([to_empirical(rec) for rec in recs])
-    # The level's children transforms, one row per family basis: U_a^dagger^{x(j-1)} of each
-    # child with extra rows, else its <-_a|^{x(j-1)} contraction.  At j = 1 a child is one
-    # amplitude, its own transform, so work itself serves every basis.
+    # The variant, chosen once: the outcomes kept of each local block, all of them with extra rows,
+    # else the canonical one (pivot +, all-minus tail); and the carry, U_a^dagger or <-_a|.
+    extra = opts.mode == "local" and opts.use_extra_rows
+    tail, rotation = (np.s_[:, :, :], fam.u_dagger) if extra else (np.s_[:, :1, -1:], fam.minus_row)
+    # The level's children transforms, (m, 2^(n-j+1) h) for h tail patterns.  At j = 1 a child is
+    # one amplitude, its own transform, so work itself serves every basis.
     carry = work[None]
-    rotation = fam.u_dagger if extra else fam.minus_row
     # whether each child of the level holds a nonzero amplitude; None while every one does
     occupied = None if amps.all() else amps != 0
     for j in range(1, n + 1):
@@ -498,15 +493,10 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         if betas.size:
             if opts.mode == "entangled":
                 off = _entangled_block_offset(n, j)
-                p = emp[:, off : off + L][:, live]
-            elif extra:
-                p = np.stack([to_empirical(rec) for rec in recs[j - 1 :: n]]).reshape(-1, L, 2, half)[:, live]
-            else:  # the canonical outcomes only: pivot +, all-minus tail
-                p = np.stack([to_empirical(rec)[half - 1 :: 2 * half] for rec in recs[j - 1 :: n]])[:, live]
-            ta, tb = t[:, live, 0], t[:, live, 1]
-            if not extra:
-                ta, tb = ta[:, :, 0], tb[:, :, 0]
-            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(ta, tb, p, fam, extra))
+                p = emp[:, off : off + L, None, None][:, live]
+            else:
+                p = np.stack([to_empirical(rec).reshape(L, 2, half)[tail] for rec in recs[j - 1 :: n]])[:, live]
+            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(t[:, live, 0], t[:, live, 1], p, fam))
             cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
             phase = (cos_d + 1j * sin_d)[:, None]
             view[live, 1] *= phase
@@ -516,8 +506,8 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
             cond = cos_d = sin_d = np.empty(0)
             fallback = default = np.zeros(0, dtype=bool)
         diag.levels.append(Level(j, nulls, betas, cond, cos_d, sin_d, fallback, default))
-        if j < n:
-            carry = rotate_qubit(carry, j - 1 if extra else 0, rotation)
+        if j < n:  # the block's top qubit sits just above its h tail patterns
+            carry = rotate_qubit(carry, t.shape[3].bit_length() - 1, rotation)
     norm = float(np.linalg.norm(work))
     if norm == 0.0:
         raise ValueError("all amplitudes clamped to zero; nothing to reconstruct")

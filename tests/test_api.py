@@ -1,10 +1,15 @@
-"""The top-level package exports only the documented Python API, and the benchmark's hooks resolve."""
+"""The top-level package exports only the documented Python API, and the benchmark's hooks resolve and run."""
 
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import purestate
 
@@ -39,3 +44,15 @@ def test_benchmark_hooks_resolve():
     assert hooks
     missing = [f"{module}.{attr}" for module, attr in hooks if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, f"names wrapped by perfbench/spans.py are gone: {missing}"
+
+
+@pytest.mark.parametrize("workload", ["mc-local-haar-n10", "mc-entangled-phi1-n12"])
+def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
+    # one short --trace 1 run per estimator path: extra rows (local) and one row per basis (entangled)
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0.5", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, proc.stderr
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [row["name"] for row in per_layer if row["name"] not in result["metrics"]] == []

@@ -313,6 +313,17 @@ class TestBench:
     def test_reversed_range_is_usage_error(self, capsys):
         assert run_cli("bench", "--n", "5..2", "--trials", "1") == 1
 
+    def test_range_beyond_the_memory_bound_is_refused_before_it_is_expanded(self, capsys):
+        # expanding 1..1000000 into a list and a BenchConfig tuple took 4 s and a 46.6 MiB traced peak
+        tracemalloc.start()
+        try:
+            assert run_cli("bench", "--n", "1..1000000", "--trials", "1") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert capsys.readouterr().err == "data error: n=1000000 exceeds the memory bound\n"
+
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("# benchmark settings\nn = 2\ntrials = 3\nshots = 256\nseed = 4\n")
@@ -385,6 +396,25 @@ class TestBases:
     def test_system_size_below_one_is_data_error(self, capsys, n):
         assert run_cli("bases", "--n", n) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [("--n", "0", "--states"), ("--n", "-3")])
+    def test_system_size_below_one_is_data_error_for_a_single_basis(self, capsys, argv):
+        assert run_cli("bases", "--basis", "computational", *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"data error: n={argv[1]}: a system needs at least 1 qubit\n"
+
+    def test_basis_states_beyond_the_memory_bound_are_refused_before_any_is_built(self, capsys):
+        # n=14: 2^14 states of 2^14 amplitudes per basis, 4 GiB
+        tracemalloc.start()
+        try:
+            assert run_cli("bases", "--n", "14", "--basis", "computational", "--states") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        out, err = capsys.readouterr()
+        assert out == "" and err == "data error: n=14: the basis states exceed the memory bound\n"
+        assert run_cli("bases", "--n", "40", "--basis", "local:1:2") == 0  # circuits alone hold no state
 
     def test_bad_basis_token_is_usage_error(self, capsys):
         assert run_cli("bases", "--n", "2", "--basis", "local:1") == 1
