@@ -332,6 +332,11 @@ def rotate_qubit(amps: np.ndarray, q: int, M: np.ndarray) -> np.ndarray:
     result is (..., N r / 2) in the same index order.
     """
     t = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << q))
+    if q == 0 and M.shape[-2] == 2:
+        # written as (..., r, pairs), the products run along the pairs, not along a row pair of 2
+        # entries; one transposing copy then interleaves the rows (the same products and sums)
+        rows = M[..., :, 0, None] * t[..., None, :, 0, 0] + M[..., :, 1, None] * t[..., None, :, 1, 0]
+        return rows.swapaxes(-1, -2).reshape(rows.shape[:-2] + (-1,))
     # out[..., :, r, :] = M[..., r, 0] t[..., :, 0, :] + M[..., r, 1] t[..., :, 1, :]
     out = M[..., None, :, 0, None] * t[..., :, 0, None, :] + M[..., None, :, 1, None] * t[..., :, 1, None, :]
     return out.reshape(out.shape[:-3] + (-1,))

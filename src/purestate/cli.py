@@ -173,6 +173,9 @@ def cmd_simulate(args) -> int:
     if args.state.lower() not in STATE_FAMILIES and not os.path.exists(args.state):
         raise UsageError(f"state {args.state!r} is neither a named family nor an existing file")
     family = default_family(args.m)
+    # refuse a huge n before its m n + 1 basis ids are built (estimation_basis_ids rejects n < 1)
+    if args.n > 0 and exceeds_memory_bound(args.n):
+        raise ValueError(f"n={args.n} exceeds the memory bound")
     ids = estimation_basis_ids(args.n, args.m, args.mode)
     if exceeds_memory_bound(args.n, len(ids)):
         raise ValueError(f"n={args.n} with {len(ids)} records exceeds the memory bound")

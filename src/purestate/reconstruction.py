@@ -9,8 +9,12 @@ equation
     Re[e^{i delta} X] = rhs,  i.e.  (Re X) cos(delta) - (Im X) sin(delta) = rhs,
 
 on the unknowns (cos delta, sin delta).  The stacked k x 2 system is solved
-by least squares and the solution projected radially onto the unit circle;
-ill-conditioned systems fall back to intersecting the dominant single
+by least squares and the solution projected radially onto the unit circle,
+in closed form in complex numbers: in the system's Gram sums S1, S2 and C
+its circle objective is S1/2 + Re(e^{2i delta} S2)/2 - 2 Re(e^{i delta} C) +
+sum rhs^2, and its phase is z / |z| for the least-squares point
+z = 2 (S1 conj(C) - conj(S2) C) / (S1^2 - |S2|^2) (see solve_phase).
+Ill-conditioned systems fall back to intersecting the dominant single
 equation with the circle and letting the residual over all rows pick the
 candidate.  Merged blocks become the children of the next level, so j = n
 yields the full estimate up to an (unobservable) global phase.
@@ -19,22 +23,25 @@ Each child block enters later systems with whatever global phase it was
 assembled with; the equations are built from the children as produced, so
 this is self-consistent.
 
-reconstruct solves each level in one batched pass over all its blocks: the
-level's rows (_level_rows) form one PhaseSystem, and solve_phase decides
-every block's path in one call.  The three estimator variants differ only
-in the outcomes they feed one layout: (m, L, s, h) probabilities, s pivot
-signs times h tail patterns, are (2, 2^(j-1)) with extra rows and (1, 1)
-for the canonical outcome alone (canonical rows; entangled bases).  The
-rows need each child's transform under every family basis a, (m, L, h):
+reconstruct reads each record it needs once per call and solves each level
+in one batched pass over all its blocks: the level's rows (_level_rows)
+form one PhaseSystem, and solve_phase decides every block's path in one
+call and returns the phases as unit complex numbers, which multiply the B
+halves as they are.  The three estimator variants differ only in the
+outcomes they feed one layout: (m, L, s, h) probabilities, s pivot signs
+times h tail patterns, are (2, 2^(j-1)) with extra rows and (1, 1) for the
+canonical outcome alone (canonical rows; entangled bases).  The rows need
+each child's transform under every family basis a, (m, L, h):
 U_a^dagger^{x(j-1)} child with extra rows, else its <-_a|^{x(j-1)}
-contraction.  These are carried up the levels in one (m, .) array: a
-merged block [A; e^{i delta} B] transforms as one rotate_qubit on its top
-qubit of [T(A), e^{i delta} T(B)], so each level costs one rotation, and
-extra rows cost O(m n 2^n) in all.  build_system is the same row assembly
-run on a single block's transforms.  rotate_qubit is elementwise and each
-system is summed over its own rows, so a block's transforms, rows, cond
-and phase are the same bits alone or in a batch.  Diagnostics keeps each level's solve as arrays (a
-Level); its (j, beta) dicts and label lists are built from them on access.
+contraction.  These are carried up the levels in one (m, .) array: a merged
+block [A; e^{i delta} B] transforms as one rotate_qubit on its top qubit of
+[T(A), e^{i delta} T(B)], so each level costs one rotation, and extra rows
+cost O(m n 2^n) in all.  build_system is the same row assembly run on a
+single block's transforms.  rotate_qubit is elementwise and each system is
+summed over its own rows, so a block's transforms, rows, cond and phase are
+the same bits alone or in a batch.  Diagnostics keeps each level's solve as
+arrays (a Level); its (j, beta) dicts and label lists are built from them
+on access.
 """
 
 from __future__ import annotations
@@ -144,6 +151,16 @@ class ReconstructionOptions:
     def resolved_family(self) -> list[QubitBasis]:
         return list(self.family) if self.family is not None else default_family(self.m)
 
+    def _basis_keys(self, n: int) -> list:
+        """str() of each basis a run at n measures, in estimation_basis_ids order.
+
+        Built once per n and kept with these options, as the family's arrays are.
+        """
+        keys = self.__dict__.setdefault("_keys_by_n", {})
+        if n not in keys:
+            keys[n] = [str(id) for id in estimation_basis_ids(n, self.m, self.mode)]
+        return keys[n]
+
     @cached_property
     def _family_arrays(self) -> _FamilyArrays:
         """The constants of the m bases reconstruct uses, built on first use and kept with these options."""
@@ -250,21 +267,6 @@ def amplitudes_from_counts(comp: CountsRecord, n: int, null_threshold: float = N
     return np.sqrt(p)
 
 
-def _normal_solution(rows: np.ndarray) -> tuple:
-    """Elementwise (cond, det, x, y) of the normal equations of the systems in rows (3, L, k); cond is inf at rank < 2.
-
-    Each system's Gram entries are summed over its own contiguous last axis,
-    so they are the same bits whether it is solved alone or in a batch.
-    """
-    (g11, g12, b1), (_, g22, b2) = np.einsum("ilk,jlk->ijl", rows[:2], rows)
-    half = 0.5 * (g11 + g22)
-    disc = 0.5 * np.hypot(g11 - g22, 2.0 * g12)
-    hi, lo = half + disc, half - disc
-    cond = np.where((lo <= 0.0) | (hi <= 0.0), np.inf, np.sqrt(hi / lo))
-    det = g11 * g22 - g12 * g12
-    return cond, det, (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
-
-
 def build_system(
     j: int,
     beta: int,
@@ -315,32 +317,68 @@ def build_system(
 def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
     """Every block's (cond, cos delta, sin delta, fallback, default_phase), arrays of shape (L,).
 
-    A block's least-squares solution is projected radially onto the unit
-    circle; under a cond within the threshold, a Gram determinant <= 0
-    (reachable only with cond_threshold=inf) or overflowing to inf is
-    solved by np.linalg.lstsq.  A block whose rows are all exactly zero, or
-    whose solution lies within ZERO_SOLUTION_EPS of the origin, pins
-    nothing: it gets the default phase (1, 0).  A block with cond above the
+    The circle objective of a block is, with x = (cos delta, sin delta),
+
+        |rows x - rhs|^2 = S1/2 + Re(e^{2i delta} S2)/2 - 2 Re(e^{i delta} C) + sum rhs^2,
+
+    in the Gram entries g11, g12, g22 = sum a1 a1, sum a1 a2, sum a2 a2 and
+    b1, b2 = sum a1 rhs, sum a2 rhs of its rows (a1, a2, rhs): S1 = g11 + g22,
+    S2 = (g11 - g22) - 2i g12 and C = b1 - i b2.  Twice the Gram eigenvalues
+    are S1 +- |S2|, so cond = sqrt((S1 + |S2|) / (S1 - |S2|)) (inf at rank < 2)
+    and the Gram determinant is det = (S1^2 - |S2|^2) / 4; the unconstrained
+    least-squares point is
+        z = cos + i sin = 2 (S1 conj(C) - conj(S2) C) / (S1^2 - |S2|^2),
+    and the block's phase is z projected radially onto the unit circle, z / |z|.
+    Each block's Gram entries are summed over its own contiguous rows, and
+    the rest is elementwise, so a block gets the same bits alone or in a batch.
+
+    That closed form stands unless cond is above the threshold, det is <= 0
+    (reachable only with cond_threshold=inf) or not finite, or |z| is below
+    ZERO_SOLUTION_EPS.  A det <= 0 leaves cond NaN or |z| inf or NaN, and an
+    infinite one leaves |z| 0 or NaN, so the test reads cond and |z| alone.
+    Under a cond within the threshold, a bad det is solved by np.linalg.lstsq
+    instead.  A block whose rows are all exactly zero, or whose solution lies
+    within ZERO_SOLUTION_EPS of the origin, pins nothing: it gets the default
+    phase (1, 0).  A block with cond above the
     threshold raises AmbiguityError under ambiguity_policy='fail' (the first
     such block of the level) and otherwise falls back: its dominant row (the
     largest norm, the lowest index on ties) is intersected with the circle,
     or clamped to the nearest point when the line misses it, and of the two
     intersections the one with the smaller residual over all rows wins; ties
     break toward delta = 0, then toward non-negative sine.
+
+    cos and sin are the real and imaginary parts, as views, of one complex
+    array of the unit phases e^{i delta}: cos.base is that array.
     """
     rows = sys.rows
     if rows.shape[2] < 1:
         raise ValueError("empty phase system")
-    fallback, default = np.zeros(rows.shape[1], dtype=bool), np.zeros(rows.shape[1], dtype=bool)
+    L = rows.shape[1]
+    fallback, default = np.zeros(L, dtype=bool), np.zeros(L, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond, det, x, y = _normal_solution(rows)
-        r = np.hypot(x, y)
-        cos_d, sin_d = x / r, y / r
-        rest = np.flatnonzero(
-            ~((cond <= opts.cond_threshold) & (det > 0.0) & np.isfinite(det) & (r >= ZERO_SOLUTION_EPS))
-        )
-        if rest.size == 0:
+        # gram[j, l, i] = sum over block l's rows of column i times column j (rhs at j = 2); its
+        # complex view pairs those columns: g1 = g11 + i g12, g2 = g12 + i g22, c_conj = b1 + i b2
+        gram = np.empty((3, L, 2))
+        np.einsum("ilk,jlk->ijl", rows[:2], rows, out=gram.transpose(2, 0, 1))
+        g1, g2, c_conj = gram.view(np.complex128)[..., 0]
+        trace = gram[0, :, 0] + gram[1, :, 1]  # S1
+        s2_conj = g1 + 1j * g2  # (g11 - g22) + 2i g12
+        lo = np.abs(s2_conj)
+        hi, lo = trace + lo, trace - lo  # twice the Gram eigenvalues
+        cond = np.sqrt(hi / lo)  # NaN or inf at rank < 2 (lo <= 0): set to inf below
+        det4 = hi * lo  # S1^2 - |S2|^2, four times the determinant
+        z = trace * c_conj
+        z -= s2_conj * c_conj.conj()
+        z *= 2.0 / det4
+        r = np.abs(z)
+        phase = z / r
+        # a det <= 0 leaves cond NaN or r inf or NaN, an infinite one r 0 or NaN: cond and r decide
+        ok = (cond <= opts.cond_threshold) & (r >= ZERO_SOLUTION_EPS) & (r < np.inf)
+        cos_d, sin_d = phase.real, phase.imag
+        if np.count_nonzero(ok) == L:
             return cond, cos_d, sin_d, fallback, default
+        rest = np.flatnonzero(~ok)
+        cond[rest[~(lo[rest] > 0.0)]] = np.inf
         live = rows[:2, rest].any(axis=(0, 2))
         within = cond[rest] <= opts.cond_threshold
         ls, ill = rest[live & within], rest[live & ~within]
@@ -349,10 +387,11 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
             i = ill[0]
             raise AmbiguityError(sys.j, int(sys.betas[i]), f"condition number {cond[i]:.3g} above threshold")
         for i in ls.tolist():
-            if not (det[i] > 0.0 and np.isfinite(det[i])):
-                x[i], y[i] = np.linalg.lstsq(rows[:2, i].T, rows[2, i], rcond=None)[0]
-        r = np.hypot(x[ls], y[ls])
-        cos_d[ls], sin_d[ls] = x[ls] / r, y[ls] / r
+            if not (det4[i] > 0.0 and det4[i] < np.inf):
+                x, y = np.linalg.lstsq(rows[:2, i].T, rows[2, i], rcond=None)[0]
+                z[i] = complex(x, y)
+        r = np.abs(z[ls])
+        phase[ls] = z[ls] / r
         default[ls[r < ZERO_SOLUTION_EPS]] = True
         if ill.size:
             fallback[ill] = True
@@ -374,7 +413,7 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
             sgn = np.where(d >= 0, 1.0, -1.0)
             cos_d[ill] = np.where(miss, sgn * ua, np.where(second, c1, c0))
             sin_d[ill] = np.where(miss, sgn * ub, np.where(second, s1, s0))
-    cos_d[default], sin_d[default] = 1.0, 0.0
+    phase[default] = 1.0
     return cond, cos_d, sin_d, fallback, default
 
 
@@ -442,22 +481,25 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     with phase 0).  The estimate is renormalized and global-phase normalized;
     the whole procedure is deterministic.
 
-    Each level is one batched pass over all its live blocks: _level_rows
+    Each record is read once per call: a level of extra rows reads its m
+    local tables, and the one outcome per block and basis that canonical
+    rows and entangled bases use is read for all levels in one pass.  Each
+    level is one batched pass over all its live blocks: _level_rows
     assembles every block's rows at once, and one solve_phase call returns
     every block's cond and phase and decides its least squares, fallback,
     default phase or AmbiguityError.  The rows are built from the children's
     transforms, carried up the levels: once a level is solved, its B halves
-    take their phases and one rotate_qubit on the new top qubit turns the
-    merged blocks into the next level's children transforms.  The
-    diagnostics keep the solve's arrays as the level's Level record; no
-    per-block object is built.
+    take their phases, as the unit complex numbers the solve returns, and
+    one rotate_qubit on the new top qubit turns the merged blocks into the
+    next level's children transforms.  The diagnostics keep the solve's
+    arrays as the level's Level record; no per-block object is built.
     """
     by_id = _records_by_id(records, n)
     comp = by_id.get("computational")
     if comp is None:
         raise ValueError("computational-basis record is required")
     # a-major: local L_ab sits at (a-1)*n + (b-1), entangled E_a at a-1
-    ids = [str(id) for id in estimation_basis_ids(n, opts.m, opts.mode)[1:]]
+    ids = opts._basis_keys(n)[1:]
     missing = [id for id in ids if id not in by_id]
     if missing:
         raise ValueError(f"missing record for basis {missing[0]}")
@@ -467,12 +509,23 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     amps = amplitudes_from_counts(comp, n, opts.null_threshold)
     work = amps.astype(np.complex128)
     fam = opts._family_arrays
-    if opts.mode == "entangled":
-        emp = np.stack([to_empirical(rec) for rec in recs])
-    # The variant, chosen once: the outcomes kept of each local block, all of them with extra rows,
-    # else the canonical one (pivot +, all-minus tail); and the carry, U_a^dagger or <-_a|.
+    # The variant, chosen once: with extra rows every outcome of each local block is read and the
+    # carry is U_a^dagger, else the canonical one (pivot +, all-minus tail) and <-_a|.
     extra = opts.mode == "local" and opts.use_extra_rows
-    tail, rotation = (np.s_[:, :, :], fam.u_dagger) if extra else (np.s_[:, :1, -1:], fam.minus_row)
+    rotation = fam.u_dagger if extra else fam.minus_row
+    # Each record is read once, as an empirical distribution.  With extra rows level j reads its m
+    # tables L_aj whole, (m, 2^n), when it gets to them: a copy of all m n tables at once would double
+    # the input's memory.  Otherwise a level reads one outcome per block and basis, and all of them are
+    # read in one pass into the layout of an entangled record, level j's block beta at
+    # _entangled_block_offset(n, j) + beta: the (m, 2^n) entangled tables, or the (m, 2^n - 1)
+    # canonical outcomes of the local tables.
+    shots = np.array([rec.shots or 1 for rec in recs], dtype=np.float64)[:, None]  # exact records (shots 0) as they are
+    if opts.mode == "entangled":
+        emp = np.array([rec.counts for rec in recs]) / shots
+    elif not extra:
+        # the canonical outcomes of L_aj, at 2^j beta + 2^(j-1) - 1, for a = 1..m and j = 1..n
+        picks = [np.asarray(rec.counts)[(1 << i % n) - 1 :: 2 << i % n] for i, rec in enumerate(recs)]
+        emp = np.concatenate([pick / s for pick, s in zip(picks, shots)]).reshape(opts.m, -1)
     # The level's children transforms, (m, 2^(n-j+1) h) for h tail patterns.  At j = 1 a child is
     # one amplitude, its own transform, so work itself serves every basis.
     carry = work[None]
@@ -482,23 +535,24 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         half, L = 1 << (j - 1), 1 << (n - j)
         t = carry.reshape(carry.shape[0], L, 2, -1)
         view = work.reshape(L, 2, half)
-        # live picks the level's live blocks: a slice while every block is, so nothing is gathered
         if occupied is None:
-            nulls, betas, live = np.empty(0, dtype=np.intp), np.arange(L), slice(None)
+            nulls, betas = np.empty(0, dtype=np.intp), np.arange(L)
         else:
             pair = occupied.reshape(L, 2)
             occupied, both = pair.any(axis=1), pair.all(axis=1)
             nulls, betas = np.flatnonzero(~both), np.flatnonzero(both)
-            live = betas
+        # live picks the level's live blocks: a slice unless the level holds a null block, so a level
+        # whose blocks are all live gathers nothing
+        live = betas if nulls.size else slice(None)
         if betas.size:
-            if opts.mode == "entangled":
-                off = _entangled_block_offset(n, j)
-                p = emp[:, off : off + L, None, None][:, live]
+            if extra:
+                p = (np.array([rec.counts for rec in recs[j - 1 :: n]]) / shots[j - 1 :: n]).reshape(-1, L, 2, half)
             else:
-                p = np.stack([to_empirical(rec).reshape(L, 2, half)[tail] for rec in recs[j - 1 :: n]])[:, live]
-            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(t[:, live, 0], t[:, live, 1], p, fam))
+                off = _entangled_block_offset(n, j)
+                p = emp[:, off : off + L, None, None]
+            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(t[:, live, 0], t[:, live, 1], p[:, live], fam))
             cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
-            phase = (cos_d + 1j * sin_d)[:, None]
+            phase = cos_d.base[:, None]  # the unit phases e^{i delta}, of which cos_d and sin_d are views
             view[live, 1] *= phase
             if j > 1:  # at j = 1 carry is a view of work
                 t[:, live, 1] *= phase

@@ -382,6 +382,21 @@ class TestRotateQubit:
         for a in range(3):
             assert np.array_equal(out[a], rotate_qubit(amps, 1, u_dagger[a]))
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 12])
+    def test_every_qubit_gives_the_bits_of_the_broadcast_form(self, n):
+        # q = 0 with two rows is written row by row; it must stay the same products and sums
+        rng = np.random.default_rng(60 + n)
+        u_dagger = np.array([qb.u_dagger for qb in (random_basis(7), random_basis(8))])
+        for lead in ((), (1,), (2,)):
+            amps = rng.normal(size=lead + (1 << n,)) + 1j * rng.normal(size=lead + (1 << n,))
+            for M in (u_dagger, u_dagger[:, 1:], u_dagger[0], u_dagger[0, 1:]):
+                for q in range(n):
+                    t = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << q))
+                    want = M[..., None, :, 0, None] * t[..., :, 0, None, :]
+                    want += M[..., None, :, 1, None] * t[..., :, 1, None, :]
+                    got = rotate_qubit(amps, q, M)
+                    assert np.array_equal(got, want.reshape(want.shape[:-3] + (-1,))), (lead, M.shape, q)
+
 
 class TestQasm:
     @staticmethod

@@ -258,6 +258,19 @@ class TestSimulateReconstruct:
         assert capsys.readouterr().err == "data error: n=24 with 49 records exceeds the memory bound\n"
         assert not counts.exists()
 
+    def test_huge_n_is_refused_before_its_basis_ids_are_built(self, tmp_path, capsys):
+        # building the 2,000,001 basis ids of n = 1,000,000 first took 14.4 s and a 275.8 MiB traced peak
+        counts = tmp_path / "c.json"
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", "--n", "1000000", "--out", str(counts)) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert capsys.readouterr().err == "data error: n=1000000 exceeds the memory bound\n"
+        assert not counts.exists()
+
     def test_unknown_state_name_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--state", "bell", "--n", "2", "--out", str(tmp_path / "x.json")) == 1
 

@@ -426,6 +426,125 @@ class TestSolvePhase:
             assert (cos_d[i], sin_d[i]) == pytest.approx((c, s_), abs=1e-9), name
 
 
+def oracle_systems(seed, count):
+    """Random real k x 2 systems, k = 1..64, with the kind of each: generic, rank-1, near-singular on
+    either side of the default threshold, zero rows, a zero least-squares point, rows partly divided
+    by an unbalanced basis's 2uv (as canonical rows are), or the whole system scaled by 2^-e."""
+    rng = np.random.default_rng(seed)
+    two_uv = 2.0 * UNBALANCED[2].u * UNBALANCED[2].v
+    kinds = ("generic", "rank-1", "near-singular", "ill", "zero rows", "at the origin", "canonical weight", "scaled")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        k = int(rng.integers(1, 65))
+        rows = rng.normal(size=(k, 2))
+        if kind == "rank-1":
+            rows = np.outer(rng.normal(size=k), rng.normal(size=2))
+        elif kind in ("near-singular", "ill"):
+            k = max(k, 3)
+            base = rng.normal(size=k)
+            # cond about 1/gap: 10..1e4 stays on least squares, 1e8..1e12 falls back
+            gap = 10.0 ** (rng.uniform(-4, -1) if kind == "near-singular" else rng.uniform(-12, -8))
+            rows = np.column_stack([base, rng.normal() * base + gap * rng.normal(size=k)])
+        elif kind == "zero rows":
+            rows = np.zeros((k, 2))
+        elif kind == "canonical weight":
+            rows[: (k + 1) // 2] /= two_uv
+        elif kind == "scaled":
+            rows *= 2.0 ** -int(rng.integers(0, 60))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rhs = rows @ [np.cos(theta), np.sin(theta)] + 0.1 * np.abs(rows).mean() * rng.normal(size=k)
+        if kind == "at the origin":
+            # rhs orthogonal to both columns: the least-squares point is 0
+            q, _ = np.linalg.qr(np.column_stack([rows, rng.normal(size=k)]))
+            rhs = q[:, 2] if k > 2 else np.zeros(k)
+        yield kind, rows, rhs
+
+
+class TestClosedForm:
+    """solve_phase's closed complex form against oracles that share none of its arithmetic."""
+
+    THRESHOLD = ReconstructionOptions().cond_threshold
+
+    def expected_path(self, rows, rhs):
+        # solve_phase's documented rule, on numpy's cond and lstsq: zero rows pin nothing, cond above
+        # the threshold falls back, a least-squares point within ZERO_SOLUTION_EPS of the origin pins nothing
+        if not rows.any():
+            return "default", None
+        cond = np.linalg.cond(rows) if rows.shape[0] > 1 else np.inf
+        if not cond <= self.THRESHOLD:
+            return "fallback", cond
+        x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        return ("default" if np.hypot(*x) < reconstruction.ZERO_SOLUTION_EPS else "ls"), cond
+
+    def test_phase_and_cond_match_lstsq_and_numpy_cond(self):
+        seen = {}
+        for kind, rows, rhs in oracle_systems(70, 800):
+            path, cond_ref = self.expected_path(rows, rhs)
+            if cond_ref is not None and self.THRESHOLD / 100 < cond_ref < self.THRESHOLD * 100:
+                continue  # too near the threshold for the two cond computations to agree on the side
+            cond, cos_d, sin_d, fallback, default = solve_phase(make_system(rows, rhs), ReconstructionOptions())
+            got = "fallback" if fallback[0] else "default" if default[0] else "ls"
+            assert got == path, kind
+            seen[kind, path] = seen.get((kind, path), 0) + 1
+            if path != "ls":
+                continue
+            x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+            # the normal equations lose about eps cond^2; at cond <= 10 that is within 1e-12
+            tol = max(1e-12, 1e-13 * cond_ref**2)
+            assert np.hypot(cos_d[0] - x[0] / np.hypot(*x), sin_d[0] - x[1] / np.hypot(*x)) <= tol, kind
+            assert abs(cond[0] / cond_ref - 1.0) <= max(1e-9, 1e-13 * cond_ref**2), kind
+        # every kind reached the path it was built for
+        on_ls = {kind for kind, path in seen if path == "ls"}
+        assert on_ls >= {"generic", "near-singular", "canonical weight", "scaled"}
+        assert {kind for kind, path in seen if path == "fallback"} >= {"rank-1", "ill"}
+        assert {kind for kind, path in seen if path == "default"} >= {"zero rows", "at the origin"}
+
+    def test_fail_policy_raises_exactly_where_the_oracle_falls_back(self):
+        opts = ReconstructionOptions(ambiguity_policy="fail")
+        for kind, rows, rhs in oracle_systems(71, 200):
+            path, cond_ref = self.expected_path(rows, rhs)
+            if cond_ref is not None and self.THRESHOLD / 100 < cond_ref < self.THRESHOLD * 100:
+                continue
+            if path == "fallback":
+                with pytest.raises(AmbiguityError):
+                    solve_phase(make_system(rows, rhs, j=2, beta=3), opts)
+            else:
+                solve_phase(make_system(rows, rhs, j=2, beta=3), opts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 16, 17, 64])
+    def test_a_block_gets_the_same_bits_alone_and_in_a_batch(self, k):
+        # the Gram sums are written into a (3, L, 2) buffer whose complex view the closed form reads;
+        # each block must still be summed over its own rows alone
+        systems = [make_system(rows, rhs) for _, rows, rhs in oracle_systems(72 + k, 96) if rows.shape[0] == k]
+        systems += [make_system(rows[:k], rhs[:k]) for _, rows, rhs in oracle_systems(90 + k, 48) if rows.shape[0] > k]
+        for threshold in (1e6, np.inf):
+            opts = ReconstructionOptions(cond_threshold=threshold)
+            batch = solve_phase(stack_systems(systems), opts)
+            for i, sys in enumerate(systems):
+                for got, want in zip(batch, solve_phase(sys, opts)):
+                    assert got[i] == want[0] or (np.isnan(got[i]) and np.isnan(want[0]))
+
+    def test_a_zero_determinant_over_a_rounding_residue_goes_to_lstsq(self):
+        # proportional columns: S1 - |S2| is exactly 0, but the closed form's numerator is a
+        # rounding residue of 1e-17, so z is infinite; under cond_threshold=inf lstsq solves it
+        rows, rhs = np.array([[0.21, -0.147], [0.36, -0.252]]), np.array([-0.13, 0.78])
+        opts = ReconstructionOptions(cond_threshold=np.inf)
+        cond, cos_d, sin_d, fallback, default = solve_phase(make_system(rows, rhs), opts)
+        x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        assert cond[0] == np.inf and not (fallback[0] or default[0])
+        assert np.allclose((cos_d[0], sin_d[0]), x / np.hypot(*x), rtol=0, atol=1e-12)
+
+    def test_cos_and_sin_are_views_of_the_unit_phases(self):
+        plain, single, zero = np.eye(2), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2))
+        systems = [make_system(plain, [0.3, 0.4]), make_system(single, [0.6, 0.0]), make_system(zero, [1.0, 0.0])]
+        sys = stack_systems(systems)
+        cond, cos_d, sin_d, fallback, default = solve_phase(sys, ReconstructionOptions())
+        phase = cos_d.base
+        assert phase is sin_d.base and phase.dtype == np.complex128 and phase.shape == (3,)
+        assert np.array_equal(phase.real, cos_d) and np.array_equal(phase.imag, sin_d)
+        assert np.allclose(phase, [0.6 + 0.8j, 0.6 + 0.8j, 1.0], atol=1e-15)
+
+
 class TestReconstructExactStatistics:
     def test_local_mode_recovers_haar_states(self):
         for n in (2, 3, 4):
@@ -797,6 +916,23 @@ class TestKernelMatchesReference:
         records = sampled_records(st, "local", 3, 1024, seed=n, family=list(UNBALANCED))
         assert_matches_reference(records, n, opts)
 
+    @pytest.mark.parametrize("extra", [False, True])
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    def test_records_of_mixed_kinds_stacked_together_keep_their_own_bits(self, mode, extra):
+        # records are stacked and normalized together (a level's, or all of them in one pass); exact
+        # tables (shots 0) and counts of other shots and dtypes must each still give the bits
+        # to_empirical gives them one by one
+        n, m = 4, 3
+        st = haar_random(n, seed=1150)
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
+        exact = [exact_record(t) for t in exact_tables(st, mode, m)]
+        sampled = sampled_records(st, mode, m, 1000, seed=4)
+        records = [exact[0]]
+        for i, (rec, s) in enumerate(zip(exact[1:], sampled[1:])):
+            dtype = np.int32 if i % 3 == 1 else np.int64
+            records.append(rec if i % 3 == 0 else CountsRecord(rec.basis, 3 * s.shots, (3 * s.counts).astype(dtype)))
+        assert_matches_reference(records, n, opts)
+
     @pytest.mark.parametrize("kind", ["Phi1", "Phi2", "Phi3", "Phi4", "separable"])
     @pytest.mark.parametrize("mode", ["local", "entangled"])
     def test_structured_states_through_the_fallback_path(self, kind, mode):
@@ -1077,6 +1213,44 @@ class TestCarriedTransforms:
                 want = np.stack(transforms(family, extra, *half), axis=1).reshape(len(family), lv.betas.size, -1)
                 assert np.allclose(np.broadcast_to(t, want.shape), want, rtol=0, atol=1e-12)
             work.reshape(-1, 2, 1 << (lv.j - 1))[lv.betas, 1] *= (lv.cos + 1j * lv.sin)[:, None]
+
+    @pytest.mark.parametrize("variant", ["canonical", "extra", "entangled"])
+    def test_only_levels_with_a_null_block_gather(self, variant, monkeypatch):
+        # one zero amplitude makes level 1 hold a null block; the levels above it whose blocks are
+        # all live read the carried transforms through slices, so both halves are views of one buffer
+        n = 6
+        mode, extra = ("entangled" if variant == "entangled" else "local"), variant == "extra"
+        amps = haar_random(n, seed=1960).amps.copy()
+        amps[5] = 0.0
+        st = make_state(amps / np.linalg.norm(amps))
+        opts = ReconstructionOptions(mode=mode, m=2, use_extra_rows=extra)
+        records = [exact_record(t) for t in exact_tables(st, mode, 2)]
+        shared = []
+        level_rows = reconstruction._level_rows
+
+        def capture(ta, tb, *args):
+            shared.append(np.may_share_memory(ta, tb))
+            return level_rows(ta, tb, *args)
+
+        monkeypatch.setattr(reconstruction, "_level_rows", capture)
+        est, diag = reconstruct(records, n, opts)
+        assert fidelity(st, est) > 1 - 1e-10
+        assert [lv.nulls.size > 0 for lv in diag.levels] == [True] + [False] * (n - 1)
+        assert shared == [False] + [True] * (n - 1)
+
+    def test_extra_rows_read_each_level_s_tables_when_they_get_to_them(self):
+        # exact_record copies each of the 29 tables, and the level pass holds about 41 tables' worth
+        # at its peak; stacking all 28 local tables up front would add 28
+        n = 14
+        tables = exact_tables(haar_random(n, seed=1950), "local", 2)
+        table_bytes = tables[0].probs.nbytes
+        tracemalloc.start()
+        try:
+            reconstruct_from_probs(tables, n, ReconstructionOptions(mode="local", m=2, use_extra_rows=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(tables) + 52) * table_bytes, peak / table_bytes
 
     def test_canonical_rows_stack_the_local_tables_one_level_at_a_time(self):
         # exact_record copies each of the 29 tables, and the level pass holds about 17
