@@ -26,8 +26,10 @@ every rotated qubit of a local basis, a ladder of multi-controlled
 U_a^dagger gates for an entangled one.  ``apply_gates`` simulates the local
 circuits only; the entangled tables come from the one-qubit contraction in
 ``measurement.born_tables``.  Both go through ``rotate_qubit``, the one
-place U_a^dagger is applied.  ``basis_states`` spells out every outcome's
-state, for ``purestate bases --states``.
+place U_a^dagger is applied.  ``basis_states`` builds a whole basis as
+tensor products of |+_a> and |-_a> placed on diagonal blocks, for
+``purestate bases --states``; ``outcome_role`` decodes one outcome at a
+time and serves the test reference only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import PureState, _freeze, _require_int, _require_json
+from .states import PureState, _require_int, _require_json
 
 BASIS_NORM_TOL = 1e-12
 
@@ -103,7 +105,7 @@ class OutcomeRole:
 
     ``sign0`` is the sign (+1/-1) on the pivot qubit j-1; ``tail`` holds the
     signs on qubits j-2 down to 0.  The canonical projector pattern is
-    sign0=+1 with an all-minus tail.
+    sign0=+1 with an all-minus tail.  Only ``outcome_role`` builds one.
     """
 
     j: int
@@ -192,55 +194,52 @@ def basis_id_from_dict(obj: dict) -> BasisId:
     raise ValueError(f"unknown basis tag {tag!r}")
 
 
-def _pattern_state(n: int, j: int, beta: int, sign0: int, tail, basis: QubitBasis) -> PureState:
-    """|beta>_{n-j} (x) |sign0_a> (x) |tail_a ...> as a full 2^n statevector."""
-    plus, minus = basis.plus_ket(), basis.minus_ket()
-    kets = [plus if sign0 == 1 else minus]
-    kets += [plus if s == 1 else minus for s in tail]
-    block = reduce(np.kron, kets)
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    lo = beta << j
-    amps[lo : lo + block.size] = block
-    return PureState(n=n, amps=_freeze(amps))
-
-
-def role_state(n: int, role: OutcomeRole, basis: QubitBasis) -> PureState:
-    """Statevector of the projector described by an outcome role."""
-    return _pattern_state(n, role.j, role.beta, role.sign0, role.tail, basis)
-
-
 def _entangled_block_offset(n: int, j: int) -> int:
     # outcomes 0 .. 2^{n-1}-1 are level 1, the next 2^{n-2} level 2, etc.
     return (1 << n) - (1 << (n - j + 1))
 
 
 def basis_states(n: int, id: BasisId, family: list[QubitBasis]) -> list[PureState]:
-    """Ordered orthonormal basis of the 2^n-dimensional space for a basis id.
+    """Ordered orthonormal basis of the 2^n-dimensional space for a basis id, as the rows of one matrix.
 
-    Every local and entangled outcome's state is the projector its
-    outcome_role names; the computational one-hots and the terminal
-    all-minus entangled state are the outcomes without a role.
+    Each group of outcomes is one tensor product on the diagonal blocks of a
+    zero matrix: L_ab's (|+_a>, |-_a>)^{xb} on all 2^{n-b} computational
+    prefixes; E_a's |+_a>|-_a>^{x(j-1)} on level j's 2^{n-j} blocks, closed by
+    |-_a>^{xn}.  Exact zeros are +0.0.
     """
     _check_id(id, n, len(family))
     dim = 1 << n
     if id.tag == "computational":
-        return [PureState(n=n, amps=_freeze(one_hot)) for one_hot in np.eye(dim, dtype=np.complex128)]
-    qb = family[id.a - 1]
-    out = []
-    for k in range(dim):
-        role = outcome_role(id, k, n)
-        if role is None:  # the terminal all-minus entangled outcome
-            out.append(PureState(n=n, amps=_freeze(reduce(np.kron, [qb.minus_ket()] * n))))
+        rows = np.eye(dim, dtype=np.complex128)
+    else:
+        plus, minus = kets = family[id.a - 1].unitary().T
+
+        def product(factors):
+            return reduce(np.kron, factors) + 0.0  # + 0.0 turns the products' -0.0 into +0.0
+
+        rows = np.zeros((dim, dim), dtype=np.complex128)
+        if id.tag == "local":
+            blocks = 1 << (n - id.b)
+            diag = np.arange(blocks)
+            rows.reshape(blocks, -1, blocks, dim // blocks)[diag, :, diag] = product([kets] * id.b)
         else:
-            out.append(role_state(n, role, qb))
-    return out
+            for j in range(1, n + 1):
+                off, blocks = _entangled_block_offset(n, j), 1 << (n - j)
+                diag = np.arange(blocks)
+                rows[off : off + blocks].reshape(blocks, blocks, -1)[diag, diag] = product([plus] + [minus] * (j - 1))
+            rows[-1] = product([minus] * n)
+    rows.flags.writeable = False
+    return [PureState(n=n, amps=amps) for amps in rows]
 
 
 def outcome_role(id: BasisId, outcome_index: int, n: int) -> OutcomeRole | None:
     """Map one basis outcome to the phase equation it contributes, if any.
 
     Computational outcomes and the terminal all-minus entangled outcome carry
-    no phase equation and map to None.
+    no phase equation and map to None.  No package routine calls it: it is
+    the per-outcome decoder the test reference places outcomes with,
+    independently of the reconstruction kernel's gather, and perfbench counts
+    its calls.
     """
     if not 0 <= outcome_index < (1 << n):
         raise ValueError(f"outcome index {outcome_index} out of range for n={n}")
@@ -300,25 +299,18 @@ def emit_circuit(id: BasisId, n: int, family: list[QubitBasis]) -> str:
 
 
 def emit_qasm(id: BasisId, n: int, family: list[QubitBasis]) -> str:
-    """OpenQASM 2.0 rendering, available for computational and local bases only.
+    """OpenQASM 2.0 rendering of ``circuit_gates``, available for computational and local bases only.
 
     U_a = u3(theta, phi, pi) with theta = 2*atan2(v, u), so the measurement
     rotation is U_a^dagger = u3(-theta, -pi, -phi).
     """
-    _check_id(id, n, len(family))
+    gates = circuit_gates(id, n, family)
     if id.tag == "entangled":
         raise ValueError("standard-assembly rendering is limited to local bases")
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{n}];",
-        f"creg c[{n}];",
-    ]
-    if id.tag == "local":
-        qb = family[id.a - 1]
-        theta = 2.0 * np.arctan2(qb.v, qb.u)
-        for q in range(id.b):
-            lines.append(f"u3({-theta:.17g},{-np.pi:.17g},{-qb.phi:.17g}) q[{q}];")
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];", f"creg c[{n}];"]
+    for g in gates:
+        theta = 2.0 * np.arctan2(g.basis.v, g.basis.u)
+        lines.append(f"u3({-theta:.17g},{-np.pi:.17g},{-g.basis.phi:.17g}) q[{g.target}];")
     lines.append("measure q -> c;")
     return "\n".join(lines)
 

@@ -98,8 +98,9 @@ class BenchConfig:
             raise ValueError(f"m={self.m}: the basis family needs at least 2 bases")
         if self.noise_lambda is not None:
             check_noise_weight(self.noise_lambda, "noise_lambda")
-        if self.state_family not in STATE_FAMILIES:
+        if not isinstance(self.state_family, str) or self.state_family.lower() not in STATE_FAMILIES:
             raise ValueError(f"unknown state family {self.state_family!r}")
+        object.__setattr__(self, "state_family", self.state_family.lower())
         if self.mode not in ESTIMATION_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -70,7 +70,7 @@ def parse_n_range(text: str) -> list[int]:
 
 
 def read_config(path: str) -> dict:
-    """key = value lines; blank lines and #-comment lines ignored."""
+    """key = value lines, each key at most once; blank lines and #-comment lines ignored."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -79,8 +79,10 @@ def read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = val
     return out
 
 

@@ -418,7 +418,7 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
 
 
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
-    """The records keyed by str(basis); each must hold 2^n outcomes, and non-integer ones must be finite and >= 0."""
+    """The records keyed by str(basis), one per basis; each must hold 2^n outcomes, non-integer ones finite and >= 0."""
     dim = 1 << n
     by_id = {}
     for rec in records:
@@ -428,7 +428,10 @@ def _records_by_id(records: list[CountsRecord], n: int) -> dict:
         # min and max are NaN when any entry is: both comparisons then fail
         if counts.dtype.kind not in "biu" and not (counts.min() >= 0 and counts.max() < np.inf):
             raise ValueError(f"record {rec.basis} holds counts or probabilities that are negative or not finite")
-        by_id[str(rec.basis)] = rec
+        key = str(rec.basis)
+        if key in by_id:
+            raise ValueError(f"duplicate record for basis {key}")
+        by_id[key] = rec
     return by_id
 
 

@@ -5,8 +5,10 @@ definition that a package routine must reproduce:
 
 * ``born_probs_naive`` projects onto each basis state one by one, the
   definition ``measurement.born_tables`` computes by circuit and contraction;
-* ``projector`` and ``entangled_index_map`` state the outcome ordering of the
-  basis families;
+* ``projector``, ``block_probs`` and ``entangled_index_map`` state the
+  outcome ordering of the basis families, one outcome at a time through
+  ``bases.outcome_role`` and a Kronecker chain, where ``bases.basis_states``
+  places whole tensor products at once;
 * ``run_circuit`` runs a basis's whole gate list, the controlled ladder of an
   entangled basis included, which ``bases.apply_gates`` refuses;
 * ``reference_reconstruct`` is the per-block estimator ``reconstruct`` must
@@ -17,6 +19,7 @@ definition that a package routine must reproduce:
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from purestate.bases import (
     COMPUTATIONAL,
     QubitBasis,
     _entangled_block_offset,
-    _pattern_state,
     apply_gates,
     basis_states,
     default_family,
@@ -45,6 +47,15 @@ def born_probs_naive(state: PureState, id, family: list) -> ProbTable:
     return ProbTable(n=state.n, basis=id, probs=p)
 
 
+def _pattern_state(n: int, j: int, beta: int, sign0: int, tail, basis: QubitBasis) -> PureState:
+    """|beta>_{n-j} (x) |sign0_a> (x) |tail_a ...> as a full 2^n statevector."""
+    plus, minus = basis.plus_ket(), basis.minus_ket()
+    block = reduce(np.kron, [plus if s == 1 else minus for s in (sign0, *tail)])
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[beta << j : (beta << j) + block.size] = block
+    return PureState(n=n, amps=_freeze(amps))
+
+
 def projector(n: int, j: int, beta: int, basis: QubitBasis) -> PureState:
     """The canonical phase projector |beta>_{n-j} (x) |+_a> (x) |-_a>^{x(j-1)}."""
     if not 1 <= j <= n:
@@ -52,6 +63,20 @@ def projector(n: int, j: int, beta: int, basis: QubitBasis) -> PureState:
     if not 0 <= beta < (1 << (n - j)):
         raise ValueError(f"block beta={beta} out of range at level j={j}")
     return _pattern_state(n, j, beta, 1, (-1,) * (j - 1), basis)
+
+
+def block_probs(st: PureState, j: int, beta: int, family: list) -> np.ndarray:
+    """Every outcome probability of block (j, beta) in the local bases of family, in build_system's layout.
+
+    Each outcome is decoded by outcome_role and projected onto its own state.
+    """
+    probs = np.empty((len(family), 2, 1 << (j - 1)))
+    for a, qb in enumerate(family, start=1):
+        for k in range(beta << j, (beta + 1) << j):
+            role = outcome_role(local_id(a, j), k, st.n)
+            state = _pattern_state(st.n, role.j, role.beta, role.sign0, role.tail, qb)
+            probs[role_index(role)] = abs(np.vdot(state.amps, st.amps)) ** 2
+    return probs
 
 
 def entangled_index_map(n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import purestate.bases as bases
 from purestate.bases import (
     COMPUTATIONAL,
     Gate,
@@ -194,6 +195,16 @@ class TestBasisStates:
             mat = np.array([s.amps for s in basis_states(6, id, fam)])
             assert np.allclose(mat.conj() @ mat.T, np.eye(64), atol=1e-10)
 
+    def test_basis_states_never_decode_outcome_roles(self, monkeypatch):
+        # each basis is built as whole tensor products, with no per-outcome decoding
+        def no_decoding(*args):
+            raise AssertionError("outcome_role called")
+
+        monkeypatch.setattr(bases, "outcome_role", no_decoding)
+        fam = default_family(3)
+        for id in estimation_basis_ids(4, 3, "local") + estimation_basis_ids(4, 3, "entangled")[1:]:
+            assert len(basis_states(4, id, fam)) == 16
+
     def test_invalid_ids_rejected(self):
         fam = default_family(2)
         with pytest.raises(ValueError):
@@ -228,23 +239,22 @@ class TestOutcomeRole:
             outcome_role(local_id(1, 1), 4, 2)
 
     def test_basis_states_are_explicit_kronecker_products(self):
-        # basis_states goes through outcome_role, so check its encoding against products written out from k
-        fam = default_family(2)
-        n = 4
-        for a, b in ((1, 1), (1, 2), (2, 4)):
-            qb = fam[a - 1]
-            for k, st in enumerate(basis_states(n, local_id(a, b), fam)):
-                signs = [qb.minus_ket() if (k >> q) & 1 else qb.plus_ket() for q in range(b - 1, -1, -1)]
-                assert np.array_equal(st.amps, reduce(np.kron, [np.eye(1 << (n - b))[k >> b]] + signs))
-        for a in (1, 2):
-            qb = fam[a - 1]
-            want = [
-                reduce(np.kron, [np.eye(1 << (n - j))[beta], qb.plus_ket()] + [qb.minus_ket()] * (j - 1))
-                for j in range(1, n + 1)
-                for beta in range(1 << (n - j))
-            ]
-            want.append(reduce(np.kron, [qb.minus_ket()] * n))
-            assert np.array_equal([st.amps for st in basis_states(n, entangled_id(a), fam)], want)
+        # basis_states places whole tensor products on diagonal blocks; check its outcome order against
+        # the products written out from k, for a balanced and a random family
+        for fam in (default_family(2), [random_basis(s) for s in (11, 12, 13)]):
+            for n in range(1, 6):
+                for a, qb in enumerate(fam, start=1):
+                    for b in range(1, n + 1):
+                        for k, st in enumerate(basis_states(n, local_id(a, b), fam)):
+                            signs = [qb.minus_ket() if (k >> q) & 1 else qb.plus_ket() for q in range(b - 1, -1, -1)]
+                            assert np.array_equal(st.amps, reduce(np.kron, [np.eye(1 << (n - b))[k >> b]] + signs))
+                    want = [
+                        reduce(np.kron, [np.eye(1 << (n - j))[beta], qb.plus_ket()] + [qb.minus_ket()] * (j - 1))
+                        for j in range(1, n + 1)
+                        for beta in range(1 << (n - j))
+                    ]
+                    want.append(reduce(np.kron, [qb.minus_ket()] * n))
+                    assert np.array_equal([st.amps for st in basis_states(n, entangled_id(a), fam)], want)
 
     def test_canonical_local_outcome_index(self):
         # the canonical (j, beta) outcome of a depth-j basis is (beta << j) + 2^{j-1} - 1
@@ -430,6 +440,26 @@ class TestQasm:
     def test_entangled_is_not_renderable(self):
         with pytest.raises(ValueError):
             emit_qasm(entangled_id(1), 2, default_family(2))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_local_text_is_the_rendered_gate_list(self, m):
+        # the exact text, and one u3 per gate of circuit_gates that reproduces the gate's U_a^dagger on its target
+        fam = default_family(m)
+        for n in range(1, 5):
+            for a, qb in enumerate(fam, start=1):
+                theta = 2.0 * np.arctan2(qb.v, qb.u)
+                for b in range(1, n + 1):
+                    text = emit_qasm(local_id(a, b), n, fam)
+                    rotations = [f"u3({-theta:.17g},{-np.pi:.17g},{-qb.phi:.17g}) q[{q}];" for q in range(b)]
+                    head = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];", f"creg c[{n}];"]
+                    assert text == "\n".join(head + rotations + ["measure q -> c;"])
+                    gates = circuit_gates(local_id(a, b), n, fam)
+                    lines = text.splitlines()[4:-1]
+                    assert len(lines) == len(gates)
+                    for line, g in zip(lines, gates):
+                        params, target = line.removeprefix("u3(").split(") q[")
+                        assert int(target.removesuffix("];")) == g.target
+                        assert np.allclose(self.u3(*map(float, params.split(","))), g.matrix(), atol=1e-12)
 
 
 class TestEstimationBasisIds:

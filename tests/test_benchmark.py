@@ -58,6 +58,13 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(n_range=(2,), mode="both")
 
+    def test_state_family_in_any_case(self):
+        assert BenchConfig(n_range=(2,), state_family="GHZ").state_family == "ghz"
+        assert BenchConfig(n_range=(2,), state_family="Phi3").state_family == "phi3"
+        for bad in (None, 3, b"ghz", ("ghz",)):
+            with pytest.raises(ValueError, match="unknown state family"):
+                BenchConfig(n_range=(2,), state_family=bad)
+
     def test_family_needs_two_bases(self):
         for m in (1, 0, -2):
             with pytest.raises(ValueError, match="at least 2 bases"):
@@ -307,6 +314,12 @@ class TestBootstrap:
         data = simulate_counts(st, estimation_basis_ids(2, 2, "local"), default_family(2), 256, seed=0)
         with pytest.raises(ValueError, match="seed"):
             bootstrap_ci(data.records, 2, ReconstructionOptions(), st, 100, seed=bad)
+
+    def test_rejects_duplicate_records(self):
+        st = named_state("Phi4", 2)
+        data = simulate_counts(st, estimation_basis_ids(2, 2, "local"), default_family(2), 256, seed=0)
+        with pytest.raises(ValueError, match="^duplicate record for basis local:1:1$"):
+            bootstrap_ci(data.records + [data.records[1]], 2, ReconstructionOptions(), st, 100, seed=0)
 
     def test_rejects_exact_probability_records(self):
         st = named_state("Phi4", 2)

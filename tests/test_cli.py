@@ -8,6 +8,7 @@ sys.executable, so it checks the declared entry point rather than whatever
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ import purestate
 from purestate.states import fidelity, load_state, named_state
 from purestate.measurement import read_counts
 from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.bases import basis_states, default_family, estimation_basis_ids
 from purestate.benchmark import BenchConfig, bootstrap_ci, run_trial
 from purestate.cli import CONFIG_KEYS, cli_main, parse_n_range, read_config
 from reference import reference_reconstruct
@@ -366,6 +368,24 @@ class TestBench:
         assert "trails" in err
         assert all(key in err for key in CONFIG_KEYS)
 
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        # a repeated key would otherwise keep its last value, as json does without _unique_keys
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n = 2\nm = 2\n# the second m\nm = 3\n")
+        assert run_cli("bench", "--config", str(cfg), "--trials", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"data error: {cfg}:4: repeated key 'm'\n"
+
+    def test_state_name_in_any_case(self, tmp_path, capsys):
+        rows = []
+        for name in ("GHZ", "ghz"):
+            csv_path = tmp_path / f"{name}.csv"
+            argv = ("--n", "3", "--state", name, "--trials", "3", "--shots", "256", "--seed", "5")
+            assert run_cli("bench", *argv, "--csv", str(csv_path)) == 0
+            rows.append(csv_path.read_text())
+        capsys.readouterr()
+        assert rows[0] == rows[1] and len(rows[0].splitlines()) == 4
+
     def test_read_config_parses_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "x.cfg"
         cfg.write_text("\n# comment\nmode = entangled\n  m = 3  \n")
@@ -385,10 +405,26 @@ class TestBases:
         out = capsys.readouterr().out
         assert out.count("state ") == 4
 
-    def test_exact_zero_amplitudes_print_unsigned(self, capsys):
-        assert run_cli("bases", "--n", "2", "--basis", "local:1:1", "--states") == 0
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_zero_amplitudes_print_unsigned(self, capsys, n, mode):
+        # exact zeros print +0.000000; a tiny nonzero part, such as cos(pi/2)'s, keeps its sign
+        assert run_cli("bases", "--n", str(n), "--m", "2", "--mode", mode, "--states") == 0
         out = capsys.readouterr().out
-        assert out.count("state ") == 4 and "-0.000000" not in out
+        lines = [line.split(": ", 1)[1].split() for line in out.splitlines() if line.startswith("state ")]
+        states = [st for id in estimation_basis_ids(n, 2, mode) for st in basis_states(n, id, default_family(2))]
+        assert len(lines) == len(states)
+        amplitude = re.compile(r"([+-]\d\.\d{6})([+-]\d\.\d{6})j")
+        zeros = 0
+        for tokens, st in zip(lines, states):
+            for token, amp in zip(tokens, st.amps, strict=True):
+                for text, part in zip(amplitude.fullmatch(token).groups(), (amp.real, amp.imag)):
+                    if part == 0.0:
+                        assert text == "+0.000000"
+                        zeros += 1
+                    else:
+                        assert text[0] == ("-" if part < 0 else "+")
+        assert zeros > 0
 
     def test_qasm_for_local_basis(self, capsys):
         assert run_cli("bases", "--n", "2", "--basis", "local:1:1", "--qasm") == 0

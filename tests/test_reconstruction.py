@@ -25,8 +25,6 @@ from purestate.bases import (
     estimation_basis_ids,
     local_id,
     make_qubit_basis,
-    outcome_role,
-    role_state,
 )
 from purestate.measurement import (
     CountsRecord,
@@ -50,7 +48,7 @@ from purestate.reconstruction import (
     reconstruct_from_probs,
     solve_phase,
 )
-from reference import reference_reconstruct, role_index, solve_one
+from reference import block_probs, reference_reconstruct, solve_one
 
 
 def comp_record(counts, shots):
@@ -67,16 +65,6 @@ def sampled_records(state, mode, m, shots, seed, family=None, noise_lambda=0.0):
     ids = estimation_basis_ids(state.n, m, mode)
     family = default_family(m) if family is None else family
     return simulate_counts(state, ids, family, shots, seed=seed, noise_lambda=noise_lambda).records
-
-
-def block_probs(st, j, beta, family):
-    """Every outcome probability of block (j, beta) in the local bases of family, gathered through outcome_role."""
-    probs = np.empty((len(family), 2, 1 << (j - 1)))
-    for a, qb in enumerate(family, start=1):
-        for k in range(beta << j, (beta + 1) << j):
-            role = outcome_role(local_id(a, j), k, st.n)
-            probs[role_index(role)] = abs(np.vdot(role_state(st.n, role, qb).amps, st.amps)) ** 2
-    return probs
 
 
 def transforms(family, extra, *children):
@@ -688,6 +676,16 @@ class TestReconstructSampled:
         records[1] = CountsRecord(basis=records[1].basis, shots=512, counts=counts)
         with pytest.raises(ValueError, match="record entangled:1 holds"):
             reconstruct(records, 2, ReconstructionOptions(mode="entangled", m=2))
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_duplicate_records_are_refused(self, position):
+        # a second record for one basis used to replace the first without a word
+        st = haar_random(3, seed=43)
+        records = sampled_records(st, "local", 2, 1024, seed=2)
+        rec = records[position]
+        shifted = CountsRecord(basis=rec.basis, shots=rec.shots, counts=np.roll(rec.counts, 1))
+        with pytest.raises(ValueError, match=f"^duplicate record for basis {rec.basis}$"):
+            reconstruct(records + [shifted], 3, ReconstructionOptions(mode="local", m=2))
 
     def test_fail_policy_surfaces_ambiguous_systems(self):
         # a condition threshold at the floor forces every solve onto the fallback path
