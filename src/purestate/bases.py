@@ -35,13 +35,12 @@ time and serves the test reference only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import PureState, _require_int, _require_json
+from .states import PureState, _is_real, _require_int, _require_json
 
 BASIS_NORM_TOL = 1e-12
 
@@ -121,7 +120,7 @@ class OutcomeRole:
 
 def make_qubit_basis(u: float, v: float, phi: float) -> QubitBasis:
     """Validated basis constructor; rejects the computational basis (u*v = 0) and non-finite input."""
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) for x in (u, v, phi)):
+    if not all(_is_real(x) and math.isfinite(x) for x in (u, v, phi)):
         raise ValueError(f"u, v and phi must be finite real numbers, got {(u, v, phi)!r}")
     u, v, phi = float(u), float(v), float(phi)
     if u < 0 or v < 0:

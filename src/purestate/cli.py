@@ -38,7 +38,7 @@ from .benchmark import (
     write_summary_json,
 )
 from .measurement import read_counts, seeded_rng, simulate_counts, write_counts
-from .reconstruction import AmbiguityError, ReconstructionOptions, estimate_to_dict, reconstruct
+from .reconstruction import AMBIGUITY_POLICIES, AmbiguityError, ReconstructionOptions, estimate_to_dict, reconstruct
 from .states import exceeds_memory_bound, fidelity, load_state, save_state
 
 # keys of a bench config file: the bench flags, with --noise-lambda spelled noise_lambda
@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
     rec.add_argument("--m", type=int, help="default: largest basis index present")
     rec.add_argument("--null-threshold", type=float)
     rec.add_argument("--cond-threshold", type=float, default=1e6)
-    rec.add_argument("--ambiguity-policy", choices=("residual_pick", "fail"), default="residual_pick")
+    rec.add_argument("--ambiguity-policy", choices=AMBIGUITY_POLICIES, default="residual_pick")
     rec.add_argument("--target", help="named state or state JSON file for a fidelity printout")
     rec.set_defaults(func=cmd_reconstruct)
 

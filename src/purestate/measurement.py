@@ -27,7 +27,6 @@ vectors plus one int64 counts vector per record) before it parses a record.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from .bases import (
     family_to_dicts,
     rotate_qubit,
 )
-from .states import PureState, _require_int, _require_json, _unique_keys, exceeds_memory_bound
+from .states import PureState, _is_real, _require_int, _require_json, _unique_keys, exceeds_memory_bound
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -164,7 +163,7 @@ def born_probs(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbT
 
 def check_noise_weight(lam, what: str = "noise weight") -> float:
     """lam as a float when it is a real number in [0, 1]; ValueError for NaN, infinities, bools and the rest."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0.0 <= lam <= 1.0:
+    if not _is_real(lam) or not 0.0 <= lam <= 1.0:
         raise ValueError(f"{what} must be a real number in [0, 1], got {lam!r}")
     return float(lam)
 
@@ -358,6 +357,7 @@ def counts_data_from_dict(obj: dict) -> CountsData:
     records = [counts_from_dict(r, n) for r in objs]
     seen = set()
     for rec in records:
+        _check_id(rec.basis, n, len(family))
         key = str(rec.basis)
         if key in seen:
             raise ValueError(f"duplicate record for basis {key}")

@@ -15,8 +15,8 @@ its circle objective is S1/2 + Re(e^{2i delta} S2)/2 - 2 Re(e^{i delta} C) +
 sum rhs^2, and its phase is z / |z| for the least-squares point
 z = 2 (S1 conj(C) - conj(S2) C) / (S1^2 - |S2|^2) (see solve_phase).
 Ill-conditioned systems fall back to intersecting the dominant single
-equation with the circle and letting the residual over all rows pick the
-candidate.  Merged blocks become the children of the next level, so j = n
+equation with the circle, and the same objective picks one of the two
+points.  Merged blocks become the children of the next level, so j = n
 yields the full estimate up to an (unobservable) global phase.
 
 Each child block enters later systems with whatever global phase it was
@@ -47,7 +47,6 @@ on access.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -65,12 +64,14 @@ from .bases import (
     rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
-from .states import PureState, _freeze, _require_int, global_phase_normalize, state_to_dict
+from .states import PureState, _freeze, _is_real, _require_int, global_phase_normalize, state_to_dict
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
-# Residual / cosine ties in the ambiguity candidate pick.
+# Ties in the fallback's pick: of the objective's gap, relative to the block's own terms, and of the cosines.
 TIE_EPS = 1e-12
+# What an ill-conditioned system does: take the fallback's pick, or raise AmbiguityError.
+AMBIGUITY_POLICIES = ("residual_pick", "fail")
 
 
 class AmbiguityError(RuntimeError):
@@ -93,10 +94,6 @@ class PhaseSystem:
     j: int
     betas: np.ndarray  # (L,) block indices
     rows: np.ndarray  # (3, L, k) real
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ class ReconstructionOptions:
             raise ValueError(f"null_threshold must be a positive finite real number, got {null!r}")
         if not (_is_real(cond) and cond > 0):
             raise ValueError(f"cond_threshold must be a positive real number or inf, got {cond!r}")
-        if self.ambiguity_policy not in ("residual_pick", "fail"):
+        if self.ambiguity_policy not in AMBIGUITY_POLICIES:
             raise ValueError(f"unknown ambiguity_policy {self.ambiguity_policy!r}")
         if self.family is not None:
             if not (isinstance(self.family, (tuple, list)) and all(isinstance(qb, QubitBasis) for qb in self.family)):
@@ -339,13 +336,16 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
     Under a cond within the threshold, a bad det is solved by np.linalg.lstsq
     instead.  A block whose rows are all exactly zero, or whose solution lies
     within ZERO_SOLUTION_EPS of the origin, pins nothing: it gets the default
-    phase (1, 0).  A block with cond above the
-    threshold raises AmbiguityError under ambiguity_policy='fail' (the first
-    such block of the level) and otherwise falls back: its dominant row (the
-    largest norm, the lowest index on ties) is intersected with the circle,
-    or clamped to the nearest point when the line misses it, and of the two
-    intersections the one with the smaller residual over all rows wins; ties
-    break toward delta = 0, then toward non-negative sine.
+    phase (1, 0).  A block with cond above the threshold raises
+    AmbiguityError under ambiguity_policy='fail' (the first such block of
+    the level) and otherwise falls back to its dominant row a cos + b sin = d
+    (the largest norm, the lowest index on ties).  With w = (a + ib) / |(a, b)|
+    and t = d / |(a, b)| clamped to [-1, 1] (the nearest point when the line
+    misses), the row meets the circle at c0, c1 = w (t +- i h), h = sqrt(1 - t^2),
+    where f(c1) - f(c0) = 2 h g for g = t Im(w^2 S2) - 2 Im(w C): the sign of
+    g picks the point of smaller residual over all rows.  A |g| within TIE_EPS
+    of the block's own terms |t w^2 S2| + 2 |w C| is a tie, whatever the
+    rows' scale; ties break toward delta = 0, then toward non-negative sine.
 
     cos and sin are the real and imaginary parts, as views, of one complex
     array of the unit phases e^{i delta}: cos.base is that array.
@@ -395,24 +395,19 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
         default[ls[r < ZERO_SOLUTION_EPS]] = True
         if ill.size:
             fallback[ill] = True
-            sub = rows[:, ill]
-            dom = np.argmax(sub[0] * sub[0] + sub[1] * sub[1], axis=1)
-            a, b, d = sub[:, np.arange(ill.size), dom]
+            # the dominant row meets the circle at w (t +- i h); each part of t w and i h w is one real product
+            dom = np.argmax(rows[0, ill] * rows[0, ill] + rows[1, ill] * rows[1, ill], axis=1)
+            a, b, d = rows[:, ill, dom]
             norm = np.hypot(a, b)
-            ua, ub, t = a / norm, b / norm, d / norm
-            h = np.sqrt(1.0 - t * t)  # NaN where the line misses the circle
-            cands = np.array([[t * ua - h * ub, t * ub + h * ua], [t * ua + h * ub, t * ub - h * ua]])
-            # each candidate's squared residual over all rows, (2, F)
-            fit = sub[:2].transpose(1, 2, 0) @ cands.transpose(0, 2, 1)[..., None]
-            res = ((fit[..., 0] - sub[2]) ** 2).sum(axis=2)
-            (c0, s0), (c1, s1) = cands
-            second = (res[1] < res[0] - TIE_EPS) | (
-                (np.abs(res[1] - res[0]) <= TIE_EPS) & ((c1 > c0 + TIE_EPS) | ((np.abs(c1 - c0) <= TIE_EPS) & (s1 > s0)))
-            )
-            miss = np.abs(d) >= norm
-            sgn = np.where(d >= 0, 1.0, -1.0)
-            cos_d[ill] = np.where(miss, sgn * ua, np.where(second, c1, c0))
-            sin_d[ill] = np.where(miss, sgn * ub, np.where(second, s1, s0))
+            w, t = a / norm + 1j * (b / norm), np.clip(d / norm, -1.0, 1.0)
+            tw, ihw = t * w, 1j * np.sqrt(1.0 - t * t) * w
+            c0, c1 = tw + ihw, tw - ihw
+            # f(c1) - f(c0) = 2 h g, with S2 = conj(s2_conj) and C = conj(c_conj)
+            w2s2, wc = w * w * s2_conj[ill].conj(), w * c_conj[ill].conj()
+            g = t * w2s2.imag - 2.0 * wc.imag
+            tie = np.abs(g) <= TIE_EPS * (np.abs(t * w2s2) + 2.0 * np.abs(wc))
+            by_cos = (c1.real > c0.real + TIE_EPS) | ((np.abs(c1.real - c0.real) <= TIE_EPS) & (c1.imag > c0.imag))
+            phase[ill] = np.where(np.where(tie, by_cos, g < 0), c1, c0)
     phase[default] = 1.0
     return cond, cos_d, sin_d, fallback, default
 

@@ -13,6 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -65,6 +66,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.complex128)
     a.flags.writeable = False
     return a
+
+
+def _is_real(value) -> bool:
+    """True for a real number; booleans are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_int(value, what: str) -> int:

@@ -211,6 +211,26 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts)) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ({"tag": "local", "a": 0, "b": -1}, "local id local:0:-1 out of range for n=2, m=2"),
+            ({"tag": "local", "a": 1, "b": 99}, "local id local:1:99 out of range for n=2, m=2"),
+            ({"tag": "entangled", "a": 7}, "entangled id entangled:7 out of range for m=2"),
+        ],
+        ids=["local-0:-1", "local-1:99", "entangled-7"],
+    )
+    def test_out_of_range_basis_id_is_data_error(self, tmp_path, capsys, basis, message):
+        # the file's family has two bases and n=2: each id names a basis the file cannot hold
+        counts = tmp_path / "c.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        obj = json.loads(counts.read_text())
+        obj["records"][1]["basis"] = basis
+        counts.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     @pytest.mark.parametrize("text", ["[]", '"state"', '{"n": 1, "amps": {"0": [1, 0]}}'])
     def test_malformed_state_shape_is_data_error(self, tmp_path, capsys, text):
         counts, statef = tmp_path / "c.json", tmp_path / "s.json"

@@ -414,6 +414,70 @@ class TestSolvePhase:
             assert (cos_d[i], sin_d[i]) == pytest.approx((c, s_), abs=1e-9), name
 
 
+def fallback_candidates(rows, rhs):
+    """The dominant row's two circle points (clamped to the nearest one when the line misses), worked out in reals."""
+    i = np.argmax((rows**2).sum(axis=1))
+    (a, b), d = rows[i], rhs[i]
+    norm = np.hypot(a, b)
+    t = min(max(d / norm, -1.0), 1.0)
+    h = np.sqrt(1.0 - t * t)
+    ua, ub = a / norm, b / norm
+    return np.array([[t * ua - h * ub, t * ub + h * ua], [t * ua + h * ub, t * ub - h * ua]])
+
+
+def rank_one_plus_noise(rng, noise):
+    """A k x 2 system near rank 1 (cond about 1/noise) whose rhs fits a random phase up to 10 % noise."""
+    k = int(rng.integers(2, 12))
+    base = rng.normal(size=k)
+    rows = np.column_stack([base, rng.normal() * base + noise * rng.normal(size=k)])
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return rows, rows @ [np.cos(theta), np.sin(theta)] + 0.1 * np.abs(rows).mean() * rng.normal(size=k)
+
+
+class TestFallbackPick:
+    """The fallback picks between its two circle points by the circle objective's gap, relative to the block's scale."""
+
+    def test_scaling_the_rows_keeps_the_pick_bit_for_bit(self):
+        # the residual gap of the weak row shrinks as 4^-k; an absolute tie would flip to the sine rule
+        systems = [(make_system([[1.0, 0.0], [0.0, 1e-3]], [0.6, -0.8e-3]), ReconstructionOptions(cond_threshold=100.0))]
+        rng = np.random.default_rng(83)
+        systems += [(make_system(*rank_one_plus_noise(rng, 1e-9)), ReconstructionOptions()) for _ in range(10)]
+        systems += [(make_system(*rank_one_plus_noise(rng, 1e-2)), ReconstructionOptions(cond_threshold=10.0)) for _ in range(10)]
+        for sys, opts in systems:
+            _, cos0, sin0, fallback, _ = solve_phase(sys, opts)
+            assert fallback[0]
+            for k in range(41):
+                scaled = PhaseSystem(j=sys.j, betas=sys.betas, rows=sys.rows * 2.0**-k)
+                _, cos_d, sin_d, fallback, _ = solve_phase(scaled, opts)
+                assert fallback[0] and (cos_d[0], sin_d[0]) == (cos0[0], sin0[0]), k
+
+    def test_a_clear_gap_picks_the_point_of_smaller_residual(self):
+        rng = np.random.default_rng(84)
+        opts = ReconstructionOptions(cond_threshold=10.0)
+        compared = 0
+        for _ in range(400):
+            rows, rhs = rank_one_plus_noise(rng, 10.0 ** rng.uniform(-4, -1.5))
+            cands = fallback_candidates(rows, rhs)
+            res = ((cands @ rows.T - rhs) ** 2).sum(axis=1)
+            cos_d, sin_d, fallback, _, _ = solve_one(make_system(rows, rhs), opts)
+            assert fallback
+            if abs(res[1] - res[0]) <= 1e-9 * (rhs @ rhs):
+                continue
+            compared += 1
+            assert (cos_d, sin_d) == pytest.approx(tuple(cands[np.argmin(res)]), abs=1e-12)
+        assert compared >= 300
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-30])
+    def test_mirrored_candidates_tie_toward_delta_zero_then_non_negative_sine(self, scale):
+        # the two weak rows mirror each other across the dominant row's normal, so the two points' residuals
+        # are equal exactly: the tie goes to the larger cosine, and with equal cosines to sin >= 0
+        eps = 1e-7
+        sys = make_system(scale * np.array([[0.0, 2.0], [eps, 0.5], [-eps, 0.5]]), scale * np.array([1.2, 0.3, 0.3]))
+        assert solve_one(sys)[:3] == pytest.approx((0.8, 0.6, True), abs=1e-12)
+        sys = make_system(scale * np.array([[2.0, 0.0], [0.5, eps], [0.5, -eps]]), scale * np.array([1.2, 0.3, 0.3]))
+        assert solve_one(sys)[:3] == pytest.approx((0.6, 0.8, True), abs=1e-12)
+
+
 def oracle_systems(seed, count):
     """Random real k x 2 systems, k = 1..64, with the kind of each: generic, rank-1, near-singular on
     either side of the default threshold, zero rows, a zero least-squares point, rows partly divided
@@ -1302,3 +1366,11 @@ class TestLargeSystems:
         est, diag = reconstruct_from_probs(exact_tables(st, "local", 2), 16, opts)
         assert fidelity(st, est) >= 1 - 1e-8
         assert_levels_partition_blocks(diag, 16)
+
+    def test_exact_entangled_recovery_through_a_fallback_at_eighteen_qubits(self):
+        # level 3 falls back; its two circle points' residuals differ by about 2e-23, which is 2e-11 of
+        # the block's own terms but far below an absolute tie of 1e-12
+        st = haar_random(18, 1000)
+        est, diag = reconstruct_from_probs(exact_tables(st, "entangled", 2), 18, ReconstructionOptions(mode="entangled"))
+        assert diag.n_fallbacks == 1
+        assert fidelity(st, est) >= 1 - 1e-6
