@@ -40,7 +40,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import PureState, _is_real, _require_int, _require_json
+from .states import PureState, _is_real, _require_int, _require_json, _require_qubits
 
 BASIS_NORM_TOL = 1e-12
 
@@ -139,8 +139,7 @@ def default_family(m: int) -> list[QubitBasis]:
     determinant 1.  For any m, all pairwise phase differences avoid 0 and pi
     mod 2pi, so every 2x2 subsystem stays invertible.
     """
-    if m < 2:
-        raise ValueError("family needs at least 2 bases")
+    _require_family_size(m)
     s = 1.0 / np.sqrt(2)
     return [make_qubit_basis(s, s, (a - 1) * np.pi / m) for a in range(1, m + 1)]
 
@@ -154,9 +153,10 @@ def family_from_dicts(objs: list[dict]) -> list[QubitBasis]:
     return [make_qubit_basis(o["u"], o["v"], o["phi"]) for o in family]
 
 
-def _require_qubits(n) -> None:
-    if _require_int(n, "n") < 1:
-        raise ValueError(f"n={n}: a system needs at least 1 qubit")
+def _require_family_size(m) -> None:
+    """ValueError unless m is an integer >= 2: a phase system needs two bases at least."""
+    if _require_int(m, "m") < 2:
+        raise ValueError(f"m={m}: the basis family needs at least 2 bases")
 
 
 def _check_id(id: BasisId, n: int, m: int) -> None:
@@ -358,9 +358,10 @@ def estimation_basis_ids(n: int, m: int, mode: str) -> list[BasisId]:
 
     local: computational plus L_ab for a = 1..m, b = 1..n (m*n + 1 bases).
     entangled: computational plus E_a for a = 1..m (m + 1 bases).
-    n must be an integer >= 1.
+    n must be an integer >= 1 and m an integer >= 2.
     """
     _require_qubits(n)
+    _require_family_size(m)
     if mode not in ESTIMATION_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected {' or '.join(map(repr, ESTIMATION_MODES))}")
     if mode == "local":

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bases import ESTIMATION_MODES, default_family, estimation_basis_ids
+from .bases import ESTIMATION_MODES, _require_family_size, default_family, estimation_basis_ids
 from .measurement import (
     R_ENTANGLING,
     R_LOCAL,
@@ -94,8 +94,7 @@ class BenchConfig:
             raise ValueError("trials and shots must be >= 1")
         if _require_int(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if _require_int(self.m, "m") < 2:
-            raise ValueError(f"m={self.m}: the basis family needs at least 2 bases")
+        _require_family_size(self.m)
         if self.noise_lambda is not None:
             check_noise_weight(self.noise_lambda, "noise_lambda")
         if not isinstance(self.state_family, str) or self.state_family.lower() not in STATE_FAMILIES:

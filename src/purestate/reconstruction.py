@@ -23,8 +23,9 @@ Each child block enters later systems with whatever global phase it was
 assembled with; the equations are built from the children as produced, so
 this is self-consistent.
 
-reconstruct reads each record it needs once per call and solves each level
-in one batched pass over all its blocks: the level's rows (_level_rows)
+reconstruct reads at each level only that level's records, L_aj for a =
+1..m or every E_a, through one selection of their outcomes, and solves the
+level in one batched pass over all its blocks: the level's rows (_level_rows)
 form one PhaseSystem, and solve_phase decides every block's path in one
 call and returns the phases as unit complex numbers, which multiply the B
 halves as they are.  The three estimator variants differ only in the
@@ -58,6 +59,7 @@ from .bases import (
     ESTIMATION_MODES,
     QubitBasis,
     _entangled_block_offset,
+    _require_family_size,
     default_family,
     estimation_basis_ids,
     make_qubit_basis,
@@ -123,8 +125,7 @@ class ReconstructionOptions:
     def __post_init__(self):
         if self.mode not in ESTIMATION_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if _require_int(self.m, "m") < 2:
-            raise ValueError("need at least 2 bases (m >= 2)")
+        _require_family_size(self.m)
         null, cond = self.null_threshold, self.cond_threshold
         if null is not None and not (_is_real(null) and 0 < null < np.inf):
             raise ValueError(f"null_threshold must be a positive finite real number, got {null!r}")
@@ -413,17 +414,19 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
 
 
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
-    """The records keyed by str(basis), one per basis; each must hold 2^n outcomes, non-integer ones finite and >= 0."""
+    """The records keyed by str(basis), one each: integer shots >= 0 (0 if exact), 2^n outcomes, floats finite, >= 0."""
     dim = 1 << n
     by_id = {}
     for rec in records:
+        key = str(rec.basis)
+        if _require_int(rec.shots, f"shots of record {key}") < 0:
+            raise ValueError(f"record {key} has negative shots {rec.shots}")
         counts = np.asarray(rec.counts)
         if counts.shape != (dim,):
-            raise ValueError(f"record {rec.basis} has {counts.size} outcomes, expected {dim} for n={n}")
+            raise ValueError(f"record {key} has {counts.size} outcomes, expected {dim} for n={n}")
         # min and max are NaN when any entry is: both comparisons then fail
         if counts.dtype.kind not in "biu" and not (counts.min() >= 0 and counts.max() < np.inf):
-            raise ValueError(f"record {rec.basis} holds counts or probabilities that are negative or not finite")
-        key = str(rec.basis)
+            raise ValueError(f"record {key} holds counts or probabilities that are negative or not finite")
         if key in by_id:
             raise ValueError(f"duplicate record for basis {key}")
         by_id[key] = rec
@@ -479,9 +482,10 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     with phase 0).  The estimate is renormalized and global-phase normalized;
     the whole procedure is deterministic.
 
-    Each record is read once per call: a level of extra rows reads its m
-    local tables, and the one outcome per block and basis that canonical
-    rows and entangled bases use is read for all levels in one pass.  Each
+    Level j reads only its own m records, L_aj (a = 1..m) or every E_a, each
+    through one selection of its outcomes: the whole table with extra rows,
+    the canonical outcomes 2^j beta + 2^(j-1) - 1 with canonical rows, level
+    j's blocks _entangled_block_offset(n, j) + beta in entangled mode.  Each
     level is one batched pass over all its live blocks: _level_rows
     assembles every block's rows at once, and one solve_phase call returns
     every block's cond and phase and decides its least squares, fallback,
@@ -507,23 +511,8 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     amps = amplitudes_from_counts(comp, n, opts.null_threshold)
     work = amps.astype(np.complex128)
     fam = opts._family_arrays
-    # The variant, chosen once: with extra rows every outcome of each local block is read and the
-    # carry is U_a^dagger, else the canonical one (pivot +, all-minus tail) and <-_a|.
     extra = opts.mode == "local" and opts.use_extra_rows
-    rotation = fam.u_dagger if extra else fam.minus_row
-    # Each record is read once, as an empirical distribution.  With extra rows level j reads its m
-    # tables L_aj whole, (m, 2^n), when it gets to them: a copy of all m n tables at once would double
-    # the input's memory.  Otherwise a level reads one outcome per block and basis, and all of them are
-    # read in one pass into the layout of an entangled record, level j's block beta at
-    # _entangled_block_offset(n, j) + beta: the (m, 2^n) entangled tables, or the (m, 2^n - 1)
-    # canonical outcomes of the local tables.
     shots = np.array([rec.shots or 1 for rec in recs], dtype=np.float64)[:, None]  # exact records (shots 0) as they are
-    if opts.mode == "entangled":
-        emp = np.array([rec.counts for rec in recs]) / shots
-    elif not extra:
-        # the canonical outcomes of L_aj, at 2^j beta + 2^(j-1) - 1, for a = 1..m and j = 1..n
-        picks = [np.asarray(rec.counts)[(1 << i % n) - 1 :: 2 << i % n] for i, rec in enumerate(recs)]
-        emp = np.concatenate([pick / s for pick, s in zip(picks, shots)]).reshape(opts.m, -1)
     # The level's children transforms, (m, 2^(n-j+1) h) for h tail patterns.  At j = 1 a child is
     # one amplitude, its own transform, so work itself serves every basis.
     carry = work[None]
@@ -542,12 +531,18 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         # live picks the level's live blocks: a slice unless the level holds a null block, so a level
         # whose blocks are all live gathers nothing
         live = betas if nulls.size else slice(None)
+        # The variant, in one place: the level's m records, the one selection of outcomes read from
+        # each, and the row that carries the transforms
+        if opts.mode == "entangled":  # level j's blocks of every E_a
+            off = _entangled_block_offset(n, j)
+            level, outcomes, rotation = slice(None), slice(off, off + L), fam.minus_row
+        elif extra:  # every outcome of L_aj
+            level, outcomes, rotation = slice(j - 1, None, n), slice(None), fam.u_dagger
+        else:  # the canonical outcomes of L_aj (pivot +, all-minus tail), at 2^j beta + 2^(j-1) - 1
+            level, outcomes, rotation = slice(j - 1, None, n), slice(half - 1, None, 2 * half), fam.minus_row
         if betas.size:
-            if extra:
-                p = (np.array([rec.counts for rec in recs[j - 1 :: n]]) / shots[j - 1 :: n]).reshape(-1, L, 2, half)
-            else:
-                off = _entangled_block_offset(n, j)
-                p = emp[:, off : off + L, None, None]
+            p = np.array([rec.counts[outcomes] for rec in recs[level]]) / shots[level]
+            p = p.reshape((-1, L) + ((2, half) if extra else (1, 1)))
             sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(t[:, live, 0], t[:, live, 1], p[:, live], fam))
             cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
             phase = cos_d.base[:, None]  # the unit phases e^{i delta}, of which cos_d and sin_d are views

@@ -80,6 +80,12 @@ def _require_int(value, what: str) -> int:
     return int(value)
 
 
+def _require_qubits(n) -> None:
+    """ValueError unless n is an integer >= 1, the qubit count of a system."""
+    if _require_int(n, "n") < 1:
+        raise ValueError(f"n={n}: a system needs at least 1 qubit")
+
+
 def _require_json(value, kind: type, what: str):
     """value itself when it is a JSON object (kind dict) or array (kind list); ValueError otherwise."""
     if not isinstance(value, kind):
@@ -127,8 +133,7 @@ def haar_random(n: int, seed) -> PureState:
     The 2^n real parts are drawn first, then the 2^n imaginary parts; z is
     divided by its norm once, so the amplitudes are exactly z / ||z||.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_qubits(n)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return PureState(n=n, amps=_freeze(z / np.linalg.norm(z)))
@@ -136,8 +141,7 @@ def haar_random(n: int, seed) -> PureState:
 
 def random_separable(n: int, seed) -> PureState:
     """Tensor product of n independent Haar-random single-qubit states."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_qubits(n)
     rng = np.random.default_rng(seed)
     factors = []
     for _ in range(n):
@@ -153,8 +157,7 @@ def named_state(kind: str, n: int) -> PureState:
     chain of (|00>+|11>)/sqrt(2) pairs with a trailing |0> when n is odd; Phi4
     is the n-qubit GHZ state (n >= 2).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_qubits(n)
     if kind in ("Phi1", "Phi2"):
         sign = -1.0 if kind == "Phi1" else 1.0
         q = np.array([1.0, sign * np.exp(1j * np.pi / 4)]) / np.sqrt(2)

@@ -1,0 +1,93 @@
+"""Bit-identity digest of reconstruct: one SHA-256 per estimator variant over a fixed grid.
+
+A change that must not move any result (a refactor, or a speedup that
+keeps the arithmetic) is checked by running this script on both
+checkouts and comparing the lines it prints:
+
+    PYTHONPATH=<checkout>/src python tests/digest.py [--n-max N]
+
+Each variant's digest covers, for every reconstruction of the grid, the
+estimate's amplitudes, Diagnostics.to_dict(), the phases and every array
+of every Level.  The grid is the 7 benchmark state families x n = 1..n_max
+(default 10; phi4 and ghz from n = 2) x seeds 0 and 1 x three record sets:
+the exact tables, 4,096 shots, and 4,096 shots at white-noise weight 0.05.
+The seed picks the state of the random families (haar, separable) and the
+sampling stream of every family.  The variants are local with extra rows,
+local with canonical rows and entangled, all at m = 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+
+import numpy as np
+
+from purestate.bases import default_family, estimation_basis_ids
+from purestate.benchmark import STATE_FAMILIES, make_bench_state
+from purestate.measurement import born_tables, exact_record, mix_white_noise, sample_tables, seeded_rng
+from purestate.reconstruction import ReconstructionOptions, reconstruct
+
+M = 2
+SHOTS = 4096
+NOISE = 0.05
+SEEDS = (0, 1)
+VARIANTS = {
+    "extra-rows": ReconstructionOptions(mode="local", m=M),
+    "canonical-rows": ReconstructionOptions(mode="local", m=M, use_extra_rows=False),
+    "entangled": ReconstructionOptions(mode="entangled", m=M),
+}
+
+
+def update(h, state, diag) -> None:
+    """Feed one reconstruction's amplitudes, diagnostics dict, phases and Level arrays to the hash h."""
+    h.update(state.amps.tobytes())
+    h.update(json.dumps(diag.to_dict(), sort_keys=True).encode())
+    h.update(repr(sorted(diag.phases.items())).encode())
+    for lv in diag.levels:
+        h.update(repr(lv.j).encode())
+        for a in lv[1:]:
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+
+def record_sets(kind: str, n: int, seed: int):
+    """The local and entangled records of one state: exact, sampled, and sampled from noisy tables."""
+    family = default_family(M)
+    local, entangled = estimation_basis_ids(n, M, "local"), estimation_basis_ids(n, M, "entangled")
+    ids = local + entangled[1:]
+    tables = list(born_tables(make_bench_state(kind, n, seeded_rng(seed, (n,))), ids, family))
+    noisy = [mix_white_noise(t, NOISE) for t in tables]
+    for records in (
+        [exact_record(t) for t in tables],
+        sample_tables(tables, SHOTS, seed, (n,)),
+        sample_tables(noisy, SHOTS, seed, (n, 1)),
+    ):
+        yield {"local": records[: len(local)], "entangled": records[:1] + records[len(local) :]}
+
+
+def digests(n_max: int = 10) -> dict:
+    """{variant: (SHA-256 hex digest, reconstructions)} over the grid up to n_max qubits."""
+    hashes = {name: hashlib.sha256() for name in VARIANTS}
+    runs = dict.fromkeys(VARIANTS, 0)
+    for kind in STATE_FAMILIES:
+        for n in range(2 if kind in ("phi4", "ghz") else 1, n_max + 1):
+            for seed in SEEDS:
+                for by_mode in record_sets(kind, n, seed):
+                    for name, opts in VARIANTS.items():
+                        update(hashes[name], *reconstruct(by_mode[opts.mode], n, opts))
+                        runs[name] += 1
+    return {name: (h.hexdigest(), runs[name]) for name, h in hashes.items()}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-max", type=int, default=10, help="largest qubit count of the grid (default 10)")
+    args = parser.parse_args(argv)
+    for name, (hexdigest, runs) in digests(args.n_max).items():
+        print(f"{name:15s} {hexdigest} {runs}")
+
+
+if __name__ == "__main__":
+    main()

@@ -26,6 +26,8 @@ from purestate.bases import (
     outcome_role,
     rotate_qubit,
 )
+from purestate.benchmark import BenchConfig
+from purestate.reconstruction import ReconstructionOptions
 from reference import entangled_index_map, projector, run_circuit
 
 
@@ -112,6 +114,36 @@ class TestDefaultFamily:
     def test_rejects_small_family(self):
         with pytest.raises(ValueError):
             default_family(1)
+
+
+class TestFamilySizeRule:
+    """Every entry point that takes m applies the one rule: m is an integer >= 2."""
+
+    TAKERS = {
+        "default_family": default_family,
+        "estimation_basis_ids local": lambda m: estimation_basis_ids(3, m, "local"),
+        "estimation_basis_ids entangled": lambda m: estimation_basis_ids(3, m, "entangled"),
+        "ReconstructionOptions": lambda m: ReconstructionOptions(m=m),
+        "BenchConfig": lambda m: BenchConfig(n_range=(2,), m=m),
+    }
+
+    @pytest.mark.parametrize("taker", TAKERS)
+    @pytest.mark.parametrize("m", [1, 0, -1])
+    def test_m_below_two_is_refused(self, taker, m):
+        # estimation_basis_ids(3, 0, "local") used to return the computational basis alone
+        with pytest.raises(ValueError, match=f"^m={m}: the basis family needs at least 2 bases$"):
+            self.TAKERS[taker](m)
+
+    @pytest.mark.parametrize("taker", TAKERS)
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3", None])
+    def test_m_must_be_an_integer(self, taker, m):
+        # 2.5 used to raise TypeError from default_family and estimation_basis_ids
+        with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+            self.TAKERS[taker](m)
+
+    @pytest.mark.parametrize("taker", TAKERS)
+    def test_numpy_integers_are_taken(self, taker):
+        assert self.TAKERS[taker](np.int64(3)) == self.TAKERS[taker](3)
 
 
 class TestProjector:

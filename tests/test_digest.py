@@ -1,0 +1,56 @@
+"""The bit-identity digest (tests/digest.py) on its grid up to n = 4."""
+
+import hashlib
+import re
+
+import numpy as np
+
+import digest
+from purestate.states import haar_random
+from purestate.bases import default_family, estimation_basis_ids
+from purestate.measurement import born_tables, exact_record
+from purestate.reconstruction import reconstruct
+
+
+def test_digests_are_reproducible_and_tell_the_variants_apart():
+    first = digest.digests(n_max=4)
+    assert first == digest.digests(n_max=4)
+    # 7 families x n = 1..4, less phi4 and ghz at n = 1, x 2 seeds x 3 record sets
+    assert {name: runs for name, (_, runs) in first.items()} == dict.fromkeys(digest.VARIANTS, (7 * 4 - 2) * 2 * 3)
+    hexdigests = [h for h, _ in first.values()]
+    assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hexdigests)
+    assert len(set(hexdigests)) == 3
+
+
+def test_one_bit_of_any_level_array_or_amplitude_changes_the_digest():
+    n, opts = 3, digest.VARIANTS["extra-rows"]
+    tables = born_tables(haar_random(n, 5), estimation_basis_ids(n, 2, "local"), default_family(2))
+    records = [exact_record(t) for t in tables]
+    state, diag = reconstruct(records, n, opts)
+
+    def hexdigest():
+        h = hashlib.sha256()
+        digest.update(h, state, diag)
+        return h.hexdigest()
+
+    base = hexdigest()
+    for i, lv in enumerate(list(diag.levels)):
+        for field in lv._fields[1:]:
+            a = getattr(lv, field).copy()
+            if not a.size:  # a Haar state has no null block
+                continue
+            kind = a.dtype.kind
+            a[0] = np.nextafter(a[0], np.inf) if kind == "f" else ~a[0] if kind == "b" else a[0] + 1
+            diag.levels[i] = lv._replace(**{field: a})
+            assert hexdigest() != base, (lv.j, field)
+        diag.levels[i] = lv
+    assert hexdigest() == base
+    state = type(state)(n=n, amps=np.nextafter(state.amps.real, 2.0) + 1j * state.amps.imag)
+    assert hexdigest() != base
+
+
+def test_the_script_prints_one_line_per_variant(capsys):
+    digest.main(["--n-max", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(digest.VARIANTS)
+    assert [line.split()[1:] for line in lines] == [[h, str(runs)] for h, runs in digest.digests(n_max=2).values()]

@@ -751,6 +751,28 @@ class TestReconstructSampled:
         with pytest.raises(ValueError, match=f"^duplicate record for basis {rec.basis}$"):
             reconstruct(records + [shifted], 3, ReconstructionOptions(mode="local", m=2))
 
+    @pytest.mark.parametrize("shots", [-1000, -1, 1000.0, True, "1000", None])
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_shots_must_be_a_non_negative_integer(self, shots, position):
+        # -1000 at local:1:3 used to turn its counts into negative probabilities: fidelity 0.9803, not 0.9968
+        st = haar_random(3, seed=1)
+        records = sampled_records(st, "local", 2, 1000, seed=0)
+        rec = records[position]
+        records[position] = CountsRecord(basis=rec.basis, shots=shots, counts=rec.counts)
+        with pytest.raises(ValueError, match=f"{rec.basis}"):
+            reconstruct(records, 3, ReconstructionOptions(mode="local", m=2))
+
+    def test_integer_shots_of_any_integer_type_and_exact_records_are_taken(self):
+        st = haar_random(3, seed=1)
+        opts = ReconstructionOptions(mode="local", m=2)
+        records = sampled_records(st, "local", 2, 1000, seed=0)
+        est = reconstruct(records, 3, opts)[0]
+        assert fidelity(st, est) == pytest.approx(0.9968, abs=1e-4)
+        numpy_shots = [CountsRecord(basis=r.basis, shots=np.int64(r.shots), counts=r.counts) for r in records]
+        assert np.array_equal(reconstruct(numpy_shots, 3, opts)[0].amps, est.amps)
+        exact = [exact_record(t) for t in exact_tables(st, "local", 2)]
+        assert fidelity(st, reconstruct(exact, 3, opts)[0]) > 1 - 1e-12
+
     def test_fail_policy_surfaces_ambiguous_systems(self):
         # a condition threshold at the floor forces every solve onto the fallback path
         st = haar_random(2, seed=37)
@@ -1327,6 +1349,86 @@ class TestCarriedTransforms:
         finally:
             tracemalloc.stop()
         assert peak < (len(tables) + 24) * table_bytes, peak / table_bytes
+
+
+def outcome_is_read(id, k, n, extra):
+    """Whether a variant reads outcome k of basis id, decided from the outcome's role alone.
+
+    The computational record is read whole; of the other bases, every
+    phase-bearing outcome with extra rows, else the canonical ones (pivot +,
+    all-minus tail).
+    """
+    if id.tag == "computational":
+        return True
+    role = bases.outcome_role(id, k, n)
+    return role is not None and (extra or (role.sign0 == 1 and set(role.tail) <= {-1}))
+
+
+def read_variant_records(variant, n, m, shots):
+    """(mode, extra, ids, records) of a Haar state's exact (shots 0) or sampled records, for one variant."""
+    mode, extra = ("entangled" if variant == "entangled" else "local"), variant == "extra"
+    st = haar_random(n, seed=2100)
+    ids = estimation_basis_ids(n, m, "local") + estimation_basis_ids(n, m, "entangled")[1:]
+    if shots:
+        records = simulate_counts(st, ids, default_family(m), shots, seed=7).records
+    else:
+        records = [exact_record(born_probs(st, id, default_family(m))) for id in ids]
+    return mode, extra, ids, records
+
+
+class TestOutcomeRead:
+    """Each level reads only its own records, through one selection of their outcomes."""
+
+    @pytest.mark.parametrize("shots", [0, 4096])
+    @pytest.mark.parametrize("variant", ["canonical", "extra", "entangled"])
+    def test_outcomes_the_variant_does_not_read_leave_the_estimate_bit_identical(self, variant, shots):
+        # the records of the other mode's bases are not read either, so they are overwritten too
+        n, m = 5, 2
+        mode, extra, ids, records = read_variant_records(variant, n, m, shots)
+        rng = np.random.default_rng(2101)
+        overwritten, changed = [], 0
+        for id, rec in zip(ids, records):
+            counts = np.array(rec.counts)
+            unread = ~np.array([outcome_is_read(id, k, n, extra) for k in range(1 << n)])
+            if id.tag != "computational" and (id.tag == "entangled") != (mode == "entangled"):
+                unread[:] = True
+            other = counts + (rng.integers(1, 100, counts.size) if shots else rng.uniform(0.1, 1.0, counts.size))
+            counts[unread] = other[unread]
+            changed += np.count_nonzero(unread)
+            overwritten.append(CountsRecord(basis=rec.basis, shots=rec.shots, counts=counts))
+        # canonical rows skip all but 2^(n-j) outcomes of each L_aj, entangled mode E_a's terminal all-minus one
+        other_mode = (m << n) if mode == "local" else m * n << n
+        skipped = {"extra": 0, "canonical": m * sum((1 << n) - (1 << (n - j)) for j in range(1, n + 1)), "entangled": m}
+        assert changed == other_mode + skipped[variant]
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
+        est, diag = reconstruct(records, n, opts)
+        got, got_diag = reconstruct(overwritten, n, opts)
+        assert np.array_equal(got.amps, est.amps)
+        assert got_diag.to_dict() == diag.to_dict()
+        assert dict(got_diag.phases) == dict(diag.phases)
+
+    @pytest.mark.parametrize("shots", [0, 4096])
+    @pytest.mark.parametrize("variant", ["canonical", "extra", "entangled"])
+    def test_an_outcome_read_at_the_last_level_moves_only_that_level(self, variant, shots):
+        # extra rows read L_1n's outcome 0 (pivot +, all-plus tail), which canonical rows skip
+        n, m = 5, 2
+        mode, extra, ids, records = read_variant_records(variant, n, m, shots)
+        pos = ids.index(local_id(1, n) if mode == "local" else bases.entangled_id(1))
+        rec = records[pos]
+        read = [k for k in range(1 << n) if outcome_is_read(rec.basis, k, n, extra)]
+        k = next(k for k in read if bases.outcome_role(rec.basis, k, n).j == n)
+        assert k == (0 if extra else (1 << (n - 1)) - 1 if mode == "local" else (1 << n) - 2)
+        counts = np.array(rec.counts)
+        counts[k] += 50 if shots else 0.05
+        moved = list(records)
+        moved[pos] = CountsRecord(basis=rec.basis, shots=rec.shots, counts=counts)
+        opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
+        est, diag = reconstruct(records, n, opts)
+        got, got_diag = reconstruct(moved, n, opts)
+        assert not np.array_equal(got.amps, est.amps)
+        for lv, ref in zip(got_diag.levels[:-1], diag.levels[:-1]):
+            assert np.array_equal(lv.cos, ref.cos) and np.array_equal(lv.sin, ref.sin)
+        assert got_diag.levels[-1].cos[0] != diag.levels[-1].cos[0]
 
 
 class TestEmptyLevels:

@@ -173,6 +173,31 @@ class TestNamedStates:
             named_state("Phi9", 2)
 
 
+class TestQubitCountRule:
+    MAKERS = {
+        "haar_random": lambda n: haar_random(n, 0),
+        "random_separable": lambda n: random_separable(n, 0),
+        "named_state": lambda n: named_state("Phi1", n),
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    def test_n_must_be_an_integer(self, maker, n):
+        # True used to build a state whose n was True, and 2.0 to fail with a TypeError
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            self.MAKERS[maker](n)
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_must_be_at_least_one(self, maker, n):
+        with pytest.raises(ValueError, match=f"^n={n}: a system needs at least 1 qubit$"):
+            self.MAKERS[maker](n)
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_numpy_integers_are_taken(self, maker):
+        assert np.array_equal(self.MAKERS[maker](np.int64(3)).amps, self.MAKERS[maker](3).amps)
+
+
 class TestFidelity:
     def test_self_fidelity_is_one(self):
         st = haar_random(3, seed=2)
