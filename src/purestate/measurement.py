@@ -22,12 +22,20 @@ stream each: ``simulate_counts`` and the benchmark's trials both go through it.
 ``counts_data_from_dict`` checks the file's n and record count against the
 memory bound (``states.exceeds_memory_bound``: eight 2^n complex working
 vectors plus one int64 counts vector per record) before it parses a record.
+
+Counts files are written and read without a Python object per outcome:
+``write_counts`` builds each counts object's text from the counts vector
+with numpy, and ``read_counts`` reads a file in that layout back the same
+way, leaving every other layout to ``json``, with the same data and the
+same refusals.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,10 +277,31 @@ _INT64_MAX = np.iinfo(np.int64).max
 _EMPTY_COUNTS = '"counts": {}'
 
 
+def _bits(ks: np.ndarray, n: int) -> np.ndarray:
+    """The n binary digits of every k, qubit n-1 first: one row per k."""
+    return (ks[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
 def _bitstrings(ks: np.ndarray, n: int) -> list[str]:
     """format(k, f"0{n}b") for every k, built as one array of character codes."""
-    codes = ((ks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint32) + ord("0")
-    return codes.view(f"U{n}").ravel().tolist()
+    return (_bits(ks, n).astype(np.uint32) + ord("0")).view(f"U{n}").ravel().tolist()
+
+
+def _checked_counts(record: CountsRecord, n: int) -> np.ndarray:
+    """The record's counts vector, once its shots are a positive integer and its counts 2^n integers in the int64 range.
+
+    Counts that are not integers, or are negative, could not be read back.
+    """
+    if _require_int(record.shots, "shots") == 0:
+        raise ValueError("exact probability records are not serialized as counts")
+    if record.shots < 0:
+        raise ValueError(f"record for basis {record.basis} has non-positive shots {record.shots}")
+    vec = np.asarray(record.counts)
+    if vec.shape != (1 << n,):
+        raise ValueError(f"record for basis {record.basis} holds counts of shape {vec.shape}, not ({1 << n},)")
+    if not np.issubdtype(vec.dtype, np.integer) or vec.min() < 0 or vec.max() > _INT64_MAX:
+        raise ValueError(f"record for basis {record.basis} holds counts that are not integers in [0, {_INT64_MAX}]")
+    return vec
 
 
 def counts_to_dict(record: CountsRecord, n: int) -> dict:
@@ -281,33 +310,68 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
     Bitstring keys read qubit n-1 leftmost, matching the tensor-product order
     used everywhere else.
     """
-    if record.shots == 0:
-        raise ValueError("exact probability records are not serialized as counts")
-    vec = np.asarray(record.counts)
-    if vec.shape != (1 << n,):
-        raise ValueError(f"record for basis {record.basis} holds counts of shape {vec.shape}, not ({1 << n},)")
+    vec = _checked_counts(record, n)
     nz = np.flatnonzero(vec)
     counts = dict(zip(_bitstrings(nz, n), map(int, vec[nz].tolist())))
     return {"basis": basis_id_to_dict(record.basis), "shots": int(record.shots), "counts": counts}
 
 
-def _key_bits(keys: list, n: int) -> np.ndarray:
-    """Each key's character codes less ord("0"), one row per key, up to the first key not n characters long."""
-    rows = len(keys) if set(map(len, keys)) <= {n} else next(i for i, k in enumerate(keys) if len(k) != n)
-    bits = np.array(keys[:rows], dtype=f"U{n}").view(np.uint32).reshape(rows, n)
-    bits -= ord("0")
-    return bits
+class _NotWritten(Exception):
+    """Raised by read_counts' reader of write_counts' layout on a file laid out otherwise."""
 
 
-def _first_bad_count(values: list, shots: int) -> int:
-    """Index of the first value that is not an integer in [0, shots]; len(values) if none."""
-    if set(map(type, values)) <= {int} and (not values or (min(values) >= 0 and max(values) <= shots)):
-        return len(values)
-    return next(i for i, c in enumerate(values) if type(c) is not int or not 0 <= c <= shots)
+class _WrittenCounts(NamedTuple):
+    """A record's counts vector, decoded by read_counts from a counts object in write_counts' layout."""
+
+    vec: np.ndarray
+
+
+def _well_formed_outcomes(counts: dict, n: int, shots: int) -> tuple | None:
+    """(outcome indices, counts) when every key is n characters 0/1 and every count an int in [0, shots]; else None.
+
+    The keys are joined with a comma after each.  The text fills len(counts)
+    rows of n + 1 characters, 0/1 but for a final comma, exactly when every
+    key is n characters 0/1: the rows then hold as many commas as the join
+    put in, so no key holds one and every key ends where its row does.
+    """
+    k = len(counts)
+    text = ",".join(counts) + "," if k else ""
+    if len(text) != k * (n + 1) or not text.isascii() or operator.countOf(map(type, counts.values()), int) != k:
+        return None
+    rows = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(k, n + 1)
+    bits = rows[:, :n] - ord("0")
+    if (bits > 1).any() or (rows[:, n] != ord(",")).any():
+        return None
+    try:
+        values = np.fromiter(counts.values(), dtype=np.int64, count=k)
+    except OverflowError:
+        return None
+    if k and (values.min() < 0 or values.max() > shots):
+        return None
+    return bits @ (1 << np.arange(n - 1, -1, -1)), values
+
+
+def _raise_first_bad_outcome(counts: dict, n: int, shots: int) -> None:
+    """ValueError naming the first outcome, in file order, whose key or count _well_formed_outcomes refuses."""
+    for key, c in counts.items():
+        if len(key) != n or not set(key) <= {"0", "1"}:
+            raise ValueError(f"bad outcome bitstring {key!r} for n={n}")
+        if type(c) is not int or c < 0:
+            raise ValueError(f"count {c!r} for outcome {key!r} is not a non-negative integer")
+        if c > shots:
+            raise ValueError(f"count {c} for outcome {key!r} exceeds the record's shots {shots}")
 
 
 def counts_from_dict(obj: dict, n: int) -> CountsRecord:
-    """One record from its JSON form; of several malformed outcomes the first in file order is reported."""
+    """One record from its JSON form; of several malformed outcomes the first in file order is reported.
+
+    Well-formed counts are checked and placed with whole-array operations:
+    the keys' character codes come from one join of the keys, the counts
+    from one int64 array, and the sum is exact.  Only a malformed record is
+    walked outcome by outcome, to name its first bad outcome.  read_counts
+    hands over counts objects laid out as write_counts lays them out as
+    _WrittenCounts, read here without a Python object per outcome.
+    """
     if exceeds_memory_bound(n, 1):
         raise ValueError(f"n={n} exceeds the memory bound for a counts vector")
     basis = basis_id_from_dict(_require_json(obj, dict, "record")["basis"])
@@ -316,25 +380,24 @@ def counts_from_dict(obj: dict, n: int) -> CountsRecord:
         raise ValueError(f"record for basis {basis} has non-positive shots {shots}")
     if shots > _INT64_MAX:
         raise ValueError(f"record for basis {basis} has shots {shots} beyond the int64 range")
-    counts = _require_json(obj["counts"], dict, "counts")
-    keys, values = list(counts), list(counts.values())
-    bits = _key_bits(keys, n)
-    bad_chars = np.flatnonzero(bits > 1)
-    bad_key = int(bad_chars[0]) // n if bad_chars.size else len(bits)
-    bad_count = _first_bad_count(values, shots)
-    if bad_key < len(keys) and bad_key <= bad_count:
-        raise ValueError(f"bad outcome bitstring {keys[bad_key]!r} for n={n}")
-    if bad_count < len(values):
-        key, c = keys[bad_count], values[bad_count]
-        if type(c) is not int or c < 0:
-            raise ValueError(f"count {c!r} for outcome {key!r} is not a non-negative integer")
-        raise ValueError(f"count {c} for outcome {key!r} exceeds the record's shots {shots}")
-    total = sum(values)
+    counts = obj["counts"]
+    if isinstance(counts, _WrittenCounts):
+        # written in ascending outcome order, so the first outcome over shots is the first in the file
+        vec, over = counts.vec, np.flatnonzero(counts.vec > shots)
+        if over.size:
+            key = format(over[0], f"0{n}b")
+            raise ValueError(f"count {vec[over[0]]} for outcome {key!r} exceeds the record's shots {shots}")
+    else:
+        outcomes = _well_formed_outcomes(_require_json(counts, dict, "counts"), n, shots)
+        if outcomes is None:
+            _raise_first_bad_outcome(counts, n, shots)
+        # length-n binary strings map one to one onto indices, and dict keys are unique
+        vec = np.zeros(1 << n, dtype=np.int64)
+        vec[outcomes[0]] = outcomes[1]
+    # the int64 sum is exact unless as many counts as the largest could pass the int64 range
+    total = int(vec.sum()) if vec.size * int(vec.max()) <= _INT64_MAX else sum(vec.tolist())
     if total != shots:
         raise ValueError(f"counts sum {total} does not match shots {shots}")
-    # length-n binary strings map one to one onto indices, and dict keys are unique
-    vec = np.zeros(1 << n, dtype=np.int64)
-    vec[bits @ (1 << np.arange(n - 1, -1, -1))] = values
     return CountsRecord(basis=basis, shots=shots, counts=vec)
 
 
@@ -365,36 +428,147 @@ def counts_data_from_dict(obj: dict) -> CountsData:
     return CountsData(n=n, family=family, records=records)
 
 
-def _indented_counts(counts: dict) -> str:
-    """A record's counts object as json.dump(..., indent=1) lays it out, encoded by the C encoder.
+def _counts_text(counts: np.ndarray, n: int) -> str:
+    """A record's counts object as json.dump(..., indent=1) lays it out, built in one numpy pass.
 
     The object sits three levels deep (file, records, record): its entries
-    are indented by four spaces and its closing brace by three.
+    are indented by four spaces and its closing brace by three.  Each
+    nonzero outcome is one row of character codes: a comma, the newline and
+    indent, the quoted bitstring, ": " and the count in as many digits as
+    the largest count has.  Dropping each count's leading zeros and the
+    first row's comma leaves the entries' text in outcome order.
     """
-    if not counts:
+    ks = np.flatnonzero(counts)
+    if not ks.size:
         return "{}"
-    body = json.dumps(counts, separators=(",\n    ", ": "))
-    return "{\n    " + body[1:-1] + "\n   }"
+    values = counts[ks].astype(np.int64)
+    powers = 10 ** np.arange(len(str(values.max())) - 1, -1, -1, dtype=np.int64)
+    lead = b',\n    "'
+    head = lead + b"0" * n + b'": '
+    rows = np.empty((ks.size, len(head) + powers.size), dtype=np.uint8)
+    rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows[:, len(lead) : len(lead) + n] += _bits(ks, n).astype(np.uint8)
+    rows[:, len(head) :] = values[:, None] // powers % 10 + ord("0")
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, len(head) :] = values[:, None] >= powers
+    keep[0, 0] = False
+    return "{" + rows[keep].tobytes().decode("ascii") + "\n   }"
 
 
 def write_counts(path: str, data: CountsData) -> None:
     """Write json.dump(counts_data_to_dict(data), fh, indent=1) and a newline, one record at a time.
 
-    json.dump takes the pure-Python encoder, so it lays out only the file
-    with every counts object empty; each record's counts object is then
-    built and encoded on its own by the C encoder, in its place.
+    Every record is checked, and the file laid out with every counts object
+    empty, before the file is opened, so a refused record leaves an existing
+    file as it was.  Each record's counts object is then built from its
+    counts vector by ``_counts_text`` in one numpy pass, with no Python
+    object per outcome, and written in its place.
     """
+    vecs = [_checked_counts(r, data.n) for r in data.records]
+    layout = {
+        "n": data.n,
+        "family": family_to_dicts(data.family),
+        "records": [{"basis": basis_id_to_dict(r.basis), "shots": int(r.shots), "counts": {}} for r in data.records],
+    }
+    pieces = json.dumps(layout, indent=1).split(_EMPTY_COUNTS)
     with open(path, "w") as fh:
-        blank = np.zeros(1 << data.n, dtype=np.int64)
-        shells = [CountsRecord(basis=r.basis, shots=r.shots, counts=blank) for r in data.records]
-        layout = json.dumps(counts_data_to_dict(CountsData(n=data.n, family=data.family, records=shells)), indent=1)
-        pieces = layout.split(_EMPTY_COUNTS)
         fh.write(pieces[0])
-        for record, piece in zip(data.records, pieces[1:]):
-            fh.write('"counts": ' + _indented_counts(counts_to_dict(record, data.n)["counts"]) + piece)
+        for vec, piece in zip(vecs, pieces[1:]):
+            fh.write('"counts": ' + _counts_text(vec, data.n) + piece)
         fh.write("\n")
 
 
+def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
+    """The counts vector of a counts object's entries in write_counts' layout; _NotWritten for any other text.
+
+    body holds the entries' ASCII codes, one line per outcome, each ending
+    in a newline: four spaces, the quoted key and ": " before the count,
+    and a comma before every newline but the last.  Every character is
+    checked: the fixed ones, n key characters 0/1, and 1 to 18 digits
+    without a leading zero, so every count is a JSON integer in the int64
+    range.  The keys must ascend, so none repeats.
+    """
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends.copy()
+    stops[:-1] -= 1
+    indent = b'    "'
+    head = np.frombuffer(indent + b"0" * n + b'": ', dtype=np.uint8)
+    digits = stops - starts - head.size
+    if digits.min() < 1 or digits.max() > len(str(_INT64_MAX)) - 1:
+        raise _NotWritten
+    # key columns compare with their low bit set, so '0' and '1' both pass
+    key = np.zeros(head.size, dtype=np.uint8)
+    key[len(indent) : len(indent) + n] = 1
+    lines = body[starts[:, None] + np.arange(head.size)]
+    width = int(digits.max())
+    chars = body[np.maximum(stops[:, None] - width + np.arange(width), 0)] - ord("0")
+    is_digit = np.arange(width) >= width - digits[:, None]
+    first = chars[np.arange(ends.size), width - digits]
+    if (
+        ((lines | key) != (head | key)).any()
+        or (body[stops[:-1]] != ord(",")).any()
+        or (chars[is_digit] > 9).any()
+        or ((first == 0) & (digits > 1)).any()
+    ):
+        raise _NotWritten
+    index = (lines[:, len(indent) : len(indent) + n] & 1) @ (1 << np.arange(n - 1, -1, -1))
+    if (np.diff(index) <= 0).any():
+        raise _NotWritten
+    vec = np.zeros(1 << n, dtype=np.int64)
+    vec[index] = (chars * is_digit) @ 10 ** np.arange(width - 1, -1, -1)
+    return vec
+
+
+def _read_written(text: str) -> CountsData:
+    """The data of a counts file whose nonempty counts objects are in write_counts' layout; _NotWritten otherwise.
+
+    Each such object is cut out and its place taken by the JSON string
+    holding one backslash, a value no string of a text without backslashes
+    can hold; json then parses what is left, which is small.  When exactly
+    the records hold those strings, and every cut-out object reads as
+    _written_counts reads it, counts_data_from_dict checks the data as it
+    checks json's parse of the whole text, which it equals: the same
+    records, or the same refusal.
+    """
+    if "\\" in text or not text.isascii():
+        raise _NotWritten
+    opening, closing = '"counts": {\n', "\n   }"
+    rest, spans, pos = [], [], 0
+    while (start := text.find(opening, pos)) >= 0:
+        end = text.find(closing, start + len(opening))
+        if end < 0:
+            raise _NotWritten
+        rest.append(text[pos:start])
+        spans.append((start + len(opening), end + 1))
+        pos = end + len(closing)
+    rest.append(text[pos:])
+    try:
+        obj = json.loads('"counts": "\\\\"'.join(rest), object_pairs_hook=_unique_keys)
+    except ValueError:
+        raise _NotWritten from None
+    records, n = (obj.get("records"), obj.get("n")) if type(obj) is dict else (None, None)
+    if type(records) is not list or type(n) is not int or n < 1 or exceeds_memory_bound(n, len(records)):
+        raise _NotWritten
+    slots = [r for r in records if type(r) is dict and r.get("counts") == "\\"]
+    if len(slots) != len(spans):
+        raise _NotWritten
+    # every object is read before any check of counts_data_from_dict can refuse the file
+    for record, (start, end) in zip(slots, spans):
+        body = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
+        record["counts"] = _WrittenCounts(_written_counts(body, n))
+    return counts_data_from_dict(obj)
+
+
 def read_counts(path: str) -> CountsData:
+    """Read a counts file: as write_counts lays it out, without a Python object per outcome; otherwise through json.
+
+    Either way the data and every refusal are those of
+    counts_data_from_dict(json.load(fh)), with no key repeated in any object.
+    """
     with open(path) as fh:
-        return counts_data_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
+        text = fh.read()
+    try:
+        return _read_written(text)
+    except _NotWritten:
+        return counts_data_from_dict(json.loads(text, object_pairs_hook=_unique_keys))

@@ -17,6 +17,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -28,8 +29,8 @@ NAMED_STATE_KINDS = ("Phi1", "Phi2", "Phi3", "Phi4")
 
 # Working set per trial is a handful of 16-byte-per-amplitude vectors.
 MEMORY_BOUND_BYTES = 1 << 31
-# save_state writes its text in slices of this many characters.
-_WRITE_CHUNK = 1 << 16
+# save_state writes its text in slices of this many amplitudes.
+_WRITE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,32 +205,44 @@ def state_to_dict(state: PureState) -> dict:
 
 
 def state_from_dict(obj: dict) -> PureState:
+    """A state from its JSON form: a list of 2^n [re, im] pairs of JSON numbers, finite and of unit norm.
+
+    The types are checked over the pairs and over their flattened components
+    at once, and the components converted by one np.array call.
+    """
     n = _require_int(_require_json(obj, dict, "state")["n"], "n")
     pairs = obj["amps"]
-    if not (
-        isinstance(pairs, list)
-        and all(type(p) is list and len(p) == 2 for p in pairs)
-        and {type(x) for p in pairs for x in p} <= {int, float}
-    ):
+    if not (isinstance(pairs, list) and set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        raise ValueError("amps must be a list of [re, im] pairs of numbers")
+    flat = list(chain.from_iterable(pairs))
+    if not set(map(type, flat)) <= {int, float}:
         raise ValueError("amps must be a list of [re, im] pairs of numbers")
     if len(pairs) != 1 << n:
         raise ValueError(f"state dict claims n={n} but has {len(pairs)} amplitudes")
-    amps = np.array(pairs, dtype=np.float64).view(np.complex128).ravel()
+    amps = np.array(flat, dtype=np.float64).view(np.complex128)
     state = make_state(amps)
     # make_state's renormalization can move the last bit, so unit-norm input is kept as written
     return PureState(n=n, amps=_freeze(amps)) if abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL else state
 
 
 def save_state(state: PureState, path) -> None:
-    """Write json.dumps(state_to_dict(state)) and a newline.
+    """Write json.dumps(state_to_dict(state)) and a newline, a slice of amplitudes at a time.
 
-    json.dumps encodes with the C encoder, which json.dump never uses; the
-    text is then written a slice at a time.
+    Non-finite amplitudes, which json would write as NaN or Infinity and
+    load_state refuses, are refused before the file is opened.  Each slice's
+    text is the repr of its [re, im] pairs as float lists, the same
+    float.__repr__ the JSON encoder writes, without the pair lists of
+    state_to_dict.
     """
-    text = json.dumps(state_to_dict(state)) + "\n"
+    pairs = np.ascontiguousarray(state.amps, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    if not np.isfinite(pairs).all():
+        raise ValueError("amplitude vector has non-finite entries")
+    head = '{"n": ' + json.dumps(state.n) + ', "amps": ['
     with open(path, "w") as f:
-        for i in range(0, len(text), _WRITE_CHUNK):
-            f.write(text[i : i + _WRITE_CHUNK])
+        f.write(head)
+        for i in range(0, len(pairs), _WRITE_CHUNK):
+            f.write((", " if i else "") + repr(pairs[i : i + _WRITE_CHUNK].tolist())[1:-1])
+        f.write("]}\n")
 
 
 def load_state(path) -> PureState:

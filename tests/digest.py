@@ -1,10 +1,11 @@
-"""Bit-identity digest of reconstruct: one SHA-256 per estimator variant over a fixed grid.
+"""Bit-identity digests: of reconstruct, one SHA-256 per estimator variant, and of the file I/O, each over a fixed grid.
 
 A change that must not move any result (a refactor, or a speedup that
 keeps the arithmetic) is checked by running this script on both
 checkouts and comparing the lines it prints:
 
     PYTHONPATH=<checkout>/src python tests/digest.py [--n-max N]
+    PYTHONPATH=<checkout>/src python tests/digest.py --io [--n-max N]
 
 Each variant's digest covers, for every reconstruction of the grid, the
 estimate's amplitudes, Diagnostics.to_dict(), the phases and every array
@@ -14,6 +15,11 @@ the exact tables, 4,096 shots, and 4,096 shots at white-noise weight 0.05.
 The seed picks the state of the random families (haar, separable) and the
 sampling stream of every family.  The variants are local with extra rows,
 local with canonical rows and entangled, all at m = 2.
+
+With --io the one digest covers the bytes write_counts and save_state
+write and the arrays read_counts and load_state return, over n = 1..n_max
+(default 16) x local and entangled bases (m = 2) x 8, 512 and 8,192 shots
+x white-noise weight 0 and 0.05, with one Haar state per n.
 """
 
 from __future__ import annotations
@@ -21,18 +27,31 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 
 from purestate.bases import default_family, estimation_basis_ids
 from purestate.benchmark import STATE_FAMILIES, make_bench_state
-from purestate.measurement import born_tables, exact_record, mix_white_noise, sample_tables, seeded_rng
+from purestate.measurement import (
+    born_tables,
+    exact_record,
+    mix_white_noise,
+    read_counts,
+    sample_tables,
+    seeded_rng,
+    simulate_counts,
+    write_counts,
+)
 from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.states import haar_random, load_state, save_state
 
 M = 2
 SHOTS = 4096
 NOISE = 0.05
 SEEDS = (0, 1)
+IO_SHOTS = (8, 512, 8192)
 VARIANTS = {
     "extra-rows": ReconstructionOptions(mode="local", m=M),
     "canonical-rows": ReconstructionOptions(mode="local", m=M, use_extra_rows=False),
@@ -81,11 +100,46 @@ def digests(n_max: int = 10) -> dict:
     return {name: (h.hexdigest(), runs[name]) for name, h in hashes.items()}
 
 
+def io_digest(n_max: int = 16) -> tuple[str, int]:
+    """(SHA-256 hex digest, files written) of the file I/O over the grid up to n_max qubits."""
+    h = hashlib.sha256()
+    files = 0
+    family = default_family(M)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file.json")
+        for n in range(1, n_max + 1):
+            state = haar_random(n, n)
+            save_state(state, path)
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+            h.update(load_state(path).amps.tobytes())
+            files += 1
+            for mode in ("local", "entangled"):
+                ids = estimation_basis_ids(n, M, mode)
+                for shots in IO_SHOTS:
+                    for lam in (0.0, NOISE):
+                        write_counts(path, simulate_counts(state, ids, family, shots, n, noise_lambda=lam))
+                        with open(path, "rb") as fh:
+                            h.update(fh.read())
+                        back = read_counts(path)
+                        h.update(repr((back.n, back.family)).encode())
+                        for rec in back.records:
+                            h.update(repr((rec.basis, rec.shots, rec.counts.dtype.str)).encode())
+                            h.update(rec.counts.tobytes())
+                        files += 1
+    return h.hexdigest(), files
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-max", type=int, default=10, help="largest qubit count of the grid (default 10)")
+    parser.add_argument("--io", action="store_true", help="print the file I/O digest instead of the reconstruct ones")
+    parser.add_argument("--n-max", type=int, help="largest qubit count of the grid (default 10, or 16 with --io)")
     args = parser.parse_args(argv)
-    for name, (hexdigest, runs) in digests(args.n_max).items():
+    if args.io:
+        hexdigest, files = io_digest(16 if args.n_max is None else args.n_max)
+        print(f"{'file-io':15s} {hexdigest} {files}")
+        return
+    for name, (hexdigest, runs) in digests(10 if args.n_max is None else args.n_max).items():
         print(f"{name:15s} {hexdigest} {runs}")
 
 

@@ -54,3 +54,16 @@ def test_the_script_prints_one_line_per_variant(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(digest.VARIANTS)
     assert [line.split()[1:] for line in lines] == [[h, str(runs)] for h, runs in digest.digests(n_max=2).values()]
+
+
+def test_the_io_digest_is_reproducible_and_counts_every_file():
+    first = digest.io_digest(n_max=4)
+    assert first == digest.io_digest(n_max=4)
+    # per n one state file and 2 modes x 3 shot counts x 2 noise weights of counts files
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 4 * (1 + 2 * len(digest.IO_SHOTS) * 2)
+    assert first[0] != digest.io_digest(n_max=3)[0]
+
+
+def test_the_script_prints_the_io_digest_with_io(capsys):
+    digest.main(["--io", "--n-max", "2"])
+    assert capsys.readouterr().out.split() == ["file-io", *map(str, digest.io_digest(n_max=2))]

@@ -12,6 +12,7 @@ from scipy import stats
 
 import purestate.measurement as measurement
 from purestate.states import (
+    _unique_keys,
     exceeds_memory_bound,
     haar_random,
     held_bytes,
@@ -677,3 +678,197 @@ class TestJsonProperties:
             obj["amps"][i] = case.draw(hst.sampled_from([obj["amps"][i][:1], obj["amps"][i] + [0.0], obj["amps"][i][0]]))
         with pytest.raises(ValueError):
             state_from_dict(obj)
+
+
+def json_read(text):
+    """What counts_data_from_dict makes of json's parse of the whole text: the reference read_counts must match."""
+    return counts_data_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+
+
+def read_outcome(read, text):
+    """(n, family, records) of a successful read, or the type and message of its refusal."""
+    try:
+        data = read(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return data.n, data.family, [(r.basis, r.shots, r.counts.dtype.str, r.counts.tolist()) for r in data.records]
+
+
+# one outcome line of a counts object in write_counts' layout: its key, then its count
+COUNT = r'(\n    "[01]+": )(\d+)'
+
+
+def digit_boundary_records(n):
+    """One record per count at a decimal digit boundary (9, 10, 99, 100, ..., int64 max), shots equal to the count."""
+    values = sorted({v for d in range(1, 19) for v in (10**d - 1, 10**d)} | {np.iinfo(np.int64).max})
+    records = []
+    for k, v in enumerate(values):
+        counts = np.zeros(1 << n, dtype=np.int64)
+        counts[(37 * k) % (1 << n)] = v
+        records.append(CountsRecord(basis=local_id(1 + k // n, 1 + k % n), shots=v, counts=counts))
+    return records
+
+
+class TestCountsFileBytes:
+    """write_counts builds its counts text from numpy arrays, yet writes json.dump(..., indent=1) byte for byte."""
+
+    def test_n16_at_8192_shots_is_the_indented_dump_and_reads_back(self, tmp_path):
+        for mode in ("local", "entangled"):
+            data = random_counts_data(16, mode, 2, 8192, seed=16)
+            path = tmp_path / f"{mode}.json"
+            write_counts(path, data)
+            assert path.read_bytes() == (json.dumps(counts_data_to_dict(data), indent=1) + "\n").encode()
+            assert read_outcome(lambda _: read_counts(path), None) == read_outcome(json_read, path.read_text())
+
+    def test_counts_at_every_digit_boundary_up_to_the_int64_maximum(self, tmp_path):
+        n = 3
+        records = digit_boundary_records(n)
+        fam = default_family(len(records) // n + 1)
+        # one record holding every boundary below 10**9 at once, so counts of many widths share an object
+        mixed = np.zeros(1 << n, dtype=np.int64)
+        mixed[: 1 << n] = [9, 10, 99, 100, 99999, 100000, 999999999, 1]
+        records.append(CountsRecord(basis=COMPUTATIONAL, shots=int(mixed.sum()), counts=mixed))
+        data = CountsData(n=n, family=fam, records=records)
+        path = tmp_path / "digits.json"
+        write_counts(path, data)
+        assert path.read_text() == json.dumps(counts_data_to_dict(data), indent=1) + "\n"
+        back = read_counts(path)
+        for ra, rb in zip(back.records, records, strict=True):
+            assert (ra.basis, ra.shots) == (rb.basis, rb.shots) and np.array_equal(ra.counts, rb.counts)
+
+    def test_counts_of_any_integer_dtype_are_written_as_int64_counts(self, tmp_path):
+        data = random_counts_data(3, "local", 2, 300, seed=4)
+        for dtype in (np.uint8, np.int16, np.uint32, np.uint64):
+            cast = CountsData(data.n, data.family, [CountsRecord(r.basis, r.shots, r.counts.astype(dtype)) for r in data.records])
+            path = tmp_path / f"{np.dtype(dtype).name}.json"
+            write_counts(path, cast)
+            assert path.read_text() == json.dumps(counts_data_to_dict(data), indent=1) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts[:-1]), r"holds counts of shape \(7,\), not \(8,\)"),
+            (lambda r: CountsRecord(r.basis, 0, r.counts / 64), "exact probability records are not serialized as counts"),
+            (lambda r: CountsRecord(r.basis, -64, r.counts), "has non-positive shots -64"),
+            (lambda r: CountsRecord(r.basis, 64.0, r.counts), "shots must be an integer, got 64.0"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(float)), "not integers in"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts - 1), "not integers in"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(np.uint64) + 2**63), "not integers in"),
+        ],
+        ids=["wrong shape", "exact record", "negative shots", "float shots", "float counts", "negative count", "beyond int64"],
+    )
+    def test_a_refused_write_leaves_an_existing_file_as_it_was(self, tmp_path, bad, message):
+        data = random_counts_data(3, "local", 2, 64, seed=5)
+        path = tmp_path / "counts.json"
+        write_counts(path, data)
+        before = path.read_bytes()
+        records = list(data.records)
+        records[-1] = bad(records[-1])
+        with pytest.raises(ValueError, match=message):
+            write_counts(path, CountsData(data.n, data.family, records))
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match=message):
+            write_counts(tmp_path / "new.json", CountsData(data.n, data.family, records))
+        assert not (tmp_path / "new.json").exists()
+
+
+class TestCountsReadParity:
+    """read_counts gives the data, or the refusal, that counts_data_from_dict gives for json's parse of the file."""
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (record({"0é": 5}), "bad outcome bitstring '0é' for n=2"),
+            (record({"\ud8000": 5}), "bad outcome bitstring '\\ud8000' for n=2"),
+            (record({"0\ud800": 5}), "bad outcome bitstring '0\\ud800' for n=2"),
+            (record({"\U0001f6000": 5}), "bad outcome bitstring '\U0001f6000' for n=2"),
+            (record({"0\x00": 5}), "bad outcome bitstring '0\\x00' for n=2"),
+            (record({"0,": 5}), "bad outcome bitstring '0,' for n=2"),
+            (record({"0": 2, "001": 3}), "bad outcome bitstring '0' for n=2"),
+            (record({"00": True}), "count True for outcome '00' is not a non-negative integer"),
+            (record({"00": 5.0}), "count 5.0 for outcome '00' is not a non-negative integer"),
+            (record({"00": 2**63}), "count 9223372036854775808 for outcome '00' exceeds the record's shots 5"),
+            (record({"00": -(2**63) - 1}), "count -9223372036854775809 for outcome '00' is not a non-negative integer"),
+            (record({"0x": 1.5, "00": 5}), "bad outcome bitstring '0x' for n=2"),
+            (record({"00": 1.5, "0x": 5}), "count 1.5 for outcome '00' is not a non-negative integer"),
+            (record({"00": 5, "0x": 1.5}), "bad outcome bitstring '0x' for n=2"),
+            (record({"10": 6, "0x": 1}), "count 6 for outcome '10' exceeds the record's shots 5"),
+            (record({"0x": 1, "10": 6}), "bad outcome bitstring '0x' for n=2"),
+            (
+                record({"11": 2**62, "10": 2**62, "01": 2**62}, shots=2**63 - 1),
+                "counts sum 13835058055282163712 does not match shots 9223372036854775807",
+            ),
+            (record({}), "counts sum 0 does not match shots 5"),
+        ],
+    )
+    def test_message_of_more_malformed_outcomes(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counts_from_dict(obj, 2)
+
+    def test_written_files_are_read_without_json_and_equal_its_read(self, tmp_path):
+        for n, mode, shots in ((1, "local", 1), (3, "entangled", 7), (5, "local", 4096), (8, "local", 100_000)):
+            data = random_counts_data(n, mode, 2, shots, seed=n)
+            path = tmp_path / "counts.json"
+            write_counts(path, data)
+            text = path.read_text()
+            assert read_outcome(measurement._read_written, text) == read_outcome(json_read, text)
+        text = path.read_text().replace('"counts": {\n', '"counts": {\n ', 1)
+        with pytest.raises(measurement._NotWritten):
+            measurement._read_written(text)
+
+    # edits of a written file (n = 3, 64 shots per record), each to one counts object or to the whole file
+    EDITS = {
+        "repeated outcome": lambda t: re.sub(r'(\n    "[01]+": \d+,)', r"\1\1", t, count=1),
+        "outcomes out of order": lambda t: re.sub(r'\n(    "[01]+": \d+),\n(    "[01]+": \d+)', r"\n\2,\n\1", t, count=1),
+        "leading zero": lambda t: re.sub(COUNT, r"\g<1>0\2", t, count=1),
+        "zero count": lambda t: re.sub(COUNT, r"\g<1>0", t, count=1),
+        "count one over shots": lambda t: re.sub(COUNT, r"\g<1>65", t, count=1),
+        "count over shots": lambda t: re.sub(COUNT, r"\g<1>99999", t, count=1),
+        "nineteen digits": lambda t: re.sub(COUNT, rf"\g<1>{2**63 - 1}", t, count=1),
+        "twenty digits": lambda t: re.sub(COUNT, rf"\g<1>{2**64}", t, count=1),
+        "float count": lambda t: re.sub(COUNT, r"\1\2.0", t, count=1),
+        "negative count": lambda t: re.sub(COUNT, r"\1-\2", t, count=1),
+        "short key": lambda t: re.sub(r'\n    "[01]', '\n    "', t, count=1),
+        "bad key character": lambda t: re.sub(r'\n    "[01]', '\n    "2', t, count=1),
+        "non-ASCII key": lambda t: re.sub(r'\n    "[01]', '\n    "é', t, count=1),
+        "escaped key": lambda t: re.sub(r'\n    "[01]', r'\n    "\\u0030', t, count=1),
+        "trailing comma": lambda t: t.replace("\n   }", ",\n   }", 1),
+        "missing comma": lambda t: re.sub(r"(\n    \"[01]+\": \d+),\n", r"\1\n", t, count=1),
+        "semicolon for colon": lambda t: re.sub(r'(\n    "[01]+"): ', r"\1; ", t, count=1),
+        "unclosed object": lambda t: t[: t.index('"counts": {\n') + 40] + "\n",
+        "other layout": lambda t: json.dumps(json.loads(t), indent=2),
+        "compact layout": lambda t: json.dumps(json.loads(t)),
+        "n not an integer": lambda t: t.replace('"n": 3', '"n": true', 1),
+        "n too large": lambda t: t.replace('"n": 3', '"n": 4', 1),
+        "bad n and a malformed object": lambda t: re.sub(r'(\n    "[01]+)"', r"\1]", t.replace('"n": 3', '"n": true', 1), count=1),
+        "counts as a string": lambda t: re.sub(r'"counts": \{\n[^}]*\}', '"counts": "\\\\\\\\"', t, count=1),
+        "counts as a string, and an object in its basis": lambda t: re.sub(
+            r'"counts": \{\n[^}]*\}', r'"counts": "\\\\"', t, count=1
+        ).replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 64\n   }', 1),
+        "counts in a basis": lambda t: t.replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 1\n   }', 1),
+        "shots not an integer": lambda t: t.replace('"shots": 64', '"shots": 64.0', 1),
+        "basis out of range": lambda t: t.replace('"a": 1', '"a": 9', 1),
+        "repeated record key": lambda t: t.replace('"shots": 64,', '"shots": 64,\n   "shots": 64,', 1),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_an_edited_file_reads_as_json_reads_it(self, tmp_path, edit):
+        data = random_counts_data(3, "local", 2, 64, seed=3)
+        path = tmp_path / "counts.json"
+        write_counts(path, data)
+        text = self.EDITS[edit](path.read_text())
+        assert text != path.read_text()
+        path.write_text(text)
+        assert read_outcome(lambda _: read_counts(path), None) == read_outcome(json_read, text)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=hst.integers(1, 3), shots=hst.sampled_from([1, 9, 100, 10**6]), seed=hst.integers(0, 2**16), data=hst.data())
+    def test_a_randomly_edited_file_reads_as_json_reads_it(self, tmp_path_factory, n, shots, seed, data):
+        text = json.dumps(counts_data_to_dict(random_counts_data(n, "local", 2, shots, seed)), indent=1) + "\n"
+        for _ in range(data.draw(hst.integers(1, 3))):
+            i = data.draw(hst.integers(0, len(text) - 1))
+            piece = data.draw(hst.sampled_from(list('01 ",:{}[]\n\\-.e9') + ["", "é", "NaN"]))
+            text = text[:i] + piece + text[i + data.draw(hst.integers(0, 1)) :]
+        path = tmp_path_factory.mktemp("edited") / "counts.json"
+        path.write_text(text)
+        assert read_outcome(lambda _: read_counts(path), None) == read_outcome(json_read, text)

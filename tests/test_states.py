@@ -1,6 +1,7 @@
 """Tests for state construction, named benchmark states, and serialization."""
 
 import json
+import re
 from functools import reduce
 
 import numpy as np
@@ -306,3 +307,54 @@ class TestSerialization:
         path.write_text('{"n": 1, "amps": [[NaN, 0.0], [1.0, 0.0]]}')
         with pytest.raises(ValueError):
             load_state(path)
+
+
+class TestStateFileBytes:
+    """save_state writes the repr of float pairs a slice at a time, yet the text of json.dumps byte for byte."""
+
+    def test_n16_is_the_one_line_dump_and_reads_back(self, tmp_path):
+        st = haar_random(16, seed=16)
+        path = tmp_path / "state.json"
+        save_state(st, path)
+        assert path.read_bytes() == (json.dumps(state_to_dict(st)) + "\n").encode()
+        assert np.array_equal(load_state(path).amps, st.amps)
+
+    def test_awkward_floats_and_slice_edges(self, tmp_path):
+        # 4,096 amplitudes make one slice exactly; 8,192 two; extremes of float repr in each
+        for n in (12, 13):
+            amps = haar_random(n, seed=n).amps.copy()
+            amps[:6] = [5e-324, -0.0, 1e16 + 1j * 1e-5, 9.999999999999999e15, 1e-4j, -1.7976931348623157e308 * 1e-308]
+            st = PureState(n=n, amps=amps)
+            path = tmp_path / f"state{n}.json"
+            save_state(st, path)
+            assert path.read_text() == json.dumps(state_to_dict(st)) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_amplitudes_are_refused_and_an_existing_file_kept(self, tmp_path, bad):
+        path = tmp_path / "state.json"
+        save_state(haar_random(1, seed=2), path)
+        before = path.read_bytes()
+        st = PureState(n=1, amps=np.array([bad, 1.0], dtype=np.complex128))
+        with pytest.raises(ValueError, match="^amplitude vector has non-finite entries$"):
+            save_state(st, path)
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match="non-finite"):
+            save_state(st, tmp_path / "new.json")
+        assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize(
+        "amps, message",
+        [
+            ([[1.0, 0.0], [0.0, True]], "amps must be a list of [re, im] pairs of numbers"),
+            ([[1.0, 0.0], (0.0, 0.0)], "amps must be a list of [re, im] pairs of numbers"),
+            ([[1.0, 0.0], [0.0]], "amps must be a list of [re, im] pairs of numbers"),
+            ([[1.0, 0.0], [0.0, None]], "amps must be a list of [re, im] pairs of numbers"),
+            ({"0": [1.0, 0.0]}, "amps must be a list of [re, im] pairs of numbers"),
+            ([[1.0, 0.0]], "state dict claims n=1 but has 1 amplitudes"),
+            ([], "state dict claims n=1 but has 0 amplitudes"),
+            ([[1, 0], [0, 2**1100]], "int too large to convert to float"),
+        ],
+    )
+    def test_ill_formed_amps_messages(self, amps, message):
+        with pytest.raises((ValueError, OverflowError), match=f"^{re.escape(message)}$"):
+            state_from_dict({"n": 1, "amps": amps})
