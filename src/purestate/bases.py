@@ -40,7 +40,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import PureState, _is_real, _require_int, _require_json, _require_qubits
+from .states import PureState, _is_real, _require_int, _require_json, _require_key, _require_qubits
 
 BASIS_NORM_TOL = 1e-12
 
@@ -150,7 +150,10 @@ def family_to_dicts(family: list[QubitBasis]) -> list[dict]:
 
 def family_from_dicts(objs: list[dict]) -> list[QubitBasis]:
     family = [_require_json(o, dict, "family entry") for o in _require_json(objs, list, "family")]
-    return [make_qubit_basis(o["u"], o["v"], o["phi"]) for o in family]
+    return [
+        make_qubit_basis(*(_require_key(o, key, f"family[{i}]") for key in ("u", "v", "phi")))
+        for i, o in enumerate(family)
+    ]
 
 
 def _require_family_size(m) -> None:
@@ -182,14 +185,16 @@ def basis_id_to_dict(id: BasisId) -> dict:
     return {"tag": "entangled", "a": id.a}
 
 
-def basis_id_from_dict(obj: dict) -> BasisId:
-    tag = _require_json(obj, dict, "basis")["tag"]
+def basis_id_from_dict(obj: dict, where: str = "basis") -> BasisId:
+    """A basis id from its JSON form; where names the basis in the message for a missing key."""
+    tag = _require_key(_require_json(obj, dict, "basis"), "tag", where)
     if tag == "computational":
         return COMPUTATIONAL
     if tag == "local":
-        return local_id(_require_int(obj["a"], "a"), _require_int(obj["b"], "b"))
+        a, b = (_require_int(_require_key(obj, key, where), key) for key in ("a", "b"))
+        return local_id(a, b)
     if tag == "entangled":
-        return entangled_id(_require_int(obj["a"], "a"))
+        return entangled_id(_require_int(_require_key(obj, "a", where), "a"))
     raise ValueError(f"unknown basis tag {tag!r}")
 
 

@@ -146,8 +146,10 @@ class TrialPlan(NamedTuple):
 def _vectors_held(cfg: BenchConfig, n: int) -> int:
     """The 2^n-entry 8-byte vectors a trial of cfg at n holds besides its working set.
 
-    One int64 counts vector per basis record (m·n+1 in local mode, m+1 in
+    One counts vector per basis record (m·n+1 in local mode, m+1 in
     entangled mode), plus for the named families the plan's float64 table per basis.
+    The guard still counts 8 bytes per counts entry, though a trial's
+    sampled counts are int32, so the bound accepts no n it refused before.
     """
     records = cfg.m * n + 1 if cfg.mode == "local" else cfg.m + 1
     return records if cfg.state_family in RANDOM_FAMILIES else 2 * records

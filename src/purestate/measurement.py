@@ -19,9 +19,19 @@ integer, since ``None`` would draw fresh OS entropy on every call.
 ``sample_tables`` is the one loop that draws a list of tables, one keyed
 stream each: ``simulate_counts`` and the benchmark's trials both go through it.
 
+A sampled record's counts are int32 when its shots are at most 2^31 - 1,
+and int64 otherwise (``_counts_dtype``): ``sample_counts``, ``counts_from_dict``
+and ``read_counts`` all apply that one rule, and every consumer converts
+before its arithmetic.  Records built with int64 counts are taken everywhere.
+An exact record (``exact_record``) holds a read-only view of its table's
+float64 probabilities, not a copy.
+
 ``counts_data_from_dict`` checks the file's n and record count against the
 memory bound (``states.exceeds_memory_bound``: eight 2^n complex working
-vectors plus one int64 counts vector per record) before it parses a record.
+vectors plus 8 bytes per counts entry of every record, so the bound did not
+move with the narrower counts) before it parses a record.  A missing
+required key is refused with a ValueError that names the key and where it
+is missing.
 
 Counts files are written and read without a Python object per outcome:
 ``write_counts`` builds each counts object's text from the counts vector
@@ -51,7 +61,15 @@ from .bases import (
     family_to_dicts,
     rotate_qubit,
 )
-from .states import PureState, _is_real, _require_int, _require_json, _unique_keys, exceeds_memory_bound
+from .states import (
+    PureState,
+    _is_real,
+    _require_int,
+    _require_json,
+    _require_key,
+    _unique_keys,
+    exceeds_memory_bound,
+)
 
 # Depolarizing-noise rates per gate: single-qubit vs entangling.
 R_LOCAL = 5e-4
@@ -69,7 +87,14 @@ class ProbTable:
 
 @dataclass(frozen=True)
 class CountsRecord:
-    """Observed outcome counts for one basis; ``counts[k]`` indexed like the basis outcomes."""
+    """Observed outcome counts for one basis; ``counts[k]`` indexed like the basis outcomes.
+
+    Sampled and read-back counts are int32 when shots <= 2^31 - 1 and int64
+    otherwise (``_counts_dtype``); records built with int64 counts are taken
+    everywhere.  Cast to int64 or float64 before arithmetic that can pass
+    2^31 (a product of counts, say): int32 arithmetic wraps silently.  An
+    exact record (shots 0) holds float64 probabilities instead.
+    """
 
     basis: BasisId
     shots: int
@@ -218,17 +243,35 @@ def sampling_distribution(probs: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+def _counts_dtype(shots: int) -> type:
+    """The dtype of a sampled or read-back record's counts: int32 when shots <= 2^31 - 1, int64 otherwise.
+
+    No count of a record exceeds its shots, so the shots alone decide it.
+    """
+    return np.int32 if shots <= _INT32_MAX else np.int64
+
+
 def sample_counts(table: ProbTable, shots: int, rng: np.random.Generator) -> CountsRecord:
-    """Multinomial draw of ``shots`` outcomes from a probability table; shots must be a positive integer."""
+    """Multinomial draw of ``shots`` outcomes from a probability table; shots must be a positive integer.
+
+    The counts are int32 when shots <= 2^31 - 1 and int64 otherwise
+    (``_counts_dtype``); cast them before arithmetic that can pass 2^31.
+    """
     if _require_int(shots, "shots") <= 0:
         raise ValueError("shots must be positive")
-    counts = rng.multinomial(shots, sampling_distribution(table.probs))
+    counts = rng.multinomial(shots, sampling_distribution(table.probs)).astype(_counts_dtype(shots), copy=False)
     return CountsRecord(basis=table.basis, shots=shots, counts=counts)
 
 
-def exact_record(table: ProbTable, shots: int = 0) -> CountsRecord:
-    """Infinite-statistics stand-in: stores probabilities, shots = 0 marks it exact."""
-    return CountsRecord(basis=table.basis, shots=shots, counts=np.array(table.probs, dtype=np.float64))
+def exact_record(table: ProbTable) -> CountsRecord:
+    """Infinite-statistics stand-in: stores probabilities, shots = 0 marks it exact.
+
+    The counts are a read-only float64 view of ``table.probs``, sharing its
+    memory; only a table that is not float64 is copied.
+    """
+    probs = np.asarray(table.probs, dtype=np.float64).view()
+    probs.flags.writeable = False
+    return CountsRecord(basis=table.basis, shots=0, counts=probs)
 
 
 def to_empirical(record: CountsRecord) -> np.ndarray:
@@ -273,6 +316,8 @@ def sample_tables(tables, shots: int, seed: int, seed_key: tuple = ()) -> list[C
 
 # Top of the int64 counts vector: shots beyond it cannot be stored.
 _INT64_MAX = np.iinfo(np.int64).max
+# Largest shots whose counts are stored in four bytes.
+_INT32_MAX = np.iinfo(np.int32).max
 # What json.dump(..., indent=1) writes for a record's counts when there are none.
 _EMPTY_COUNTS = '"counts": {}'
 
@@ -287,10 +332,16 @@ def _bitstrings(ks: np.ndarray, n: int) -> list[str]:
     return (_bits(ks, n).astype(np.uint32) + ord("0")).view(f"U{n}").ravel().tolist()
 
 
+def _exact_sum(vec: np.ndarray) -> int:
+    """The exact sum of a non-empty vector of integers in [0, 2^63 - 1]: numpy's unless it could pass int64."""
+    return int(vec.sum()) if vec.size * int(vec.max()) <= _INT64_MAX else sum(vec.tolist())
+
+
 def _checked_counts(record: CountsRecord, n: int) -> np.ndarray:
     """The record's counts vector, once its shots are a positive integer and its counts 2^n integers in the int64 range.
 
-    Counts that are not integers, or are negative, could not be read back.
+    The counts must also sum to the shots.  Counts that are not integers,
+    are negative, or do not sum to the shots could not be read back.
     """
     if _require_int(record.shots, "shots") == 0:
         raise ValueError("exact probability records are not serialized as counts")
@@ -301,6 +352,11 @@ def _checked_counts(record: CountsRecord, n: int) -> np.ndarray:
         raise ValueError(f"record for basis {record.basis} holds counts of shape {vec.shape}, not ({1 << n},)")
     if not np.issubdtype(vec.dtype, np.integer) or vec.min() < 0 or vec.max() > _INT64_MAX:
         raise ValueError(f"record for basis {record.basis} holds counts that are not integers in [0, {_INT64_MAX}]")
+    total = _exact_sum(vec)
+    if total != record.shots:
+        raise ValueError(
+            f"record for basis {record.basis} holds counts summing to {total}, not its shots {record.shots}"
+        )
     return vec
 
 
@@ -362,40 +418,46 @@ def _raise_first_bad_outcome(counts: dict, n: int, shots: int) -> None:
             raise ValueError(f"count {c} for outcome {key!r} exceeds the record's shots {shots}")
 
 
-def counts_from_dict(obj: dict, n: int) -> CountsRecord:
+def counts_from_dict(obj: dict, n: int, where: str = "record") -> CountsRecord:
     """One record from its JSON form; of several malformed outcomes the first in file order is reported.
 
     Well-formed counts are checked and placed with whole-array operations:
     the keys' character codes come from one join of the keys, the counts
-    from one int64 array, and the sum is exact.  Only a malformed record is
-    walked outcome by outcome, to name its first bad outcome.  read_counts
-    hands over counts objects laid out as write_counts lays them out as
-    _WrittenCounts, read here without a Python object per outcome.
+    from one int64 array of the listed outcomes, and the sum is exact.  The
+    counts vector is allocated once, in ``_counts_dtype(shots)``: int32 when
+    shots <= 2^31 - 1, int64 otherwise, so cast it before arithmetic that
+    can pass 2^31.  Only a malformed record is walked outcome by outcome, to
+    name its first bad outcome.  read_counts hands over counts objects laid
+    out as write_counts lays them out as _WrittenCounts, read here without
+    a Python object per outcome.  where names the record in the message for
+    a missing key ("records[3]", say).
     """
     if exceeds_memory_bound(n, 1):
         raise ValueError(f"n={n} exceeds the memory bound for a counts vector")
-    basis = basis_id_from_dict(_require_json(obj, dict, "record")["basis"])
-    shots = _require_int(obj["shots"], "shots")
+    basis = basis_id_from_dict(_require_key(_require_json(obj, dict, "record"), "basis", where), f"basis of {where}")
+    where = f"{where} (basis {basis})"
+    shots = _require_int(_require_key(obj, "shots", where), "shots")
     if shots <= 0:
         raise ValueError(f"record for basis {basis} has non-positive shots {shots}")
     if shots > _INT64_MAX:
         raise ValueError(f"record for basis {basis} has shots {shots} beyond the int64 range")
-    counts = obj["counts"]
+    counts = _require_key(obj, "counts", where)
     if isinstance(counts, _WrittenCounts):
         # written in ascending outcome order, so the first outcome over shots is the first in the file
         vec, over = counts.vec, np.flatnonzero(counts.vec > shots)
         if over.size:
             key = format(over[0], f"0{n}b")
             raise ValueError(f"count {vec[over[0]]} for outcome {key!r} exceeds the record's shots {shots}")
+        # every count is now at most shots, so this cast narrows no value
+        vec = vec.astype(_counts_dtype(shots), copy=False)
     else:
         outcomes = _well_formed_outcomes(_require_json(counts, dict, "counts"), n, shots)
         if outcomes is None:
             _raise_first_bad_outcome(counts, n, shots)
         # length-n binary strings map one to one onto indices, and dict keys are unique
-        vec = np.zeros(1 << n, dtype=np.int64)
+        vec = np.zeros(1 << n, dtype=_counts_dtype(shots))
         vec[outcomes[0]] = outcomes[1]
-    # the int64 sum is exact unless as many counts as the largest could pass the int64 range
-    total = int(vec.sum()) if vec.size * int(vec.max()) <= _INT64_MAX else sum(vec.tolist())
+    total = _exact_sum(vec)
     if total != shots:
         raise ValueError(f"counts sum {total} does not match shots {shots}")
     return CountsRecord(basis=basis, shots=shots, counts=vec)
@@ -410,14 +472,14 @@ def counts_data_to_dict(data: CountsData) -> dict:
 
 
 def counts_data_from_dict(obj: dict) -> CountsData:
-    n = _require_int(_require_json(obj, dict, "counts data")["n"], "n")
+    n = _require_int(_require_key(_require_json(obj, dict, "counts data"), "n", "counts data"), "n")
     if n < 1:
         raise ValueError(f"bad system size n={n}")
-    objs = _require_json(obj["records"], list, "records")
+    objs = _require_json(_require_key(obj, "records", "counts data"), list, "records")
     if exceeds_memory_bound(n, len(objs)):
         raise ValueError(f"{len(objs)} records at n={n} exceed the memory bound")
-    family = family_from_dicts(obj["family"])
-    records = [counts_from_dict(r, n) for r in objs]
+    family = family_from_dicts(_require_key(obj, "family", "counts data"))
+    records = [counts_from_dict(r, n, f"records[{i}]") for i, r in enumerate(objs)]
     seen = set()
     for rec in records:
         _check_id(rec.basis, n, len(family))
@@ -436,11 +498,10 @@ def _counts_text(counts: np.ndarray, n: int) -> str:
     nonzero outcome is one row of character codes: a comma, the newline and
     indent, the quoted bitstring, ": " and the count in as many digits as
     the largest count has.  Dropping each count's leading zeros and the
-    first row's comma leaves the entries' text in outcome order.
+    first row's comma leaves the entries' text in outcome order.  The
+    counts sum to positive shots (``_checked_counts``), so one is nonzero.
     """
     ks = np.flatnonzero(counts)
-    if not ks.size:
-        return "{}"
     values = counts[ks].astype(np.int64)
     powers = 10 ** np.arange(len(str(values.max())) - 1, -1, -1, dtype=np.int64)
     lead = b',\n    "'
@@ -486,7 +547,9 @@ def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
     and a comma before every newline but the last.  Every character is
     checked: the fixed ones, n key characters 0/1, and 1 to 18 digits
     without a leading zero, so every count is a JSON integer in the int64
-    range.  The keys must ascend, so none repeats.
+    range.  The keys must ascend, so none repeats.  The vector is int32
+    when every count has at most 9 digits, so it fits, and int64 otherwise;
+    counts_from_dict casts it to its record's dtype once it has checked it.
     """
     ends = np.flatnonzero(body == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -515,8 +578,9 @@ def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
     index = (lines[:, len(indent) : len(indent) + n] & 1) @ (1 << np.arange(n - 1, -1, -1))
     if (np.diff(index) <= 0).any():
         raise _NotWritten
-    vec = np.zeros(1 << n, dtype=np.int64)
-    vec[index] = (chars * is_digit) @ 10 ** np.arange(width - 1, -1, -1)
+    dtype = np.int32 if width <= len(str(_INT32_MAX)) - 1 else np.int64
+    vec = np.zeros(1 << n, dtype=dtype)
+    vec[index] = (chars * is_digit) @ 10 ** np.arange(width - 1, -1, -1, dtype=dtype)
     return vec
 
 

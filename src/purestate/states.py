@@ -51,8 +51,10 @@ class PureState:
 def held_bytes(n: int, vectors: int = 0) -> int:
     """Bytes a run at n holds: eight 2^n-entry complex128 working vectors, plus ``vectors`` 8-byte ones.
 
-    The 8-byte vectors are one int64 counts vector per record and, where a
-    run keeps them, one float64 table per basis.
+    The 8-byte vectors are one counts vector per record and, where a run
+    keeps them, one float64 table per basis.  The guard still counts 8
+    bytes per counts entry, though sampled and read-back counts are int32
+    up to 2^31 - 1 shots, so no n is accepted that was refused before.
     """
     return (16 * 8 + 8 * vectors) << n
 
@@ -92,6 +94,14 @@ def _require_json(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {type(value).__name__}")
     return value
+
+
+def _require_key(obj: dict, key: str, where: str):
+    """obj[key], or a ValueError naming the key and where (a record, a family entry, the state) it is missing."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r} key") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -210,8 +220,8 @@ def state_from_dict(obj: dict) -> PureState:
     The types are checked over the pairs and over their flattened components
     at once, and the components converted by one np.array call.
     """
-    n = _require_int(_require_json(obj, dict, "state")["n"], "n")
-    pairs = obj["amps"]
+    n = _require_int(_require_key(_require_json(obj, dict, "state"), "n", "state"), "n")
+    pairs = _require_key(obj, "amps", "state")
     if not (isinstance(pairs, list) and set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         raise ValueError("amps must be a list of [re, im] pairs of numbers")
     flat = list(chain.from_iterable(pairs))

@@ -50,7 +50,7 @@ def test_benchmark_hooks_resolve():
 def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
     # one short --trace 1 run per estimator path, extra rows (local) and one row per basis (entangled),
     # and one of the bootstrap, whose checks then run too; simulate-cli-n16 stays out while its exact-data
-    # check fails about 1 operation in 7 (the canonical-rows rounding at n=16, ROADMAP item 2)
+    # check fails about 1 operation in 7 (the canonical-rows rounding at n=16, ROADMAP item 1)
     argv = ["perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0.5", "--trace", "1"]
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -231,6 +231,23 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts)) == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
 
+    def test_missing_basis_index_is_data_error_naming_it(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        text = counts.read_text()
+        counts.write_text(text.replace('\n    "a": 1,', "", 1))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        assert capsys.readouterr().err == "data error: basis of records[1] has no 'a' key\n"
+
+    def test_missing_state_key_is_data_error_naming_it(self, tmp_path, capsys):
+        counts, statef = tmp_path / "c.json", tmp_path / "s.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts), "--save-state", str(statef))
+        statef.write_text(statef.read_text().replace('"n": 2, ', ""))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
+        assert capsys.readouterr().err == "data error: state has no 'n' key\n"
+
     @pytest.mark.parametrize("text", ["[]", '"state"', '{"n": 1, "amps": {"0": [1, 0]}}'])
     def test_malformed_state_shape_is_data_error(self, tmp_path, capsys, text):
         counts, statef = tmp_path / "c.json", tmp_path / "s.json"

@@ -377,6 +377,82 @@ class TestExactRecords:
         with pytest.raises(ValueError):
             counts_to_dict(exact_record(table), 1)
 
+    def test_an_exact_record_is_a_read_only_view_of_its_table(self):
+        table = born_probs(haar_random(4, seed=52), local_id(1, 2), default_family(2))
+        rec = exact_record(table)
+        assert np.shares_memory(rec.counts, table.probs) and rec.counts.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            rec.counts[0] = 1.0
+        # the table itself stays writable, and the record sees what is written to it
+        table.probs[0] = 0.5
+        assert rec.counts[0] == 0.5
+
+    def test_a_table_that_is_not_float64_is_copied(self):
+        probs = np.array([0.25, 0.75], dtype=np.float32)
+        rec = exact_record(ProbTable(n=1, basis=COMPUTATIONAL, probs=probs))
+        assert rec.counts.dtype == np.float64 and not np.shares_memory(rec.counts, probs)
+        assert np.array_equal(rec.counts, [0.25, 0.75]) and not rec.counts.flags.writeable
+
+
+class TestCountsDtype:
+    """Sampled and read-back counts are int32 up to 2^31 - 1 shots and int64 beyond."""
+
+    def test_simulated_and_read_back_counts_are_int32(self, tmp_path):
+        data = random_counts_data(4, "local", 2, 8192, seed=12)
+        assert {r.counts.dtype for r in data.records} == {np.dtype(np.int32)}
+        path = tmp_path / "counts.json"
+        write_counts(path, data)
+        text = path.read_text()
+        for read in (measurement._read_written, json_read):
+            back = read(text)
+            assert {r.counts.dtype for r in back.records} == {np.dtype(np.int32)}
+            for ra, rb in zip(back.records, data.records, strict=True):
+                assert ra.shots == rb.shots and np.array_equal(ra.counts, rb.counts)
+
+    def test_the_shots_decide_the_dtype(self):
+        table = ProbTable(n=1, basis=COMPUTATIONAL, probs=np.array([0.5, 0.5]))
+        for shots, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+            rec = sample_counts(table, shots, seeded_rng(0))
+            assert rec.counts.dtype == dtype and int(rec.counts.astype(np.int64).sum()) == shots
+
+    @pytest.mark.parametrize(
+        "shots, counts, dtype",
+        [
+            (2**31, [2**31 - 5, 5], np.int64),
+            (2**31, [2**30, 2**30], np.int64),
+            (2**59, [2**59 - 1, 1], np.int64),
+            (2**31 - 1, [2**31 - 2, 1], np.int32),
+            (2_000_000_000, [1_500_000_000, 500_000_000], np.int32),
+        ],
+        ids=["2^31", "2^31 from 10-digit counts", "2^59", "int32 maximum", "10-digit counts"],
+    )
+    def test_large_shots_round_trip_exactly(self, tmp_path, shots, counts, dtype):
+        rec = CountsRecord(basis=COMPUTATIONAL, shots=shots, counts=np.array(counts, dtype=np.int64))
+        path = tmp_path / "counts.json"
+        write_counts(path, CountsData(n=1, family=default_family(2), records=[rec]))
+        text = path.read_text()
+        for read in (measurement._read_written, json_read):
+            (back,) = read(text).records
+            assert back.shots == shots and back.counts.dtype == dtype and back.counts.tolist() == counts
+
+    def test_a_count_of_2_31_at_1000_shots_is_still_refused(self, tmp_path):
+        rec = CountsRecord(basis=COMPUTATIONAL, shots=2**31, counts=np.array([2**31, 0, 0, 0]))
+        path = tmp_path / "counts.json"
+        write_counts(path, CountsData(n=2, family=default_family(2), records=[rec]))
+        path.write_text(path.read_text().replace(f'"shots": {2**31}', '"shots": 1000'))
+        message = "count 2147483648 for outcome '00' exceeds the record's shots 1000"
+        for read in (measurement._read_written, json_read):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(path.read_text())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_counts(path)
+
+    def test_records_built_with_int64_counts_are_taken(self):
+        data = random_counts_data(3, "local", 2, 500, seed=14)
+        wide = [CountsRecord(r.basis, r.shots, r.counts.astype(np.int64)) for r in data.records]
+        assert counts_data_to_dict(CountsData(data.n, data.family, wide)) == counts_data_to_dict(data)
+        assert all(np.array_equal(to_empirical(a), to_empirical(b)) for a, b in zip(wide, data.records))
+
 
 def random_counts_data(n, mode, m, shots, seed):
     st = haar_random(n, seed=seed)
@@ -406,9 +482,12 @@ class TestCountsIO:
         cases = [random_counts_data(n, mode, m, 64 << n, seed=10 * n + m)
                  for n in range(1, 7) for mode in ("local", "entangled") for m in (2, 3, 4)]
         fam = default_family(2)
-        empty = CountsRecord(basis=local_id(1, 1), shots=3, counts=np.zeros(4, dtype=np.int64))
-        cases.append(CountsData(n=2, family=fam, records=[empty]))
         cases.append(CountsData(n=2, family=fam, records=[]))
+        # a record with no nonzero count sums to 0, not its shots: both writers refuse it
+        empty = CountsRecord(basis=local_id(1, 1), shots=3, counts=np.zeros(4, dtype=np.int64))
+        for write in (lambda data: write_counts(tmp_path / "empty.json", data), counts_data_to_dict):
+            with pytest.raises(ValueError, match="^record for basis local:1:1 holds counts summing to 0, not its shots 3$"):
+                write(CountsData(n=2, family=fam, records=[empty]))
         for k, data in enumerate(cases):
             path = tmp_path / f"counts{k}.json"
             write_counts(path, data)
@@ -510,6 +589,48 @@ class TestCountsIO:
 
 def record(counts, shots=5):
     return {"basis": {"tag": "computational"}, "shots": shots, "counts": counts}
+
+
+class TestMissingKeys:
+    """A missing required key is a ValueError naming the key and where it is missing, on both read paths."""
+
+    # (path to the dict that loses the key, the key, the message); record 1 is local:1:1
+    CASES = [
+        ((), "n", "counts data has no 'n' key"),
+        ((), "family", "counts data has no 'family' key"),
+        ((), "records", "counts data has no 'records' key"),
+        (("family", 1), "u", "family[1] has no 'u' key"),
+        (("family", 1), "v", "family[1] has no 'v' key"),
+        (("family", 0), "phi", "family[0] has no 'phi' key"),
+        (("records", 1), "basis", "records[1] has no 'basis' key"),
+        (("records", 1), "shots", "records[1] (basis local:1:1) has no 'shots' key"),
+        (("records", 1), "counts", "records[1] (basis local:1:1) has no 'counts' key"),
+        (("records", 0, "basis"), "tag", "basis of records[0] has no 'tag' key"),
+        (("records", 1, "basis"), "a", "basis of records[1] has no 'a' key"),
+        (("records", 3, "basis"), "b", "basis of records[3] has no 'b' key"),
+    ]
+
+    @pytest.mark.parametrize("where, key, message", CASES, ids=[m for _, _, m in CASES])
+    def test_a_missing_key_is_named_by_both_read_paths(self, tmp_path, where, key, message):
+        obj = counts_data_to_dict(random_counts_data(3, "local", 2, 64, seed=3))
+        inner = obj
+        for step in where:
+            inner = inner[step]
+        del inner[key]
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(obj, indent=1) + "\n")
+        assert read_outcome(lambda _: read_counts(path), None) == ("ValueError", message)
+        assert read_outcome(json_read, path.read_text()) == ("ValueError", message)
+
+    def test_a_missing_entangled_index_is_named(self):
+        obj = counts_data_to_dict(random_counts_data(2, "entangled", 2, 64, seed=4))
+        del obj["records"][2]["basis"]["a"]
+        with pytest.raises(ValueError, match=r"^basis of records\[2\] has no 'a' key$"):
+            counts_data_from_dict(obj)
+
+    def test_a_lone_record_is_named_as_a_record(self):
+        with pytest.raises(ValueError, match=r"^record \(basis computational\) has no 'shots' key$"):
+            counts_from_dict({"basis": {"tag": "computational"}, "counts": {"00": 5}}, 2)
 
 
 class TestCountsMessages:
@@ -754,8 +875,9 @@ class TestCountsFileBytes:
             (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(float)), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts - 1), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(np.uint64) + 2**63), "not integers in"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts + 2000 * (np.arange(8) == 0)), "summing to 2064, not its shots 64"),
         ],
-        ids=["wrong shape", "exact record", "negative shots", "float shots", "float counts", "negative count", "beyond int64"],
+        ids=["wrong shape", "exact record", "negative shots", "float shots", "float counts", "negative count", "beyond int64", "sum off shots"],
     )
     def test_a_refused_write_leaves_an_existing_file_as_it_was(self, tmp_path, bad, message):
         data = random_counts_data(3, "local", 2, 64, seed=5)

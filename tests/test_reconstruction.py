@@ -1323,8 +1323,8 @@ class TestCarriedTransforms:
         assert shared == [False] + [True] * (n - 1)
 
     def test_extra_rows_read_each_level_s_tables_when_they_get_to_them(self):
-        # exact_record copies each of the 29 tables, and the level pass holds about 41 tables' worth
-        # at its peak; stacking all 28 local tables up front would add 28
+        # exact_record shares each of the 29 tables, and the level pass holds about 41 tables' worth
+        # at its peak; stacking all 28 local tables up front would add 28, and copying the tables 29
         n = 14
         tables = exact_tables(haar_random(n, seed=1950), "local", 2)
         table_bytes = tables[0].probs.nbytes
@@ -1334,10 +1334,10 @@ class TestCarriedTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (len(tables) + 52) * table_bytes, peak / table_bytes
+        assert peak < 52 * table_bytes, peak / table_bytes
 
     def test_canonical_rows_stack_the_local_tables_one_level_at_a_time(self):
-        # exact_record copies each of the 29 tables, and the level pass holds about 17
+        # exact_record shares each of the 29 tables, and the level pass holds about 18
         # tables' worth at its peak; stacking all 28 local tables at once would add 28
         n = 14
         tables = exact_tables(haar_random(n, seed=1950), "local", 2)
@@ -1348,7 +1348,21 @@ class TestCarriedTransforms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (len(tables) + 24) * table_bytes, peak / table_bytes
+        assert peak < 24 * table_bytes, peak / table_bytes
+
+    def test_exact_tables_are_read_in_place(self):
+        # exact_record views each table; at n = 12 the canonical level pass holds about 18 tables'
+        # worth, less than the 25 tables themselves, which a copy of each would add
+        n = 12
+        tables = exact_tables(haar_random(n, seed=1951), "local", 2)
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=False)
+        tracemalloc.start()
+        try:
+            reconstruct_from_probs(tables, n, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(t.probs.nbytes for t in tables), peak / tables[0].probs.nbytes
 
 
 def outcome_is_read(id, k, n, extra):

@@ -302,6 +302,16 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 state_from_dict(obj)
 
+    @pytest.mark.parametrize("key", ["n", "amps"])
+    def test_a_missing_key_is_named(self, tmp_path, key):
+        path = tmp_path / "state.json"
+        save_state(haar_random(2, seed=1), path)
+        obj = json.loads(path.read_text())
+        del obj[key]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"^state has no '{key}' key$"):
+            load_state(path)
+
     def test_json_nan_is_rejected_on_load(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"n": 1, "amps": [[NaN, 0.0], [1.0, 0.0]]}')
