@@ -59,6 +59,7 @@ from .bases import (
     circuit_gates,
     family_from_dicts,
     family_to_dicts,
+    make_qubit_basis,
     rotate_qubit,
 )
 from .states import (
@@ -480,6 +481,14 @@ def counts_data_from_dict(obj: dict) -> CountsData:
         raise ValueError(f"{len(objs)} records at n={n} exceed the memory bound")
     family = family_from_dicts(_require_key(obj, "family", "counts data"))
     records = [counts_from_dict(r, n, f"records[{i}]") for i, r in enumerate(objs)]
+    _check_data(n, family, records)
+    return CountsData(n=n, family=family, records=records)
+
+
+def _check_data(n: int, family: list, records: list) -> None:
+    """What read_counts refuses in a data set as a whole: a bad family entry, a basis out of range or repeated."""
+    for qb in family:
+        make_qubit_basis(qb.u, qb.v, qb.phi)
     seen = set()
     for rec in records:
         _check_id(rec.basis, n, len(family))
@@ -487,7 +496,6 @@ def counts_data_from_dict(obj: dict) -> CountsData:
         if key in seen:
             raise ValueError(f"duplicate record for basis {key}")
         seen.add(key)
-    return CountsData(n=n, family=family, records=records)
 
 
 def _counts_text(counts: np.ndarray, n: int) -> str:
@@ -519,13 +527,14 @@ def _counts_text(counts: np.ndarray, n: int) -> str:
 def write_counts(path: str, data: CountsData) -> None:
     """Write json.dump(counts_data_to_dict(data), fh, indent=1) and a newline, one record at a time.
 
-    Every record is checked, and the file laid out with every counts object
-    empty, before the file is opened, so a refused record leaves an existing
-    file as it was.  Each record's counts object is then built from its
-    counts vector by ``_counts_text`` in one numpy pass, with no Python
-    object per outcome, and written in its place.
+    The records and the data as a whole are checked, and the file laid out
+    with every counts object empty, before the file is opened, so refused
+    data leaves an existing file as it was.  Each record's counts object is
+    then built from its counts vector by ``_counts_text`` in one numpy pass,
+    with no Python object per outcome, and written in its place.
     """
     vecs = [_checked_counts(r, data.n) for r in data.records]
+    _check_data(data.n, data.family, data.records)
     layout = {
         "n": data.n,
         "family": family_to_dicts(data.family),

@@ -25,24 +25,25 @@ this is self-consistent.
 
 reconstruct reads at each level only that level's records, L_aj for a =
 1..m or every E_a, through one selection of their outcomes, and solves the
-level in one batched pass over all its blocks: the level's rows (_level_rows)
-form one PhaseSystem, and solve_phase decides every block's path in one
+level in one batched pass over all its blocks: solve_phase takes the
+level's (3, L, k) rows (_level_rows), decides every block's path in one
 call and returns the phases as unit complex numbers, which multiply the B
-halves as they are.  The three estimator variants differ only in the
-outcomes they feed one layout: (m, L, s, h) probabilities, s pivot signs
-times h tail patterns, are (2, 2^(j-1)) with extra rows and (1, 1) for the
-canonical outcome alone (canonical rows; entangled bases).  The rows need
-each child's transform under every family basis a, (m, L, h):
-U_a^dagger^{x(j-1)} child with extra rows, else its <-_a|^{x(j-1)}
-contraction.  These are carried up the levels in one (m, .) array: a merged
-block [A; e^{i delta} B] transforms as one rotate_qubit on its top qubit of
-[T(A), e^{i delta} T(B)], so each level costs one rotation, and extra rows
-cost O(m n 2^n) in all.  build_system is the same row assembly run on a
-single block's transforms.  rotate_qubit is elementwise and each system is
-summed over its own rows, so a block's transforms, rows, cond and phase are
-the same bits alone or in a batch.  Diagnostics keeps each level's solve as
-arrays (a Level); its (j, beta) dicts and label lists are built from them
-on access.
+halves as they are; under ambiguity_policy='fail' reconstruct raises
+AmbiguityError at the level's first fallback block.  The three estimator
+variants differ only in the outcomes they feed one layout: (m, L, s, h)
+probabilities, s pivot signs times h tail patterns, are (2, 2^(j-1)) with
+extra rows and (1, 1) for the canonical outcome alone (canonical rows;
+entangled bases).  The rows need each child's transform under every family
+basis a, (m, L, h): U_a^dagger^{x(j-1)} child with extra rows, else its
+<-_a|^{x(j-1)} contraction.  These are carried up the levels in one (m, .)
+array: a merged block [A; e^{i delta} B] transforms as one rotate_qubit on
+its top qubit of [T(A), e^{i delta} T(B)], so each level costs one
+rotation, and extra rows cost O(m n 2^n) in all.  build_system returns the
+same (3, 1, k) rows for a single block's transforms.  rotate_qubit is
+elementwise and each system is summed over its own rows, so a block's
+transforms, rows, cond and phase are the same bits alone or in a batch.
+Diagnostics keeps each level's solve as arrays (a Level); its (j, beta)
+dicts and label lists are built from them on access.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ class AmbiguityError(RuntimeError):
         super().__init__(f"phase system (j={j}, beta={beta}): {message}")
         self.j = j
         self.beta = beta
-
-
-@dataclass(frozen=True)
-class PhaseSystem:
-    """The phase systems of blocks betas at level j, k linear equations on (cos delta, sin delta) each.
-
-    rows is (3, L, k), laid out as _level_rows returns it: axis 0 holds the
-    two row columns and the right-hand side, axis 1 runs over the L blocks.
-    """
-
-    j: int
-    betas: np.ndarray  # (L,) block indices
-    rows: np.ndarray  # (3, L, k) real
 
 
 @dataclass(frozen=True)
@@ -168,8 +156,9 @@ class ReconstructionOptions:
 class Level(NamedTuple):
     """One level's solve: its null blocks, its live blocks and solve_phase's arrays for them.
 
-    nulls and betas are ascending block indices; cond, cos, sin and the
-    fallback / default masks run parallel to betas.
+    nulls and betas are ascending block indices; cond, cos, sin (the unit
+    phases' real and imaginary parts) and the fallback / default masks run
+    parallel to betas.
     """
 
     j: int
@@ -272,8 +261,8 @@ def build_system(
     tb: np.ndarray,
     probs: np.ndarray,
     family: list[QubitBasis],
-) -> PhaseSystem:
-    """Assemble the phase system for block (j, beta) from its children's transforms and its probabilities.
+) -> np.ndarray:
+    """The (3, 1, k) rows of block (j, beta)'s phase system, from its children's transforms and its probabilities.
 
     probs is (m, 2, 2^(j-1)), every outcome of family bases 1..m indexed by
     pivot-sign bit and tail bits (a set bit means -), or (m,), the canonical
@@ -284,7 +273,7 @@ def build_system(
     onto _level_rows's one layout as a batch of this one block, the canonical
     outcome as one pivot sign and one tail pattern: (m, 1, 2, 2^(j-1)) or
     (m, 1, 1, 1) probabilities.  Rows run basis by basis, then in outcome
-    order; the result is reconstruct's level system for that batch.
+    order; the result is the rows reconstruct solves for that batch.
 
     An outcome with pivot sign s0 and tail pattern w yields
         A = <s0|0><W_w|childA>,  B = <s0|1><W_w|childB>,  X = conj(A) B,
@@ -308,14 +297,15 @@ def build_system(
     if ta.shape != shape or tb.shape != shape:
         raise ValueError(f"transforms of block (j={j}, beta={beta}) need shape {shape}, got {ta.shape} and {tb.shape}")
     s, h = probs.shape[1:] or (1, 1)  # the canonical outcome is one pivot sign and one tail pattern
-    rows = _level_rows(ta.reshape(m, 1, h), tb.reshape(m, 1, h), probs.reshape(m, 1, s, h), _FamilyArrays(family[:m]))
-    return PhaseSystem(j=j, betas=np.array([beta]), rows=rows)
+    return _level_rows(ta.reshape(m, 1, h), tb.reshape(m, 1, h), probs.reshape(m, 1, s, h), _FamilyArrays(family[:m]))
 
 
-def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
-    """Every block's (cond, cos delta, sin delta, fallback, default_phase), arrays of shape (L,).
+def solve_phase(rows: np.ndarray, cond_threshold: float) -> tuple:
+    """Every block's (cond, phase, fallback, default_phase), arrays of shape (L,); phase holds the unit e^{i delta}.
 
-    The circle objective of a block is, with x = (cos delta, sin delta),
+    rows is (3, L, k), as _level_rows lays it out: axis 0 holds the two row
+    columns and the right-hand side, axis 1 runs over the L blocks.  The
+    circle objective of a block is, with x = (cos delta, sin delta),
 
         |rows x - rhs|^2 = S1/2 + Re(e^{2i delta} S2)/2 - 2 Re(e^{i delta} C) + sum rhs^2,
 
@@ -337,21 +327,16 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
     Under a cond within the threshold, a bad det is solved by np.linalg.lstsq
     instead.  A block whose rows are all exactly zero, or whose solution lies
     within ZERO_SOLUTION_EPS of the origin, pins nothing: it gets the default
-    phase (1, 0).  A block with cond above the threshold raises
-    AmbiguityError under ambiguity_policy='fail' (the first such block of
-    the level) and otherwise falls back to its dominant row a cos + b sin = d
-    (the largest norm, the lowest index on ties).  With w = (a + ib) / |(a, b)|
+    phase (1, 0).  A block with cond above cond_threshold falls back to its
+    dominant row a cos + b sin = d (the largest norm, the lowest index on
+    ties).  With w = (a + ib) / |(a, b)|
     and t = d / |(a, b)| clamped to [-1, 1] (the nearest point when the line
     misses), the row meets the circle at c0, c1 = w (t +- i h), h = sqrt(1 - t^2),
     where f(c1) - f(c0) = 2 h g for g = t Im(w^2 S2) - 2 Im(w C): the sign of
     g picks the point of smaller residual over all rows.  A |g| within TIE_EPS
     of the block's own terms |t w^2 S2| + 2 |w C| is a tie, whatever the
     rows' scale; ties break toward delta = 0, then toward non-negative sine.
-
-    cos and sin are the real and imaginary parts, as views, of one complex
-    array of the unit phases e^{i delta}: cos.base is that array.
     """
-    rows = sys.rows
     if rows.shape[2] < 1:
         raise ValueError("empty phase system")
     L = rows.shape[1]
@@ -374,19 +359,15 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
         r = np.abs(z)
         phase = z / r
         # a det <= 0 leaves cond NaN or r inf or NaN, an infinite one r 0 or NaN: cond and r decide
-        ok = (cond <= opts.cond_threshold) & (r >= ZERO_SOLUTION_EPS) & (r < np.inf)
-        cos_d, sin_d = phase.real, phase.imag
+        ok = (cond <= cond_threshold) & (r >= ZERO_SOLUTION_EPS) & (r < np.inf)
         if np.count_nonzero(ok) == L:
-            return cond, cos_d, sin_d, fallback, default
+            return cond, phase, fallback, default
         rest = np.flatnonzero(~ok)
         cond[rest[~(lo[rest] > 0.0)]] = np.inf
         live = rows[:2, rest].any(axis=(0, 2))
-        within = cond[rest] <= opts.cond_threshold
+        within = cond[rest] <= cond_threshold
         ls, ill = rest[live & within], rest[live & ~within]
         default[rest[~live]] = True
-        if ill.size and opts.ambiguity_policy == "fail":
-            i = ill[0]
-            raise AmbiguityError(sys.j, int(sys.betas[i]), f"condition number {cond[i]:.3g} above threshold")
         for i in ls.tolist():
             if not (det4[i] > 0.0 and det4[i] < np.inf):
                 x, y = np.linalg.lstsq(rows[:2, i].T, rows[2, i], rcond=None)[0]
@@ -410,7 +391,7 @@ def solve_phase(sys: PhaseSystem, opts: ReconstructionOptions) -> tuple:
             by_cos = (c1.real > c0.real + TIE_EPS) | ((np.abs(c1.real - c0.real) <= TIE_EPS) & (c1.imag > c0.imag))
             phase[ill] = np.where(np.where(tie, by_cos, g < 0), c1, c0)
     phase[default] = 1.0
-    return cond, cos_d, sin_d, fallback, default
+    return cond, phase, fallback, default
 
 
 def _records_by_id(records: list[CountsRecord], n: int) -> dict:
@@ -488,8 +469,9 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     j's blocks _entangled_block_offset(n, j) + beta in entangled mode.  Each
     level is one batched pass over all its live blocks: _level_rows
     assembles every block's rows at once, and one solve_phase call returns
-    every block's cond and phase and decides its least squares, fallback,
-    default phase or AmbiguityError.  The rows are built from the children's
+    every block's cond and phase and decides its least squares, fallback or
+    default phase.  Under ambiguity_policy='fail' the level's first fallback
+    block raises AmbiguityError instead.  The rows are built from the children's
     transforms, carried up the levels: once a level is solved, its B halves
     take their phases, as the unit complex numbers the solve returns, and
     one rotate_qubit on the new top qubit turns the merged blocks into the
@@ -543,16 +525,18 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
         if betas.size:
             p = np.array([rec.counts[outcomes] for rec in recs[level]]) / shots[level]
             p = p.reshape((-1, L) + ((2, half) if extra else (1, 1)))
-            sys = PhaseSystem(j=j, betas=betas, rows=_level_rows(t[:, live, 0], t[:, live, 1], p[:, live], fam))
-            cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts)
-            phase = cos_d.base[:, None]  # the unit phases e^{i delta}, of which cos_d and sin_d are views
-            view[live, 1] *= phase
+            rows = _level_rows(t[:, live, 0], t[:, live, 1], p[:, live], fam)
+            cond, phase, fallback, default = solve_phase(rows, opts.cond_threshold)
+            if opts.ambiguity_policy == "fail" and fallback.any():
+                i = fallback.argmax()  # the level's first ill-conditioned block
+                raise AmbiguityError(j, int(betas[i]), f"condition number {cond[i]:.3g} above threshold")
+            view[live, 1] *= phase[:, None]
             if j > 1:  # at j = 1 carry is a view of work
-                t[:, live, 1] *= phase
+                t[:, live, 1] *= phase[:, None]
         else:
-            cond = cos_d = sin_d = np.empty(0)
+            cond, phase = np.empty(0), np.empty(0, dtype=np.complex128)
             fallback = default = np.zeros(0, dtype=bool)
-        diag.levels.append(Level(j, nulls, betas, cond, cos_d, sin_d, fallback, default))
+        diag.levels.append(Level(j, nulls, betas, cond, phase.real, phase.imag, fallback, default))
         if j < n:  # the block's top qubit sits just above its h tail patterns
             carry = rotate_qubit(carry, t.shape[3].bit_length() - 1, rotation)
     norm = float(np.linalg.norm(work))

@@ -1,4 +1,4 @@
-"""Bit-identity digests: of reconstruct, one SHA-256 per estimator variant, and of the file I/O, each over a fixed grid.
+"""Bit-identity digests of reconstruct (one per estimator variant, one of its fail policy) and of the file I/O.
 
 A change that must not move any result (a refactor, or a speedup that
 keeps the arithmetic) is checked by running this script on both
@@ -14,7 +14,13 @@ of every Level.  The grid is the 7 benchmark state families x n = 1..n_max
 the exact tables, 4,096 shots, and 4,096 shots at white-noise weight 0.05.
 The seed picks the state of the random families (haar, separable) and the
 sampling stream of every family.  The variants are local with extra rows,
-local with canonical rows and entangled, all at m = 2.
+local with canonical rows and entangled, all at m = 2.  The fourth line,
+fail-policy, runs every variant on the same grid again under
+ambiguity_policy="fail" at cond_threshold FAIL_THRESHOLD, where 712 of
+the 1,224 runs up to n = 10 raise.  For each run it hashes the
+AmbiguityError's (j, beta, message), or the reconstruction as above when
+nothing is raised, so it sees where the policy raises, which the other
+three never do.
 
 With --io the one digest covers the bytes write_counts and save_state
 write and the arrays read_counts and load_state return, over n = 1..n_max
@@ -25,6 +31,7 @@ x white-noise weight 0 and 0.05, with one Haar state per n.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,7 +51,7 @@ from purestate.measurement import (
     simulate_counts,
     write_counts,
 )
-from purestate.reconstruction import ReconstructionOptions, reconstruct
+from purestate.reconstruction import AmbiguityError, ReconstructionOptions, reconstruct
 from purestate.states import haar_random, load_state, save_state
 
 M = 2
@@ -56,6 +63,12 @@ VARIANTS = {
     "extra-rows": ReconstructionOptions(mode="local", m=M),
     "canonical-rows": ReconstructionOptions(mode="local", m=M, use_extra_rows=False),
     "entangled": ReconstructionOptions(mode="entangled", m=M),
+}
+FAIL = "fail-policy"
+FAIL_THRESHOLD = 3.0
+FAIL_VARIANTS = {
+    name: dataclasses.replace(opts, cond_threshold=FAIL_THRESHOLD, ambiguity_policy="fail")
+    for name, opts in VARIANTS.items()
 }
 
 
@@ -69,6 +82,17 @@ def update(h, state, diag) -> None:
         for a in lv[1:]:
             h.update(repr((a.dtype.str, a.shape)).encode())
             h.update(np.ascontiguousarray(a).tobytes())
+
+
+def update_fail(h, records, n, opts) -> bool:
+    """Feed one fail-policy run to h: the AmbiguityError's (j, beta, message), else as update does; True if it raised."""
+    try:
+        state, diag = reconstruct(records, n, opts)
+    except AmbiguityError as e:
+        h.update(repr((e.j, e.beta, str(e))).encode())
+        return True
+    update(h, state, diag)
+    return False
 
 
 def record_sets(kind: str, n: int, seed: int):
@@ -87,16 +111,19 @@ def record_sets(kind: str, n: int, seed: int):
 
 
 def digests(n_max: int = 10) -> dict:
-    """{variant: (SHA-256 hex digest, reconstructions)} over the grid up to n_max qubits."""
-    hashes = {name: hashlib.sha256() for name in VARIANTS}
-    runs = dict.fromkeys(VARIANTS, 0)
+    """{variant or FAIL: (SHA-256 hex digest, reconstructions)} over the grid up to n_max qubits."""
+    hashes = {name: hashlib.sha256() for name in (*VARIANTS, FAIL)}
+    runs = dict.fromkeys(hashes, 0)
     for kind in STATE_FAMILIES:
         for n in range(2 if kind in ("phi4", "ghz") else 1, n_max + 1):
             for seed in SEEDS:
                 for by_mode in record_sets(kind, n, seed):
                     for name, opts in VARIANTS.items():
-                        update(hashes[name], *reconstruct(by_mode[opts.mode], n, opts))
+                        records = by_mode[opts.mode]
+                        update(hashes[name], *reconstruct(records, n, opts))
+                        update_fail(hashes[FAIL], records, n, FAIL_VARIANTS[name])
                         runs[name] += 1
+                        runs[FAIL] += 1
     return {name: (h.hexdigest(), runs[name]) for name, h in hashes.items()}
 
 

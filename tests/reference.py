@@ -37,7 +37,13 @@ from purestate.bases import (
 )
 from purestate.benchmark import TrialRow
 from purestate.measurement import ProbTable, to_empirical
-from purestate.reconstruction import ReconstructionOptions, amplitudes_from_counts, build_system, solve_phase
+from purestate.reconstruction import (
+    AmbiguityError,
+    ReconstructionOptions,
+    amplitudes_from_counts,
+    build_system,
+    solve_phase,
+)
 from purestate.states import PureState, _freeze, global_phase_normalize
 
 
@@ -134,10 +140,10 @@ def role_index(role):
     return role.a - 1, int(role.sign0 == -1), tail
 
 
-def solve_one(sys, opts=None):
-    """solve_phase on a one-block system: (cos, sin, fallback, default_phase, cond) as Python scalars."""
-    cond, cos_d, sin_d, fallback, default = solve_phase(sys, opts or ReconstructionOptions())
-    return float(cos_d[0]), float(sin_d[0]), bool(fallback[0]), bool(default[0]), float(cond[0])
+def solve_one(rows, opts=None):
+    """solve_phase on one block's rows at opts' cond_threshold: (cos, sin, fallback, default_phase, cond) as scalars."""
+    cond, phase, fallback, default = solve_phase(rows, (opts or ReconstructionOptions()).cond_threshold)
+    return float(phase[0].real), float(phase[0].imag), bool(fallback[0]), bool(default[0]), float(cond[0])
 
 
 @dataclass
@@ -204,8 +210,9 @@ def reference_reconstruct(records, n, opts):
                     assert extra or role.is_canonical
                     probs[role_index(role) if extra else a - 1] = emp[str(id)][k]
             ta, tb = (t[:, : width // 2], t[:, width // 2 :]) if extra else (t[:, 0], t[:, 1])
-            sys = build_system(j, beta, ta, tb, probs, family)
-            cos_d, sin_d, fallback, default, cond = solve_one(sys, opts)
+            cos_d, sin_d, fallback, default, cond = solve_one(build_system(j, beta, ta, tb, probs, family), opts)
+            if fallback and opts.ambiguity_policy == "fail":
+                raise AmbiguityError(j, beta, f"condition number {cond:.3g} above threshold")
             diag.conds[(j, beta)] = cond
             diag.phases[(j, beta)] = (cos_d, sin_d)
             if fallback:

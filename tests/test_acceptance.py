@@ -18,7 +18,7 @@ from purestate.measurement import (
     simulate_counts,
     write_counts,
 )
-from purestate.reconstruction import PhaseSystem, ReconstructionOptions, reconstruct, solve_phase
+from purestate.reconstruction import ReconstructionOptions, reconstruct, solve_phase
 from purestate.benchmark import BenchConfig, bench_run, prep_noise_lambda
 from reference import oracle_grid_reconstruct
 
@@ -133,7 +133,7 @@ def test_criterion_7_unit_circle_and_normalization_invariants():
             rows[1:] = rows[0] * rng.standard_normal((rows.shape[0] - 1, 1))
         t = rng.uniform(0, 2 * np.pi)
         rhs = rows @ np.array([np.cos(t), np.sin(t)]) + 0.01 * rng.standard_normal(rows.shape[0])
-        _, (c,), (s_,), _, _ = solve_phase(PhaseSystem(j=1, betas=np.array([0]), rows=np.vstack([rows.T, rhs])[:, None]), opts)
+        c, s_ = solve_phase(np.vstack([rows.T, rhs])[:, None], opts.cond_threshold)[1].view(np.float64)
         worst_circle = max(worst_circle, abs(c * c + s_ * s_ - 1.0))
 
     # reconstruct outputs across the estimation matrix

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -47,14 +48,19 @@ def test_benchmark_hooks_resolve():
 
 
 @pytest.mark.parametrize("workload", ["mc-local-haar-n10", "mc-entangled-phi1-n12", "bootstrap-ghz4-noisy"])
-def test_traced_benchmark_run_reports_every_per_layer_metric(workload):
+def test_traced_benchmark_run_reports_every_per_layer_metric(workload, tmp_path):
     # one short --trace 1 run per estimator path, extra rows (local) and one row per basis (entangled),
     # and one of the bootstrap, whose checks then run too; simulate-cli-n16 stays out while its exact-data
-    # check fails about 1 operation in 7 (the canonical-rows rounding at n=16, ROADMAP item 1)
+    # check fails about 1 operation in 7 (the canonical-rows rounding at n=16, ROADMAP item 1).
+    # The run is of a copy of perfbench/ and src/, so the trace it saves leaves the checkout's results alone
+    skip = shutil.ignore_patterns("results", "__pycache__")
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
     argv = ["perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0.5", "--trace", "1"]
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, proc.stderr
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert [row["name"] for row in per_layer if row["name"] not in result["metrics"]] == []
+    assert (tmp_path / "perfbench" / "results" / f"trace-{workload}-seed0.npz").is_file()

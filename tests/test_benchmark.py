@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from purestate.states import MEMORY_BOUND_BYTES, fidelity, haar_random, make_state, named_state
-from purestate.bases import default_family, estimation_basis_ids
+from purestate.bases import default_family, estimation_basis_ids, local_id
 import purestate.benchmark as benchmark
 from purestate.measurement import (
+    CountsRecord,
     ProbTable,
     born_probs,
     exact_record,
@@ -337,6 +338,30 @@ class TestBootstrap:
         monkeypatch.setattr(benchmark, "seeded_rng", lambda *args: drawn.append(args))  # each resample's stream
         with pytest.raises(ValueError, match="cannot bootstrap exact-probability records"):
             bootstrap_ci(recs, 2, ReconstructionOptions(), st, 100, seed=0)
+        assert drawn == []
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts + 2000 * (np.arange(8) == 0)), "summing to 3000, not its shots 1000"),
+            (lambda r: CountsRecord(r.basis, None, r.counts), "shots of record local:1:3 must be an integer, got None"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts[:-1]), r"holds counts of shape \(7,\), not \(8,\)"),
+            (lambda r: CountsRecord(r.basis, r.shots, r.counts / 1.0), "not integers in"),
+            (lambda r: CountsRecord(local_id(1, 1), r.shots, r.counts), "^duplicate record for basis local:1:1$"),
+        ],
+        ids=["counts off shots", "shots None", "wrong shape", "float counts", "duplicate basis"],
+    )
+    def test_records_read_counts_would_refuse_are_rejected_before_any_resample(self, monkeypatch, edit, message):
+        # reconstruct reads counts / shots and would go on; bootstrap_ci checks each record as write_counts does
+        st = haar_random(3, 1)
+        ids = estimation_basis_ids(3, 2, "local")
+        records = simulate_counts(st, ids, default_family(2), 1000, seed=0).records
+        i = ids.index(local_id(1, 3))
+        records[i] = edit(records[i])
+        drawn = []
+        monkeypatch.setattr(benchmark, "seeded_rng", lambda *args: drawn.append(args))  # each resample's stream
+        with pytest.raises(ValueError, match=message):
+            bootstrap_ci(records, 3, ReconstructionOptions(), st, 100, seed=0)
         assert drawn == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

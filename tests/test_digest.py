@@ -1,4 +1,4 @@
-"""The bit-identity digest (tests/digest.py) on its grid up to n = 4."""
+"""The bit-identity digests (tests/digest.py) on their grids up to n = 4."""
 
 import hashlib
 import re
@@ -9,17 +9,19 @@ import digest
 from purestate.states import haar_random
 from purestate.bases import default_family, estimation_basis_ids
 from purestate.measurement import born_tables, exact_record
-from purestate.reconstruction import reconstruct
+from purestate.reconstruction import AmbiguityError, reconstruct
 
 
 def test_digests_are_reproducible_and_tell_the_variants_apart():
     first = digest.digests(n_max=4)
     assert first == digest.digests(n_max=4)
-    # 7 families x n = 1..4, less phi4 and ghz at n = 1, x 2 seeds x 3 record sets
-    assert {name: runs for name, (_, runs) in first.items()} == dict.fromkeys(digest.VARIANTS, (7 * 4 - 2) * 2 * 3)
+    # 7 families x n = 1..4, less phi4 and ghz at n = 1, x 2 seeds x 3 record sets; the fail policy runs all three
+    per_variant = (7 * 4 - 2) * 2 * 3
+    expected = {**dict.fromkeys(digest.VARIANTS, per_variant), digest.FAIL: 3 * per_variant}
+    assert {name: runs for name, (_, runs) in first.items()} == expected
     hexdigests = [h for h, _ in first.values()]
     assert all(re.fullmatch("[0-9a-f]{64}", h) for h in hexdigests)
-    assert len(set(hexdigests)) == 3
+    assert len(set(hexdigests)) == 4
 
 
 def test_one_bit_of_any_level_array_or_amplitude_changes_the_digest():
@@ -52,8 +54,35 @@ def test_one_bit_of_any_level_array_or_amplitude_changes_the_digest():
 def test_the_script_prints_one_line_per_variant(capsys):
     digest.main(["--n-max", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == list(digest.VARIANTS)
+    assert [line.split()[0] for line in lines] == [*digest.VARIANTS, digest.FAIL]
     assert [line.split()[1:] for line in lines] == [[h, str(runs)] for h, runs in digest.digests(n_max=2).values()]
+
+
+def test_the_fail_digest_hashes_raises_and_returns(monkeypatch):
+    # at cond_threshold FAIL_THRESHOLD some runs of the grid raise and the others return an estimate
+    outcomes = []
+    update_fail = digest.update_fail
+    monkeypatch.setattr(digest, "update_fail", lambda *args: outcomes.append(update_fail(*args)) or outcomes[-1])
+    _, runs = digest.digests(n_max=4)[digest.FAIL]
+    assert len(outcomes) == runs
+    assert 0 < sum(outcomes) < runs
+
+
+def test_a_raise_moved_to_another_block_changes_the_fail_digest(monkeypatch):
+    def hexdigest(error):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(digest, "reconstruct", fail)
+        h = hashlib.sha256()
+        assert digest.update_fail(h, [], 3, digest.FAIL_VARIANTS["extra-rows"])
+        return h.hexdigest()
+
+    inf, finite = "condition number inf above threshold", "condition number 7.5 above threshold"
+    base = hexdigest(AmbiguityError(2, 1, inf))
+    assert base == hexdigest(AmbiguityError(2, 1, inf))
+    for moved in ((3, 1, inf), (2, 0, inf), (2, 1, finite)):
+        assert hexdigest(AmbiguityError(*moved)) != base, moved
 
 
 def test_the_io_digest_is_reproducible_and_counts_every_file():

@@ -894,6 +894,34 @@ class TestCountsFileBytes:
         assert not (tmp_path / "new.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: CountsData(d.n, d.family, d.records + [d.records[1]]),
+            lambda d: CountsData(d.n, d.family, d.records + [CountsRecord(local_id(3, 1), 1000, d.records[1].counts)]),
+            lambda d: CountsData(d.n, d.family, d.records + [CountsRecord(local_id(1, 4), 1000, d.records[1].counts)]),
+            lambda d: CountsData(d.n, [d.family[0], QubitBasis(1.0, 0.0, 0.0)], d.records),
+        ],
+        ids=["duplicate basis", "basis beyond the family", "qubit beyond n", "computational family entry"],
+    )
+    def test_data_read_counts_refuses_is_not_written(self, tmp_path, edit):
+        # each record is well formed, but read_counts refuses the data as a whole: write_counts
+        # refuses it too, with the same message, before it opens the file
+        data = simulate_counts(haar_random(3, 1), estimation_basis_ids(3, 2, "local"), default_family(2), 1000, seed=0)
+        bad = edit(data)
+        dumped = tmp_path / "dumped.json"
+        dumped.write_text(json.dumps(counts_data_to_dict(bad), indent=1) + "\n")
+        with pytest.raises(ValueError) as refused:
+            read_counts(dumped)
+        path = tmp_path / "counts.json"
+        write_counts(path, data)
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as err:
+            write_counts(path, bad)
+        assert str(err.value) == str(refused.value)
+        assert path.read_bytes() == before
+
+
 class TestCountsReadParity:
     """read_counts gives the data, or the refusal, that counts_data_from_dict gives for json's parse of the file."""
 

@@ -39,7 +39,6 @@ from purestate.reconstruction import (
     AmbiguityError,
     Diagnostics,
     Level,
-    PhaseSystem,
     ReconstructionOptions,
     amplitudes_from_counts,
     build_system,
@@ -96,25 +95,41 @@ UNBALANCED = (
 )
 
 
-def make_system(rows, rhs, j=1, beta=0):
-    """The PhaseSystem of one block whose k equations are rows (k, 2) . x = rhs (k,)."""
+def make_system(rows, rhs):
+    """The (3, 1, k) rows of one block whose k equations are rows (k, 2) . x = rhs (k,)."""
     rows = np.asarray(rows, dtype=float)
-    return PhaseSystem(j=j, betas=np.array([beta]), rows=np.vstack([rows.T, rhs])[:, None])
+    return np.vstack([rows.T, rhs])[:, None]
 
 
-def stack_systems(systems, j=1, betas=None):
-    """One PhaseSystem holding the blocks of single-block systems that share k."""
-    betas = np.arange(len(systems)) if betas is None else np.asarray(betas)
-    return PhaseSystem(j=j, betas=betas, rows=np.concatenate([sys.rows for sys in systems], axis=1))
+def stack_systems(systems):
+    """The rows of single-block systems that share k, stacked as one level's blocks."""
+    return np.concatenate(systems, axis=1)
+
+
+def level_one_failure(monkeypatch, sys, n, betas):
+    """reconstruct under ambiguity_policy='fail', level 1's live blocks betas solved as sys by a stubbed solve_phase.
+
+    The AmbiguityError's (j, beta, message), or None when reconstruct returns.
+    """
+    amps = np.zeros((1 << (n - 1), 2))
+    amps[betas] = 1.0
+    st = make_state(amps / np.linalg.norm(amps))
+    records = [exact_record(t) for t in exact_tables(st, "local", 2)]
+    monkeypatch.setattr(reconstruction, "solve_phase", lambda rows, threshold: solve_phase(sys, threshold))
+    try:
+        reconstruct(records, n, ReconstructionOptions(ambiguity_policy="fail"))
+    except AmbiguityError as e:
+        return e.j, e.beta, str(e)
+    return None
 
 
 def rows_of(sys):
     """The (k, 2) rows of a one-block system."""
-    return sys.rows[:2, 0].T
+    return sys[:2, 0].T
 
 
 def rhs_of(sys):
-    return sys.rows[2, 0]
+    return sys[2, 0]
 
 
 class TestAmplitudesFromCounts:
@@ -162,7 +177,7 @@ class TestBuildSystem:
         # scalar children of modulus 1 turn the m=2 canonical rows into the identity
         fam = default_family(2)
         sys = build_from_children(1, 0, [1.0], [1.0], [0.5, 0.5], fam)
-        assert sys.rows.shape == (3, 1, 2)
+        assert sys.shape == (3, 1, 2)
         assert np.allclose(rows_of(sys), np.eye(2), atol=1e-12)
         assert np.isclose(np.linalg.det(rows_of(sys)), 1.0, atol=1e-12)
         assert np.isclose(solve_one(sys)[4], 1.0, atol=1e-12)
@@ -192,8 +207,7 @@ class TestBuildSystem:
             lo, half = beta << j, 1 << (j - 1)
             probs = block_probs(st, j, beta, fam)
             sys = build_from_children(j, beta, st.amps[lo : lo + half], st.amps[lo + half : lo + 2 * half], probs, fam)
-            assert (sys.j, sys.betas.tolist()) == (j, [beta])
-            assert sys.rows.shape == (3, 1, 3 << j)
+            assert sys.shape == (3, 1, 3 << j)
             assert np.allclose(rows_of(sys) @ np.array([1.0, 0.0]), rhs_of(sys), atol=1e-12)
 
     @pytest.mark.parametrize("fam", [default_family(2), list(UNBALANCED)], ids=["balanced", "unbalanced"])
@@ -220,7 +234,7 @@ class TestBuildSystem:
         full = build_system(j, beta, ta, tb, probs, fam)
         # the all-minus tail entry of the full transform is the canonical outcome's
         canon = build_system(j, beta, ta[:, 3], tb[:, 3], probs[:, 0, 3], fam)
-        assert np.array_equal(full.rows[:, :, [3, 11]], canon.rows)
+        assert np.array_equal(full[:, :, [3, 11]], canon)
 
     def test_orthogonal_child_yields_zero_information_row(self):
         # childB proportional to |+_1> is invisible through the all-minus tail
@@ -325,35 +339,45 @@ class TestSolvePhase:
         assert default
 
     def test_fail_policy_raises_with_location(self):
-        opts = ReconstructionOptions(ambiguity_policy="fail")
+        # solve_phase flags the block; reconstruct raises with its level and block index
+        _, _, fallback, default = solve_phase(make_system([[1.0, 0.0]], [0.6]), ReconstructionOptions().cond_threshold)
+        assert fallback.tolist() == [True] and default.tolist() == [False]
+        # block (2, 1)'s B child is |+_2>, orthogonal to <-_2|: its canonical rows have rank 1
+        amps = np.array([0.3, 0.2j, 0.4, -0.1, 0.3, 0.5j, 0.6, 0.6j])
+        st = make_state(amps / np.linalg.norm(amps))
+        records = [exact_record(t) for t in exact_tables(st, "local", 2)]
+        opts = ReconstructionOptions(mode="local", m=2, use_extra_rows=False, ambiguity_policy="fail")
         with pytest.raises(AmbiguityError) as err:
-            solve_phase(make_system([[1.0, 0.0]], [0.6], j=3, beta=5), opts)
-        assert err.value.j == 3
-        assert err.value.beta == 5
+            reconstruct(records, 3, opts)
+        assert err.value.j == 2
+        assert err.value.beta == 1
+        assert "condition number inf above threshold" in str(err.value)
 
-    def test_fail_policy_raises_at_the_first_ill_conditioned_block(self):
+    def test_fail_policy_raises_at_the_first_ill_conditioned_block(self, monkeypatch):
         # zero rows come first but get the default phase; the raise names the next block
-        opts = ReconstructionOptions(ambiguity_policy="fail")
         plain = make_system(np.eye(2), [0.6, 0.8])
         zero = make_system(np.zeros((2, 2)), [0.1, 0.2])
         ill = make_system([[1.0, 0.0], [2.0, 0.0]], [0.6, 1.2])
-        sys = stack_systems([plain, zero, ill, ill], j=4, betas=[2, 3, 5, 7])
-        with pytest.raises(AmbiguityError) as err:
-            solve_phase(sys, opts)
-        assert (err.value.j, err.value.beta) == (4, 5)
-        assert "condition number inf above threshold" in str(err.value)
-        _, _, _, fallback, default = solve_phase(stack_systems([plain, zero, plain], j=4), opts)
+        sys = stack_systems([plain, zero, ill, ill])
+        threshold = ReconstructionOptions().cond_threshold
+        _, _, fallback, default = solve_phase(sys, threshold)
+        assert fallback.tolist() == [False, False, True, True] and default.tolist() == [False, True, False, False]
+        # level 1 of n = 4 with live blocks 2, 3, 5 and 7: the raise names block 5
+        j, beta, message = level_one_failure(monkeypatch, sys, 4, [2, 3, 5, 7])
+        assert (j, beta) == (1, 5)
+        assert "condition number inf above threshold" in message
+        _, _, fallback, default = solve_phase(stack_systems([plain, zero, plain]), threshold)
         assert default.tolist() == [False, True, False] and not fallback.any()
 
-    def test_fail_policy_leaves_clean_systems_alone(self):
-        opts = ReconstructionOptions(ambiguity_policy="fail")
-        cos_d, sin_d, *_ = solve_one(make_system(np.eye(2), [0.6, 0.8]), opts)
+    def test_fail_policy_leaves_clean_systems_alone(self, monkeypatch):
+        cos_d, sin_d, fallback, default, _ = solve_one(make_system(np.eye(2), [0.6, 0.8]))
         assert (cos_d, sin_d) == pytest.approx((0.6, 0.8), abs=1e-12)
+        assert not (fallback or default)
+        assert level_one_failure(monkeypatch, make_system(np.eye(2), [0.6, 0.8]), 1, [0]) is None
 
     def test_empty_system_rejected(self):
-        sys = PhaseSystem(j=1, betas=np.array([0]), rows=np.empty((3, 1, 0)))
         with pytest.raises(ValueError):
-            solve_phase(sys, ReconstructionOptions())
+            solve_phase(np.empty((3, 1, 0)), ReconstructionOptions().cond_threshold)
 
     def test_every_solution_lies_on_the_unit_circle(self):
         rng = np.random.default_rng(41)
@@ -380,12 +404,13 @@ class TestSolvePhase:
             "cosine tie": make_system([[0.0, 1.0], [0.0, 0.0]], [0.6, 0.0]),
         }
         opts = ReconstructionOptions(cond_threshold=threshold)
-        batch = solve_phase(stack_systems(list(systems.values())), opts)
+        batch = solve_phase(stack_systems(list(systems.values())), opts.cond_threshold)
         for i, (name, sys) in enumerate(systems.items()):
-            alone = solve_phase(sys, opts)
+            alone = solve_phase(sys, opts.cond_threshold)
             for got, want in zip(batch, alone):
                 assert got[i] == want[0] and type(got[i]) is type(want[0]), name
-        cond, cos_d, sin_d, fallback, default = batch
+        cond, phase, fallback, default = batch
+        cos_d, sin_d = phase.real, phase.imag
         paths = {name: ("fallback" if f else "default" if d else "ls") for name, f, d in zip(systems, fallback, default)}
         expected = {
             "least squares": ("ls", 0.6, 0.8),
@@ -444,12 +469,11 @@ class TestFallbackPick:
         systems += [(make_system(*rank_one_plus_noise(rng, 1e-9)), ReconstructionOptions()) for _ in range(10)]
         systems += [(make_system(*rank_one_plus_noise(rng, 1e-2)), ReconstructionOptions(cond_threshold=10.0)) for _ in range(10)]
         for sys, opts in systems:
-            _, cos0, sin0, fallback, _ = solve_phase(sys, opts)
+            _, phase0, fallback, _ = solve_phase(sys, opts.cond_threshold)
             assert fallback[0]
             for k in range(41):
-                scaled = PhaseSystem(j=sys.j, betas=sys.betas, rows=sys.rows * 2.0**-k)
-                _, cos_d, sin_d, fallback, _ = solve_phase(scaled, opts)
-                assert fallback[0] and (cos_d[0], sin_d[0]) == (cos0[0], sin0[0]), k
+                _, phase, fallback, _ = solve_phase(sys * 2.0**-k, opts.cond_threshold)
+                assert fallback[0] and (phase[0].real, phase[0].imag) == (phase0[0].real, phase0[0].imag), k
 
     def test_a_clear_gap_picks_the_point_of_smaller_residual(self):
         rng = np.random.default_rng(84)
@@ -534,7 +558,8 @@ class TestClosedForm:
             path, cond_ref = self.expected_path(rows, rhs)
             if cond_ref is not None and self.THRESHOLD / 100 < cond_ref < self.THRESHOLD * 100:
                 continue  # too near the threshold for the two cond computations to agree on the side
-            cond, cos_d, sin_d, fallback, default = solve_phase(make_system(rows, rhs), ReconstructionOptions())
+            cond, phase, fallback, default = solve_phase(make_system(rows, rhs), self.THRESHOLD)
+            cos_d, sin_d = phase.real, phase.imag
             got = "fallback" if fallback[0] else "default" if default[0] else "ls"
             assert got == path, kind
             seen[kind, path] = seen.get((kind, path), 0) + 1
@@ -551,17 +576,16 @@ class TestClosedForm:
         assert {kind for kind, path in seen if path == "fallback"} >= {"rank-1", "ill"}
         assert {kind for kind, path in seen if path == "default"} >= {"zero rows", "at the origin"}
 
-    def test_fail_policy_raises_exactly_where_the_oracle_falls_back(self):
-        opts = ReconstructionOptions(ambiguity_policy="fail")
+    def test_fail_policy_raises_exactly_where_the_oracle_falls_back(self, monkeypatch):
         for kind, rows, rhs in oracle_systems(71, 200):
             path, cond_ref = self.expected_path(rows, rhs)
             if cond_ref is not None and self.THRESHOLD / 100 < cond_ref < self.THRESHOLD * 100:
                 continue
-            if path == "fallback":
-                with pytest.raises(AmbiguityError):
-                    solve_phase(make_system(rows, rhs, j=2, beta=3), opts)
-            else:
-                solve_phase(make_system(rows, rhs, j=2, beta=3), opts)
+            _, _, fallback, _ = solve_phase(make_system(rows, rhs), self.THRESHOLD)
+            assert fallback[0] == (path == "fallback"), kind
+            # through reconstruct at n = 1: the one block raises exactly when it falls back
+            failure = level_one_failure(monkeypatch, make_system(rows, rhs), 1, [0])
+            assert (failure is not None) == (path == "fallback"), kind
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 16, 17, 64])
     def test_a_block_gets_the_same_bits_alone_and_in_a_batch(self, k):
@@ -570,30 +594,25 @@ class TestClosedForm:
         systems = [make_system(rows, rhs) for _, rows, rhs in oracle_systems(72 + k, 96) if rows.shape[0] == k]
         systems += [make_system(rows[:k], rhs[:k]) for _, rows, rhs in oracle_systems(90 + k, 48) if rows.shape[0] > k]
         for threshold in (1e6, np.inf):
-            opts = ReconstructionOptions(cond_threshold=threshold)
-            batch = solve_phase(stack_systems(systems), opts)
+            batch = solve_phase(stack_systems(systems), threshold)
             for i, sys in enumerate(systems):
-                for got, want in zip(batch, solve_phase(sys, opts)):
+                for got, want in zip(batch, solve_phase(sys, threshold)):
                     assert got[i] == want[0] or (np.isnan(got[i]) and np.isnan(want[0]))
 
     def test_a_zero_determinant_over_a_rounding_residue_goes_to_lstsq(self):
         # proportional columns: S1 - |S2| is exactly 0, but the closed form's numerator is a
         # rounding residue of 1e-17, so z is infinite; under cond_threshold=inf lstsq solves it
         rows, rhs = np.array([[0.21, -0.147], [0.36, -0.252]]), np.array([-0.13, 0.78])
-        opts = ReconstructionOptions(cond_threshold=np.inf)
-        cond, cos_d, sin_d, fallback, default = solve_phase(make_system(rows, rhs), opts)
+        cond, phase, fallback, default = solve_phase(make_system(rows, rhs), np.inf)
         x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         assert cond[0] == np.inf and not (fallback[0] or default[0])
-        assert np.allclose((cos_d[0], sin_d[0]), x / np.hypot(*x), rtol=0, atol=1e-12)
+        assert np.allclose((phase[0].real, phase[0].imag), x / np.hypot(*x), rtol=0, atol=1e-12)
 
-    def test_cos_and_sin_are_views_of_the_unit_phases(self):
+    def test_the_phases_are_unit_complex_numbers(self):
         plain, single, zero = np.eye(2), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2))
         systems = [make_system(plain, [0.3, 0.4]), make_system(single, [0.6, 0.0]), make_system(zero, [1.0, 0.0])]
-        sys = stack_systems(systems)
-        cond, cos_d, sin_d, fallback, default = solve_phase(sys, ReconstructionOptions())
-        phase = cos_d.base
-        assert phase is sin_d.base and phase.dtype == np.complex128 and phase.shape == (3,)
-        assert np.array_equal(phase.real, cos_d) and np.array_equal(phase.imag, sin_d)
+        cond, phase, fallback, default = solve_phase(stack_systems(systems), ReconstructionOptions().cond_threshold)
+        assert phase.dtype == np.complex128 and phase.shape == (3,)
         assert np.allclose(phase, [0.6 + 0.8j, 0.6 + 0.8j, 1.0], atol=1e-15)
 
 
@@ -1106,16 +1125,16 @@ class TestKernelMatchesReference:
         ta, tb = rng.normal(size=(2, m, L, h)) + 1j * rng.normal(size=(2, m, L, h))
         p = rng.uniform(0.0, 1.0, size=(m, L, s, h))
         rows = reconstruction._level_rows(ta, tb, p, reconstruction._FamilyArrays(fam))
-        opts = ReconstructionOptions(m=m)
-        level = solve_phase(PhaseSystem(j=j, betas=np.arange(L), rows=rows), opts)
+        threshold = ReconstructionOptions(m=m).cond_threshold
+        level = solve_phase(rows, threshold)
         assert rows.shape == (3, L, m * s * h)
         assert rows.flags.c_contiguous
         t_shape, p_shape = ((m, half), (m, 2, half)) if extra else ((m,), (m,))
         for i in range(L):
             ta_i, tb_i = ta[:, i].reshape(t_shape), tb[:, i].reshape(t_shape)
             sys = build_system(j, i, ta_i, tb_i, p[:, i].reshape(p_shape), fam)
-            assert np.array_equal(sys.rows, rows[:, i : i + 1])
-            for got, want in zip(level, solve_phase(sys, opts)):
+            assert np.array_equal(sys, rows[:, i : i + 1])
+            for got, want in zip(level, solve_phase(sys, threshold)):
                 assert got[i] == want[0]
 
     @pytest.mark.parametrize("threshold", [1e9, 1e12, np.inf])
@@ -1462,16 +1481,17 @@ class TestEmptyLevels:
             built.append(ta.shape[1])
             return level_rows(ta, *args)
 
-        def count_solves(sys, *args):
-            solved.append(sys.j)
-            return solve(sys, *args)
+        def count_solves(rows, *args):
+            solved.append(rows.shape[1])
+            return solve(rows, *args)
 
         monkeypatch.setattr(reconstruction, "_level_rows", count_rows)
         monkeypatch.setattr(reconstruction, "solve_phase", count_solves)
         est, diag = reconstruct(records, n, opts)
         live = [lv.j for lv in diag.levels if lv.betas.size]
         assert 0 < len(live) < n
-        assert solved == live and 0 not in built and len(built) == len(live)
+        assert solved == [lv.betas.size for lv in diag.levels if lv.betas.size]
+        assert 0 not in built and len(built) == len(live)
         assert fidelity(named_state(kind, n), est) > 1 - 1e-12
 
 
