@@ -38,9 +38,9 @@ from .measurement import (
     R_ENTANGLING,
     R_LOCAL,
     CountsRecord,
-    _checked_counts,
     born_tables,
     check_noise_weight,
+    check_records,
     compose_lambdas,
     gate_noise_lambda,
     mix_white_noise,
@@ -50,7 +50,7 @@ from .measurement import (
     simulate_counts,
     to_empirical,
 )
-from .reconstruction import ReconstructionOptions, _records_by_id, reconstruct
+from .reconstruction import ReconstructionOptions, reconstruct
 from .states import (
     MEMORY_BOUND_BYTES,
     PureState,
@@ -325,21 +325,18 @@ def bootstrap_ci(
 
     Each resample redraws every record's counts multinomially from its own
     empirical distribution and reconstructs from scratch.  Before the first
-    draw, exact-probability records (shots <= 0) are rejected, then records
-    write_counts would refuse (counts not summing to the shots, say) and a
-    repeated basis.  Each record's sampling_distribution is built once per
-    call, so every draw is the one sample_counts would make.  The point
-    estimate is the median of the resampled fidelities, so it always sits
-    inside the band; the plug-in value is available through reconstruct +
-    fidelity.
+    draw the records go through check_records once, then exact records
+    (shots 0), which hold no counts to redraw, are refused.  Each record's
+    sampling_distribution is built once per call, so every draw is the one
+    sample_counts would make.  The point estimate is the median of the
+    resampled fidelities, so it always sits inside the band; the plug-in
+    value is available through reconstruct + fidelity.
     """
     if _require_int(B, "B") < 100:
         raise ValueError("need at least 100 bootstrap resamples")
-    if any(_require_int(rec.shots, f"shots of record {rec.basis}") <= 0 for rec in records):
+    check_records(records, n)
+    if any(rec.shots == 0 for rec in records):
         raise ValueError("cannot bootstrap exact-probability records")
-    for rec in records:
-        _checked_counts(rec, n)
-    _records_by_id(records, n)  # no basis repeated
     probs = [sampling_distribution(to_empirical(rec)) for rec in records]
     fids = np.empty(B)
     for b in range(B):

@@ -24,7 +24,8 @@ and int64 otherwise (``_counts_dtype``): ``sample_counts``, ``counts_from_dict``
 and ``read_counts`` all apply that one rule, and every consumer converts
 before its arithmetic.  Records built with int64 counts are taken everywhere.
 An exact record (``exact_record``) holds a read-only view of its table's
-float64 probabilities, not a copy.
+float64 probabilities, not a copy.  ``check_records`` is the one rule for
+valid records at every boundary, with one message per fault.
 
 ``counts_data_from_dict`` checks the file's n and record count against the
 memory bound (``states.exceeds_memory_bound``: eight 2^n complex working
@@ -91,10 +92,10 @@ class CountsRecord:
     """Observed outcome counts for one basis; ``counts[k]`` indexed like the basis outcomes.
 
     Sampled and read-back counts are int32 when shots <= 2^31 - 1 and int64
-    otherwise (``_counts_dtype``); records built with int64 counts are taken
+    otherwise (``_counts_dtype``); records of any integer dtype are taken
     everywhere.  Cast to int64 or float64 before arithmetic that can pass
     2^31 (a product of counts, say): int32 arithmetic wraps silently.  An
-    exact record (shots 0) holds float64 probabilities instead.
+    exact record (shots 0) holds float64 probabilities; see check_records.
     """
 
     basis: BasisId
@@ -333,32 +334,57 @@ def _bitstrings(ks: np.ndarray, n: int) -> list[str]:
     return (_bits(ks, n).astype(np.uint32) + ord("0")).view(f"U{n}").ravel().tolist()
 
 
-def _exact_sum(vec: np.ndarray) -> int:
-    """The exact sum of a non-empty vector of integers in [0, 2^63 - 1]: numpy's unless it could pass int64."""
-    return int(vec.sum()) if vec.size * int(vec.max()) <= _INT64_MAX else sum(vec.tolist())
+def _exact_sum(vec: np.ndarray) -> int | None:
+    """Exact sum of a non-empty integer vector, None if an entry lies outside [0, 2^63 - 1].
 
-
-def _checked_counts(record: CountsRecord, n: int) -> np.ndarray:
-    """The record's counts vector, once its shots are a positive integer and its counts 2^n integers in the int64 range.
-
-    The counts must also sum to the shots.  Counts that are not integers,
-    are negative, or do not sum to the shots could not be read back.
+    Up to 32 entries go through Python ints, faster there than numpy's min, sum and (past four bytes) max.
     """
-    if _require_int(record.shots, "shots") == 0:
+    if vec.size <= 32:
+        counts = vec.tolist()
+        return sum(counts) if min(counts) >= 0 and max(counts) <= _INT64_MAX else None
+    top = int(vec.max()) if vec.dtype.itemsize > 4 else 0
+    if vec.min() < 0 or top > _INT64_MAX:
+        return None
+    return int(vec.sum()) if vec.size * top <= _INT64_MAX else sum(vec.tolist())
+
+
+def check_records(records: list[CountsRecord], n: int) -> dict:
+    """The records keyed by str(basis), once each obeys the rule every boundary applies, one message per fault.
+
+    - shots are an integer >= 0;
+    - the counts have shape (2^n,);
+    - shots 0 marks an exact record, which holds finite, non-negative reals;
+    - a sampled record holds integers in [0, 2^63 - 1] summing exactly to its shots;
+    - no basis appears twice.
+    """
+    by_id = {}
+    for rec in records:
+        key = str(rec.basis)
+        shots = _require_int(rec.shots, f"shots of record {key}")
+        if shots < 0:
+            raise ValueError(f"record {key} has negative shots {shots}")
+        vec = np.asarray(rec.counts)
+        if vec.shape != (1 << n,):
+            raise ValueError(f"record {key} holds counts of shape {vec.shape}, not ({1 << n},)")
+        if shots == 0:  # min and max are NaN when any entry is: both comparisons then fail
+            if vec.dtype.kind not in "biuf" or not (vec.min() >= 0 and vec.max() < np.inf):
+                raise ValueError(f"exact record {key} holds probabilities that are not finite reals >= 0")
+        elif vec.dtype.kind not in "iu" or (total := _exact_sum(vec)) is None:
+            raise ValueError(f"record {key} holds counts that are not integers in [0, {_INT64_MAX}]")
+        elif total != shots:
+            raise ValueError(f"record {key} holds counts summing to {total}, not its shots {shots}")
+        if key in by_id:
+            raise ValueError(f"duplicate record for basis {key}")
+        by_id[key] = rec
+    return by_id
+
+
+def _counts_vectors(records: list[CountsRecord], n: int) -> list[np.ndarray]:
+    """The records' counts vectors, once check_records takes them and none is exact: a file holds counts only."""
+    check_records(records, n)
+    if any(rec.shots == 0 for rec in records):
         raise ValueError("exact probability records are not serialized as counts")
-    if record.shots < 0:
-        raise ValueError(f"record for basis {record.basis} has non-positive shots {record.shots}")
-    vec = np.asarray(record.counts)
-    if vec.shape != (1 << n,):
-        raise ValueError(f"record for basis {record.basis} holds counts of shape {vec.shape}, not ({1 << n},)")
-    if not np.issubdtype(vec.dtype, np.integer) or vec.min() < 0 or vec.max() > _INT64_MAX:
-        raise ValueError(f"record for basis {record.basis} holds counts that are not integers in [0, {_INT64_MAX}]")
-    total = _exact_sum(vec)
-    if total != record.shots:
-        raise ValueError(
-            f"record for basis {record.basis} holds counts summing to {total}, not its shots {record.shots}"
-        )
-    return vec
+    return [np.asarray(rec.counts) for rec in records]
 
 
 def counts_to_dict(record: CountsRecord, n: int) -> dict:
@@ -367,7 +393,7 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
     Bitstring keys read qubit n-1 leftmost, matching the tensor-product order
     used everywhere else.
     """
-    vec = _checked_counts(record, n)
+    (vec,) = _counts_vectors([record], n)
     nz = np.flatnonzero(vec)
     counts = dict(zip(_bitstrings(nz, n), map(int, vec[nz].tolist())))
     return {"basis": basis_id_to_dict(record.basis), "shots": int(record.shots), "counts": counts}
@@ -481,21 +507,17 @@ def counts_data_from_dict(obj: dict) -> CountsData:
         raise ValueError(f"{len(objs)} records at n={n} exceed the memory bound")
     family = family_from_dicts(_require_key(obj, "family", "counts data"))
     records = [counts_from_dict(r, n, f"records[{i}]") for i, r in enumerate(objs)]
+    check_records(records, n)  # no basis repeated
     _check_data(n, family, records)
     return CountsData(n=n, family=family, records=records)
 
 
-def _check_data(n: int, family: list, records: list) -> None:
-    """What read_counts refuses in a data set as a whole: a bad family entry, a basis out of range or repeated."""
-    for qb in family:
-        make_qubit_basis(qb.u, qb.v, qb.phi)
-    seen = set()
+def _check_data(n: int, family: list, records: list) -> list[QubitBasis]:
+    """The family as make_qubit_basis reduces it, once no entry is refused and every record's basis is in range."""
+    family = [make_qubit_basis(qb.u, qb.v, qb.phi) for qb in family]
     for rec in records:
         _check_id(rec.basis, n, len(family))
-        key = str(rec.basis)
-        if key in seen:
-            raise ValueError(f"duplicate record for basis {key}")
-        seen.add(key)
+    return family
 
 
 def _counts_text(counts: np.ndarray, n: int) -> str:
@@ -507,7 +529,7 @@ def _counts_text(counts: np.ndarray, n: int) -> str:
     indent, the quoted bitstring, ": " and the count in as many digits as
     the largest count has.  Dropping each count's leading zeros and the
     first row's comma leaves the entries' text in outcome order.  The
-    counts sum to positive shots (``_checked_counts``), so one is nonzero.
+    counts sum to positive shots (``check_records``), so one is nonzero.
     """
     ks = np.flatnonzero(counts)
     values = counts[ks].astype(np.int64)
@@ -527,17 +549,19 @@ def _counts_text(counts: np.ndarray, n: int) -> str:
 def write_counts(path: str, data: CountsData) -> None:
     """Write json.dump(counts_data_to_dict(data), fh, indent=1) and a newline, one record at a time.
 
-    The records and the data as a whole are checked, and the file laid out
-    with every counts object empty, before the file is opened, so refused
-    data leaves an existing file as it was.  Each record's counts object is
-    then built from its counts vector by ``_counts_text`` in one numpy pass,
-    with no Python object per outcome, and written in its place.
+    The records go through check_records and exact ones are refused, then
+    the family and the basis ids are checked, all before the file is opened,
+    so refused data leaves an existing file as it was.  Family entries are
+    written as make_qubit_basis reduces them (phi mod 2 pi), as read_counts
+    reads them back.  Each record's counts object is built from its counts
+    vector by ``_counts_text`` in one numpy pass, with no Python object per
+    outcome, and written in its place.
     """
-    vecs = [_checked_counts(r, data.n) for r in data.records]
-    _check_data(data.n, data.family, data.records)
+    vecs = _counts_vectors(data.records, data.n)
+    family = _check_data(data.n, data.family, data.records)
     layout = {
         "n": data.n,
-        "family": family_to_dicts(data.family),
+        "family": family_to_dicts(family),
         "records": [{"basis": basis_id_to_dict(r.basis), "shots": int(r.shots), "counts": {}} for r in data.records],
     }
     pieces = json.dumps(layout, indent=1).split(_EMPTY_COUNTS)

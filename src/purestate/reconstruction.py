@@ -66,8 +66,8 @@ from .bases import (
     make_qubit_basis,
     rotate_qubit,
 )
-from .measurement import CountsRecord, ProbTable, exact_record, to_empirical
-from .states import PureState, _freeze, _is_real, _require_int, global_phase_normalize, state_to_dict
+from .measurement import CountsRecord, ProbTable, check_records, exact_record, to_empirical
+from .states import PureState, _freeze, _is_real, global_phase_normalize, state_to_dict
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
@@ -394,26 +394,6 @@ def solve_phase(rows: np.ndarray, cond_threshold: float) -> tuple:
     return cond, phase, fallback, default
 
 
-def _records_by_id(records: list[CountsRecord], n: int) -> dict:
-    """The records keyed by str(basis), one each: integer shots >= 0 (0 if exact), 2^n outcomes, floats finite, >= 0."""
-    dim = 1 << n
-    by_id = {}
-    for rec in records:
-        key = str(rec.basis)
-        if _require_int(rec.shots, f"shots of record {key}") < 0:
-            raise ValueError(f"record {key} has negative shots {rec.shots}")
-        counts = np.asarray(rec.counts)
-        if counts.shape != (dim,):
-            raise ValueError(f"record {key} has {counts.size} outcomes, expected {dim} for n={n}")
-        # min and max are NaN when any entry is: both comparisons then fail
-        if counts.dtype.kind not in "biu" and not (counts.min() >= 0 and counts.max() < np.inf):
-            raise ValueError(f"record {key} holds counts or probabilities that are negative or not finite")
-        if key in by_id:
-            raise ValueError(f"duplicate record for basis {key}")
-        by_id[key] = rec
-    return by_id
-
-
 class _FamilyArrays:
     """The family's per-basis constants, stacked along a leading basis axis of length m."""
 
@@ -457,11 +437,12 @@ def _level_rows(ta: np.ndarray, tb: np.ndarray, p: np.ndarray, fam: _FamilyArray
 def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions) -> tuple[PureState, Diagnostics]:
     """Estimate the n-qubit state from one record per required basis.
 
-    Level j = 1..n: split each length-2^j block into its two children,
-    solve the phase system from the level's measurement records, and merge.
-    Blocks with a null child produce no system (the surviving child embeds
-    with phase 0).  The estimate is renormalized and global-phase normalized;
-    the whole procedure is deterministic.
+    The records must pass check_records and cover every basis the options
+    read.  Level j = 1..n: split each length-2^j block into its two
+    children, solve the phase system from the level's measurement records,
+    and merge.  Blocks with a null child produce no system (the surviving
+    child embeds with phase 0).  The estimate is renormalized and
+    global-phase normalized; the whole procedure is deterministic.
 
     Level j reads only its own m records, L_aj (a = 1..m) or every E_a, each
     through one selection of its outcomes: the whole table with extra rows,
@@ -475,19 +456,14 @@ def reconstruct(records: list[CountsRecord], n: int, opts: ReconstructionOptions
     transforms, carried up the levels: once a level is solved, its B halves
     take their phases, as the unit complex numbers the solve returns, and
     one rotate_qubit on the new top qubit turns the merged blocks into the
-    next level's children transforms.  The diagnostics keep the solve's
-    arrays as the level's Level record; no per-block object is built.
+    next level's children transforms.  Diagnostics keep each level's arrays.
     """
-    by_id = _records_by_id(records, n)
-    comp = by_id.get("computational")
-    if comp is None:
-        raise ValueError("computational-basis record is required")
-    # a-major: local L_ab sits at (a-1)*n + (b-1), entangled E_a at a-1
-    ids = opts._basis_keys(n)[1:]
-    missing = [id for id in ids if id not in by_id]
+    by_id = check_records(records, n)
+    keys = opts._basis_keys(n)  # computational, then a-major: L_ab at (a-1)*n + (b-1), E_a at a-1
+    missing = [id for id in keys if id not in by_id]
     if missing:
         raise ValueError(f"missing record for basis {missing[0]}")
-    recs = [by_id[id] for id in ids]
+    comp, *recs = [by_id[id] for id in keys]
 
     diag = Diagnostics()
     amps = amplitudes_from_counts(comp, n, opts.null_threshold)

@@ -26,6 +26,14 @@ With --io the one digest covers the bytes write_counts and save_state
 write and the arrays read_counts and load_state return, over n = 1..n_max
 (default 16) x local and entangled bases (m = 2) x 8, 512 and 8,192 shots
 x white-noise weight 0 and 0.05, with one Haar state per n.
+
+With --refusals the one digest covers what each boundary that takes
+counts records (reconstruct, bootstrap_ci, write_counts) raises for each
+case of a fixed malformed-record grid (malformed_records): the
+exception's type and message, or that it took the records.  A change
+that must refuse exactly what its parent refused prints the same line:
+
+    PYTHONPATH=<checkout>/src python tests/digest.py --refusals
 """
 
 from __future__ import annotations
@@ -39,9 +47,10 @@ import tempfile
 
 import numpy as np
 
-from purestate.bases import default_family, estimation_basis_ids
-from purestate.benchmark import STATE_FAMILIES, make_bench_state
+from purestate.bases import default_family, estimation_basis_ids, local_id
+from purestate.benchmark import STATE_FAMILIES, bootstrap_ci, make_bench_state
 from purestate.measurement import (
+    CountsData,
     born_tables,
     exact_record,
     mix_white_noise,
@@ -157,11 +166,95 @@ def io_digest(n_max: int = 16) -> tuple[str, int]:
     return h.hexdigest(), files
 
 
+def malformed_records() -> dict:
+    """{case: records} of the fixed malformed-record grid, each case one fault in local:1:3 or in the list.
+
+    The records are haar_random(3, 1)'s local ones (m = 2), sampled at
+    1,000 shots on seed 0, or its exact tables for the exact cases; the last
+    case, exact records, is well formed, and only bootstrap_ci and
+    write_counts refuse it.
+    """
+    n, family = 3, default_family(M)
+    ids = estimation_basis_ids(n, M, "local")
+    state = haar_random(n, 1)
+    sampled = simulate_counts(state, ids, family, 1000, 0).records
+    exact = [exact_record(t) for t in born_tables(state, ids, family)]
+    i = ids.index(local_id(1, n))
+    counts, probs = sampled[i].counts, exact[i].counts
+
+    def edit(records, **fields):
+        out = list(records)
+        out[i] = dataclasses.replace(out[i], **fields)
+        return out
+
+    def put(vec, k, value):
+        vec = vec.copy()
+        vec[k] = value
+        return vec
+
+    return {
+        "wrong shape": edit(sampled, counts=counts[:-1]),
+        "float counts": edit(sampled, counts=counts.astype(np.float64)),
+        "negative count": edit(sampled, counts=put(put(counts, 1, counts[1] + counts[0] + 1), 0, -1)),
+        "counts off shots": edit(sampled, counts=put(counts, 0, counts[0] + 2000)),
+        "shots None": edit(sampled, shots=None),
+        "shots True": edit(sampled, shots=True),
+        "negative shots": edit(sampled, shots=-1000),
+        "NaN in an exact table": edit(exact, counts=put(probs, 5, np.nan)),
+        "-1e-3 in an exact table": edit(exact, counts=put(probs, 5, -1e-3)),
+        "repeated basis": sampled + [dataclasses.replace(sampled[i], counts=np.roll(counts, 1))],
+        "exact records": exact,
+    }
+
+
+def boundaries(path: str) -> dict:
+    """{name: call} of every boundary that takes counts records, run at malformed_records()' n and m; write_counts writes path."""
+    n, opts = 3, ReconstructionOptions(mode="local", m=M)
+    return {
+        "reconstruct": lambda records: reconstruct(records, n, opts),
+        "bootstrap_ci": lambda records: bootstrap_ci(records, n, opts, haar_random(n, 1), 100, 0),
+        "write_counts": lambda records: write_counts(path, CountsData(n, default_family(M), records)),
+    }
+
+
+def outcome(call, records) -> tuple:
+    """(exception type name, message) of what call(records) raises; (None, None) when it takes the records."""
+    try:
+        call(records)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return None, None
+
+
+def refusals() -> dict:
+    """{(case, boundary): outcome} over the malformed-record grid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = boundaries(os.path.join(tmp, "counts.json"))
+        return {
+            (case, name): outcome(call, records)
+            for case, records in malformed_records().items()
+            for name, call in calls.items()
+        }
+
+
+def refusal_digest() -> tuple[str, int]:
+    """(SHA-256 hex digest, (case, boundary) pairs) of refusals()."""
+    h = hashlib.sha256()
+    outcomes = refusals()
+    for pair, outcome in outcomes.items():
+        h.update(repr((pair, outcome)).encode())
+    return h.hexdigest(), len(outcomes)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--io", action="store_true", help="print the file I/O digest instead of the reconstruct ones")
+    parser.add_argument("--refusals", action="store_true", help="print the digest of the record boundaries' refusals")
     parser.add_argument("--n-max", type=int, help="largest qubit count of the grid (default 10, or 16 with --io)")
     args = parser.parse_args(argv)
+    if args.refusals:
+        print(f"{'refusals':15s} {' '.join(map(str, refusal_digest()))}")
+        return
     if args.io:
         hexdigest, files = io_digest(16 if args.n_max is None else args.n_max)
         print(f"{'file-io':15s} {hexdigest} {files}")

@@ -340,6 +340,19 @@ class TestBootstrap:
             bootstrap_ci(recs, 2, ReconstructionOptions(), st, 100, seed=0)
         assert drawn == []
 
+    def test_negative_shots_are_named_as_reconstruct_names_them(self):
+        # only shots 0 marks an exact record: shots -1000 used to be refused as one
+        st = haar_random(3, 1)
+        ids = estimation_basis_ids(3, 2, "local")
+        records = simulate_counts(st, ids, default_family(2), 1000, seed=0).records
+        i = ids.index(local_id(1, 3))
+        records[i] = CountsRecord(records[i].basis, -1000, records[i].counts)
+        message = "^record local:1:3 has negative shots -1000$"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(records, 3, ReconstructionOptions())
+        with pytest.raises(ValueError, match=message):
+            bootstrap_ci(records, 3, ReconstructionOptions(), st, 100, seed=0)
+
     @pytest.mark.parametrize(
         "edit, message",
         [

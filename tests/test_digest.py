@@ -1,4 +1,4 @@
-"""The bit-identity digests (tests/digest.py) on their grids up to n = 4."""
+"""The digests of tests/digest.py: bit identity on their grids up to n = 4, and the record boundaries' refusals."""
 
 import hashlib
 import re
@@ -96,3 +96,40 @@ def test_the_io_digest_is_reproducible_and_counts_every_file():
 def test_the_script_prints_the_io_digest_with_io(capsys):
     digest.main(["--io", "--n-max", "2"])
     assert capsys.readouterr().out.split() == ["file-io", *map(str, digest.io_digest(n_max=2))]
+
+
+def test_the_refusal_digest_is_reproducible_and_covers_every_case_at_every_boundary():
+    first = digest.refusal_digest()
+    assert first == digest.refusal_digest()
+    cases = len(digest.malformed_records())
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 3 * cases
+
+
+def test_a_moved_refusal_changes_the_refusal_digest(monkeypatch):
+    base = digest.refusal_digest()[0]
+    bootstrap_ci, reconstruct = digest.bootstrap_ci, digest.reconstruct
+
+    def exact_first(records, *args):  # negative shots refused as exact records, another message
+        if any(type(rec.shots) is int and rec.shots < 0 for rec in records):
+            raise ValueError("cannot bootstrap exact-probability records")
+        return bootstrap_ci(records, *args)
+
+    def another_type(records, *args):
+        try:
+            return reconstruct(records, *args)
+        except ValueError as e:
+            raise TypeError(str(e)) from None
+
+    def takes_all(path, data):
+        pass
+
+    for name, moved in (("bootstrap_ci", exact_first), ("reconstruct", another_type), ("write_counts", takes_all)):
+        with monkeypatch.context() as patch:
+            patch.setattr(digest, name, moved)
+            assert digest.refusal_digest()[0] != base, name
+    assert digest.refusal_digest()[0] == base
+
+
+def test_the_script_prints_the_refusal_digest_with_refusals(capsys):
+    digest.main(["--refusals"])
+    assert capsys.readouterr().out.split() == ["refusals", *map(str, digest.refusal_digest())]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import stats
 
+import digest
 import purestate.measurement as measurement
 from purestate.states import (
     _unique_keys,
@@ -37,6 +38,7 @@ from purestate.measurement import (
     ProbTable,
     born_probs,
     born_tables,
+    check_records,
     compose_lambdas,
     counts_data_from_dict,
     counts_data_to_dict,
@@ -52,6 +54,7 @@ from purestate.measurement import (
     to_empirical,
     write_counts,
 )
+from purestate.reconstruction import ReconstructionOptions, reconstruct_from_probs
 from reference import born_probs_naive, entangled_index_map, run_circuit
 
 
@@ -394,6 +397,82 @@ class TestExactRecords:
         assert np.array_equal(rec.counts, [0.25, 0.75]) and not rec.counts.flags.writeable
 
 
+# check_records' one message per fault of tests/digest.py's malformed-record grid, all in local:1:3
+RECORD_FAULTS = {
+    "wrong shape": "record local:1:3 holds counts of shape (7,), not (8,)",
+    "float counts": f"record local:1:3 holds counts that are not integers in [0, {2**63 - 1}]",
+    "negative count": f"record local:1:3 holds counts that are not integers in [0, {2**63 - 1}]",
+    "counts off shots": "record local:1:3 holds counts summing to 3000, not its shots 1000",
+    "shots None": "shots of record local:1:3 must be an integer, got None",
+    "shots True": "shots of record local:1:3 must be an integer, got True",
+    "negative shots": "record local:1:3 has negative shots -1000",
+    "NaN in an exact table": "exact record local:1:3 holds probabilities that are not finite reals >= 0",
+    "-1e-3 in an exact table": "exact record local:1:3 holds probabilities that are not finite reals >= 0",
+    "repeated basis": "duplicate record for basis local:1:3",
+}
+
+
+class TestOneRecordRule:
+    """Every boundary that takes counts records refuses a malformed one with check_records' one message."""
+
+    @pytest.mark.parametrize("case", list(RECORD_FAULTS))
+    def test_every_boundary_refuses_a_malformed_record_with_one_message(self, tmp_path, case):
+        records = digest.malformed_records()[case]
+        path = tmp_path / "counts.json"
+        got = {name: digest.outcome(call, records) for name, call in digest.boundaries(path).items()}
+        assert got == dict.fromkeys(("reconstruct", "bootstrap_ci", "write_counts"), ("ValueError", RECORD_FAULTS[case]))
+        assert not path.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(RECORD_FAULTS[case])}$"):
+            check_records(records, 3)
+        if case.endswith("exact table"):  # reconstruct_from_probs hands its tables to the same check
+            tables = [ProbTable(n=3, basis=rec.basis, probs=rec.counts) for rec in records]
+            with pytest.raises(ValueError, match=f"^{re.escape(RECORD_FAULTS[case])}$"):
+                reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2))
+
+    def test_only_bootstrap_ci_and_write_counts_refuse_exact_records(self, tmp_path):
+        records = digest.malformed_records()["exact records"]
+        got = {name: digest.outcome(call, records) for name, call in digest.boundaries(tmp_path / "counts.json").items()}
+        assert got == {
+            "reconstruct": (None, None),
+            "bootstrap_ci": ("ValueError", "cannot bootstrap exact-probability records"),
+            "write_counts": ("ValueError", "exact probability records are not serialized as counts"),
+        }
+
+    def test_the_grid_covers_every_fault_and_exact_records(self):
+        assert list(digest.malformed_records()) == [*RECORD_FAULTS, "exact records"]
+
+    def test_records_come_back_keyed_by_basis(self):
+        data = random_counts_data(3, "entangled", 3, 100, seed=1)
+        by_id = check_records(data.records, 3)
+        assert list(by_id) == [str(rec.basis) for rec in data.records]
+        assert all(by_id[str(rec.basis)] is rec for rec in data.records)
+
+    # n = 2 sums its 4 counts as Python ints, n = 6 its 64 counts with numpy's reductions
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint32, np.int64, np.uint64])
+    def test_sampled_counts_of_any_integer_dtype_sum_exactly(self, dtype, n):
+        counts = np.zeros(1 << n, dtype=dtype)
+        counts[1:3] = 200, 55
+        rec = CountsRecord(basis=COMPUTATIONAL, shots=255, counts=counts)
+        assert check_records([rec], n) == {"computational": rec}
+        off = CountsRecord(basis=COMPUTATIONAL, shots=256, counts=counts)
+        with pytest.raises(ValueError, match="^record computational holds counts summing to 255, not its shots 256$"):
+            check_records([off], n)
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_counts_outside_the_int64_range_or_summing_past_it(self, n):
+        # 2 x 2^62 wraps in int64, so the sum is taken in Python integers; 2^63 itself is no int64 count
+        big = np.zeros(1 << n, dtype=np.int64)
+        big[:2] = 2**62
+        with pytest.raises(ValueError, match=f"summing to {2**63}, not its shots {2**63 - 1}$"):
+            check_records([CountsRecord(basis=COMPUTATIONAL, shots=2**63 - 1, counts=big)], n)
+        wide = big.astype(np.uint64)
+        wide[:2] = 0, 2**63
+        for counts in (wide, np.where(np.arange(1 << n) == 0, -1, big // 2**62)):
+            with pytest.raises(ValueError, match="not integers in"):
+                check_records([CountsRecord(basis=COMPUTATIONAL, shots=1, counts=counts)], n)
+
+
 class TestCountsDtype:
     """Sampled and read-back counts are int32 up to 2^31 - 1 shots and int64 beyond."""
 
@@ -486,12 +565,26 @@ class TestCountsIO:
         # a record with no nonzero count sums to 0, not its shots: both writers refuse it
         empty = CountsRecord(basis=local_id(1, 1), shots=3, counts=np.zeros(4, dtype=np.int64))
         for write in (lambda data: write_counts(tmp_path / "empty.json", data), counts_data_to_dict):
-            with pytest.raises(ValueError, match="^record for basis local:1:1 holds counts summing to 0, not its shots 3$"):
+            with pytest.raises(ValueError, match="^record local:1:1 holds counts summing to 0, not its shots 3$"):
                 write(CountsData(n=2, family=fam, records=[empty]))
         for k, data in enumerate(cases):
             path = tmp_path / f"counts{k}.json"
             write_counts(path, data)
             assert path.read_text() == json.dumps(counts_data_to_dict(data), indent=1) + "\n"
+
+    def test_a_family_phi_is_written_as_it_reads_back(self, tmp_path):
+        # phi 7.0 used to be written as given, and read back reduced mod 2 pi as 0.7168146928204138
+        s = 1 / np.sqrt(2)
+        data = random_counts_data(3, "local", 2, 1000, seed=6)
+        family = [QubitBasis(s, s, 7.0), data.family[1]]
+        path = tmp_path / "counts.json"
+        write_counts(path, CountsData(data.n, family, data.records))
+        back = read_counts(path)
+        assert back.family == [make_qubit_basis(s, s, 7.0), data.family[1]]
+        assert [entry["phi"] for entry in json.loads(path.read_text())["family"]] == [qb.phi for qb in back.family]
+        again = tmp_path / "again.json"
+        write_counts(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_counts_of_the_wrong_length_not_written(self):
         rec = CountsRecord(basis=COMPUTATIONAL, shots=1, counts=np.array([0, 1, 0, 0]))
@@ -870,8 +963,8 @@ class TestCountsFileBytes:
         [
             (lambda r: CountsRecord(r.basis, r.shots, r.counts[:-1]), r"holds counts of shape \(7,\), not \(8,\)"),
             (lambda r: CountsRecord(r.basis, 0, r.counts / 64), "exact probability records are not serialized as counts"),
-            (lambda r: CountsRecord(r.basis, -64, r.counts), "has non-positive shots -64"),
-            (lambda r: CountsRecord(r.basis, 64.0, r.counts), "shots must be an integer, got 64.0"),
+            (lambda r: CountsRecord(r.basis, -64, r.counts), "^record local:2:3 has negative shots -64$"),
+            (lambda r: CountsRecord(r.basis, 64.0, r.counts), "^shots of record local:2:3 must be an integer, got 64.0$"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(float)), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts - 1), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(np.uint64) + 2**63), "not integers in"),

@@ -26,14 +26,18 @@ from purestate.bases import (
     local_id,
     make_qubit_basis,
 )
+from purestate.benchmark import bootstrap_ci
 from purestate.measurement import (
+    CountsData,
     CountsRecord,
     ProbTable,
     born_probs,
+    counts_to_dict,
     exact_record,
     seeded_rng,
     simulate_counts,
     to_empirical,
+    write_counts,
 )
 from purestate.reconstruction import (
     AmbiguityError,
@@ -745,7 +749,7 @@ class TestReconstructSampled:
         probs[5] = bad
         tables[position] = ProbTable(n=3, basis=tables[position].basis, probs=probs)
         name = str(tables[position].basis)
-        message = f"record {name} holds counts or probabilities that are negative or not finite"
+        message = f"^exact record {name} holds probabilities that are not finite reals >= 0$"
         with pytest.raises(ValueError, match=message):
             reconstruct_from_probs(tables, 3, ReconstructionOptions(mode="local", m=2))
         with pytest.raises(ValueError, match=f"record {name} "):
@@ -769,6 +773,27 @@ class TestReconstructSampled:
         shifted = CountsRecord(basis=rec.basis, shots=rec.shots, counts=np.roll(rec.counts, 1))
         with pytest.raises(ValueError, match=f"^duplicate record for basis {rec.basis}$"):
             reconstruct(records + [shifted], 3, ReconstructionOptions(mode="local", m=2))
+
+    def test_counts_off_their_shots_are_refused_as_every_boundary_refuses_them(self, tmp_path):
+        # local:1:3's probabilities summed to 3 and reconstructed to fidelity 0.6543, not 0.9968, without a word
+        st = haar_random(3, seed=1)
+        opts = ReconstructionOptions(mode="local", m=2)
+        data = simulate_counts(st, estimation_basis_ids(3, 2, "local"), default_family(2), 1000, seed=0)
+        records = list(data.records)
+        i = [str(rec.basis) for rec in records].index("local:1:3")
+        counts = records[i].counts.copy()
+        counts[0] += 2000
+        records[i] = CountsRecord(basis=records[i].basis, shots=1000, counts=counts)
+        boundaries = (
+            lambda: reconstruct(records, 3, opts),
+            lambda: bootstrap_ci(records, 3, opts, st, 100, seed=0),
+            lambda: write_counts(tmp_path / "counts.json", CountsData(3, data.family, records)),
+            lambda: counts_to_dict(records[i], 3),
+        )
+        message = f"^record local:1:3 holds counts summing to {counts.sum()}, not its shots 1000$"
+        for call in boundaries:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @pytest.mark.parametrize("shots", [-1000, -1, 1000.0, True, "1000", None])
     @pytest.mark.parametrize("position", [0, 3])
@@ -1419,20 +1444,25 @@ class TestOutcomeRead:
         n, m = 5, 2
         mode, extra, ids, records = read_variant_records(variant, n, m, shots)
         rng = np.random.default_rng(2101)
-        overwritten, changed = [], 0
+        overwritten, changed, moved = [], 0, 0
         for id, rec in zip(ids, records):
             counts = np.array(rec.counts)
             unread = ~np.array([outcome_is_read(id, k, n, extra) for k in range(1 << n)])
             if id.tag != "computational" and (id.tag == "entangled") != (mode == "entangled"):
                 unread[:] = True
-            other = counts + (rng.integers(1, 100, counts.size) if shots else rng.uniform(0.1, 1.0, counts.size))
-            counts[unread] = other[unread]
+            if shots:  # a sampled record's unread counts trade places, so it still sums to its shots
+                counts[unread] = np.roll(counts[unread], 1)
+            else:
+                counts[unread] += rng.uniform(0.1, 1.0, counts.size)[unread]
             changed += np.count_nonzero(unread)
+            moved += np.count_nonzero(counts != rec.counts)
             overwritten.append(CountsRecord(basis=rec.basis, shots=rec.shots, counts=counts))
         # canonical rows skip all but 2^(n-j) outcomes of each L_aj, entangled mode E_a's terminal all-minus one
         other_mode = (m << n) if mode == "local" else m * n << n
         skipped = {"extra": 0, "canonical": m * sum((1 << n) - (1 << (n - j)) for j in range(1, n + 1)), "entangled": m}
         assert changed == other_mode + skipped[variant]
+        # an unread count may meet its own value in the roll, and E_a's one unread outcome cannot move at fixed shots
+        assert moved == changed if not shots else moved > 0.9 * changed, (moved, changed)
         opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
         est, diag = reconstruct(records, n, opts)
         got, got_diag = reconstruct(overwritten, n, opts)
@@ -1452,7 +1482,13 @@ class TestOutcomeRead:
         k = next(k for k in read if bases.outcome_role(rec.basis, k, n).j == n)
         assert k == (0 if extra else (1 << (n - 1)) - 1 if mode == "local" else (1 << n) - 2)
         counts = np.array(rec.counts)
-        counts[k] += 50 if shots else 0.05
+        if shots:  # 50 counts come from an outcome no lower level reads, so the record still sums to its shots
+            src = next(d for d in range(1 << n) if d != k and counts[d] >= 50 and not (
+                outcome_is_read(rec.basis, d, n, extra) and bases.outcome_role(rec.basis, d, n).j < n))
+            counts[src] -= 50
+            counts[k] += 50
+        else:
+            counts[k] += 0.05
         moved = list(records)
         moved[pos] = CountsRecord(basis=rec.basis, shots=rec.shots, counts=counts)
         opts = ReconstructionOptions(mode=mode, m=m, use_extra_rows=extra)
