@@ -119,17 +119,18 @@ class OutcomeRole:
 
 
 def make_qubit_basis(u: float, v: float, phi: float) -> QubitBasis:
-    """Validated basis constructor; rejects the computational basis (u*v = 0) and non-finite input."""
+    """Validated basis constructor, phi reduced into [0, 2 pi); rejects the computational basis (u*v = 0), non-finite input."""
     if not all(_is_real(x) and math.isfinite(x) for x in (u, v, phi)):
         raise ValueError(f"u, v and phi must be finite real numbers, got {(u, v, phi)!r}")
-    u, v, phi = float(u), float(v), float(phi)
+    u, v, phi = float(u), float(v), float(phi) % (2 * np.pi)
     if u < 0 or v < 0:
         raise ValueError("u and v must be non-negative")
     if abs(u * u + v * v - 1.0) > BASIS_NORM_TOL:
         raise ValueError(f"u^2 + v^2 = {u * u + v * v} is not normalized")
     if u * v == 0.0:
         raise ValueError("u*v must be positive: basis must differ from the computational one")
-    return QubitBasis(u=u, v=v, phi=phi % (2 * np.pi))
+    # a phi just below 0 leaves a remainder that rounds to 2 pi itself, which a second reduction maps to 0.0
+    return QubitBasis(u=u, v=v, phi=phi if phi < 2 * np.pi else 0.0)
 
 
 def default_family(m: int) -> list[QubitBasis]:

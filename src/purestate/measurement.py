@@ -335,11 +335,8 @@ def _bitstrings(ks: np.ndarray, n: int) -> list[str]:
 
 
 def _exact_sum(vec: np.ndarray) -> int | None:
-    """Exact sum of a non-empty integer vector, None if an entry lies outside [0, 2^63 - 1].
-
-    Up to 32 entries go through Python ints, faster there than numpy's min, sum and (past four bytes) max.
-    """
-    if vec.size <= 32:
+    """Exact sum of a non-empty integer vector, None if an entry lies outside [0, 2^63 - 1]."""
+    if vec.size <= 32:  # Python ints beat numpy's min, sum and max here: 6 % of a bootstrap-ghz4-noisy trial
         counts = vec.tolist()
         return sum(counts) if min(counts) >= 0 and max(counts) <= _INT64_MAX else None
     top = int(vec.max()) if vec.dtype.itemsize > 4 else 0
@@ -357,9 +354,9 @@ def check_records(records: list[CountsRecord], n: int) -> dict:
     - a sampled record holds integers in [0, 2^63 - 1] summing exactly to its shots;
     - no basis appears twice.
     """
-    by_id = {}
+    keys = []
     for rec in records:
-        key = str(rec.basis)
+        keys.append(key := str(rec.basis))
         shots = _require_int(rec.shots, f"shots of record {key}")
         if shots < 0:
             raise ValueError(f"record {key} has negative shots {shots}")
@@ -373,9 +370,13 @@ def check_records(records: list[CountsRecord], n: int) -> dict:
             raise ValueError(f"record {key} holds counts that are not integers in [0, {_INT64_MAX}]")
         elif total != shots:
             raise ValueError(f"record {key} holds counts summing to {total}, not its shots {shots}")
-        if key in by_id:
-            raise ValueError(f"duplicate record for basis {key}")
-        by_id[key] = rec
+    return _keyed(keys, records)
+
+
+def _keyed(keys: list[str], records: list[CountsRecord]) -> dict:
+    """The records keyed by their str(basis), keys, once no basis appears twice: the rule that needs no counts."""
+    if len(by_id := dict(zip(keys, records))) < len(keys):
+        raise ValueError(f"duplicate record for basis {next(k for i, k in enumerate(keys) if k in keys[:i])}")
     return by_id
 
 
@@ -484,8 +485,7 @@ def counts_from_dict(obj: dict, n: int, where: str = "record") -> CountsRecord:
         # length-n binary strings map one to one onto indices, and dict keys are unique
         vec = np.zeros(1 << n, dtype=_counts_dtype(shots))
         vec[outcomes[0]] = outcomes[1]
-    total = _exact_sum(vec)
-    if total != shots:
+    if (total := _exact_sum(vec)) != shots:
         raise ValueError(f"counts sum {total} does not match shots {shots}")
     return CountsRecord(basis=basis, shots=shots, counts=vec)
 
@@ -507,7 +507,7 @@ def counts_data_from_dict(obj: dict) -> CountsData:
         raise ValueError(f"{len(objs)} records at n={n} exceed the memory bound")
     family = family_from_dicts(_require_key(obj, "family", "counts data"))
     records = [counts_from_dict(r, n, f"records[{i}]") for i, r in enumerate(objs)]
-    check_records(records, n)  # no basis repeated
+    _keyed([str(rec.basis) for rec in records], records)  # counts_from_dict has checked the rest
     _check_data(n, family, records)
     return CountsData(n=n, family=family, records=records)
 
@@ -547,15 +547,15 @@ def _counts_text(counts: np.ndarray, n: int) -> str:
 
 
 def write_counts(path: str, data: CountsData) -> None:
-    """Write json.dump(counts_data_to_dict(data), fh, indent=1) and a newline, one record at a time.
+    """Write data in json.dump(..., indent=1)'s layout, and a newline, one record at a time.
 
     The records go through check_records and exact ones are refused, then
     the family and the basis ids are checked, all before the file is opened,
     so refused data leaves an existing file as it was.  Family entries are
-    written as make_qubit_basis reduces them (phi mod 2 pi), as read_counts
-    reads them back.  Each record's counts object is built from its counts
-    vector by ``_counts_text`` in one numpy pass, with no Python object per
-    outcome, and written in its place.
+    written as make_qubit_basis reduces them, as read_counts reads them
+    back (counts_data_to_dict keeps them as given), the records as in
+    counts_to_dict.  Each record's counts object is built from its counts
+    vector by ``_counts_text`` in one numpy pass, and written in its place.
     """
     vecs = _counts_vectors(data.records, data.n)
     family = _check_data(data.n, data.family, data.records)

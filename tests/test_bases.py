@@ -86,6 +86,13 @@ class TestMakeQubitBasis:
         qb = make_qubit_basis(0.6, 0.8, 2 * np.pi + 0.5)
         assert np.isclose(qb.phi, 0.5, atol=1e-12)
 
+    def test_a_phi_whose_remainder_rounds_to_two_pi_wraps_to_zero(self):
+        # -1e-17 % (2 pi) is 2 pi itself in floating point; a second reduction would give 0.0
+        assert -1e-17 % (2 * np.pi) == 2 * np.pi
+        qb = make_qubit_basis(0.6, 0.8, -1e-17)
+        assert qb.phi == 0.0
+        assert make_qubit_basis(0.6, 0.8, qb.phi) == qb
+
 
 class TestDefaultFamily:
     def test_m2_reproduces_the_quarter_pair(self):

@@ -572,15 +572,17 @@ class TestCountsIO:
             write_counts(path, data)
             assert path.read_text() == json.dumps(counts_data_to_dict(data), indent=1) + "\n"
 
-    def test_a_family_phi_is_written_as_it_reads_back(self, tmp_path):
-        # phi 7.0 used to be written as given, and read back reduced mod 2 pi as 0.7168146928204138
+    @pytest.mark.parametrize("phi", [7.0, -1e-17])
+    def test_a_family_phi_is_written_as_it_reads_back(self, tmp_path, phi):
+        # phi 7.0 used to be written as given, and read back reduced mod 2 pi as 0.7168146928204138;
+        # -1e-17 reduces to 2 pi itself in floating point, which a second reduction would read back as 0.0
         s = 1 / np.sqrt(2)
         data = random_counts_data(3, "local", 2, 1000, seed=6)
-        family = [QubitBasis(s, s, 7.0), data.family[1]]
+        family = [QubitBasis(s, s, phi), data.family[1]]
         path = tmp_path / "counts.json"
         write_counts(path, CountsData(data.n, family, data.records))
         back = read_counts(path)
-        assert back.family == [make_qubit_basis(s, s, 7.0), data.family[1]]
+        assert back.family == [make_qubit_basis(s, s, phi), data.family[1]]
         assert [entry["phi"] for entry in json.loads(path.read_text())["family"]] == [qb.phi for qb in back.family]
         again = tmp_path / "again.json"
         write_counts(again, back)
