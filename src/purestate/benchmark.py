@@ -91,6 +91,8 @@ class BenchConfig:
         object.__setattr__(self, "n_range", tuple(_system_size(n) for n in self.n_range))
         if not self.n_range:
             raise ValueError("n_range must be non-empty")
+        if len(set(self.n_range)) < len(self.n_range):
+            raise ValueError(f"n_range repeats a system size: {list(self.n_range)}")
         if _require_int(self.trials, "trials") < 1 or _require_int(self.shots, "shots") < 1:
             raise ValueError("trials and shots must be >= 1")
         if _require_int(self.seed, "seed") < 0:

@@ -148,12 +148,16 @@ def build_parser() -> _Parser:
 
 
 def _load_target(spec: str, n: int):
+    """The target state of the counts file's n: a named state built at n, or a state file that must hold n qubits."""
     if spec.lower() in STATE_FAMILIES:
         if spec.lower() in RANDOM_FAMILIES:
             raise UsageError("target must be a deterministic named state or a state JSON file")
         return make_bench_state(spec, n, None)
     if os.path.exists(spec):
-        return load_state(spec)
+        target = load_state(spec)
+        if target.n != n:
+            raise ValueError(f"target file has n={target.n}, counts file has n={n}")
+        return target
     raise UsageError(f"target {spec!r} is neither a named state nor an existing file")
 
 
@@ -201,6 +205,7 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     data = read_counts(args.infile)
     mode, m = _infer_mode_m(data, args.mode, args.m)
+    target = _load_target(args.target, data.n) if args.target else None
     opts = ReconstructionOptions(
         mode=mode,
         m=m,
@@ -215,8 +220,7 @@ def cmd_reconstruct(args) -> int:
         f"{diag.n_systems} systems, {diag.n_null_branches} null branches, "
         f"{diag.n_fallbacks} fallbacks, {diag.n_default_phases} default phases, cond_max={diag.cond_max:.6g}"
     )
-    if args.target:
-        target = _load_target(args.target, data.n)
+    if target is not None:
         print(f"fidelity {fidelity(target, estimate):.12g}")
     if args.out:
         with open(args.out, "w") as fh:

@@ -37,14 +37,15 @@ is missing.
 Counts files are written and read without a Python object per outcome:
 ``write_counts`` builds each counts object's text from the counts vector
 with numpy, and ``read_counts`` reads a file in that layout back the same
-way, leaving every other layout to ``json``, with the same data and the
-same refusals.
+way, with the data ``json`` would give.  That reader only reads: a file it
+does not take, for its layout or for any fault, is parsed by ``json`` as a
+whole, and ``counts_data_from_dict`` alone decides every refusal, naming
+the first bad outcome in file order.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -322,6 +323,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
 # What json.dump(..., indent=1) writes for a record's counts when there are none.
 _EMPTY_COUNTS = '"counts": {}'
+# What read_counts' reader of write_counts' layout says of any other text.
+_NOT_WRITTEN = "not in write_counts' layout"
 
 
 def _bits(ks: np.ndarray, n: int) -> np.ndarray:
@@ -400,65 +403,42 @@ def counts_to_dict(record: CountsRecord, n: int) -> dict:
     return {"basis": basis_id_to_dict(record.basis), "shots": int(record.shots), "counts": counts}
 
 
-class _NotWritten(Exception):
-    """Raised by read_counts' reader of write_counts' layout on a file laid out otherwise."""
-
-
 class _WrittenCounts(NamedTuple):
     """A record's counts vector, decoded by read_counts from a counts object in write_counts' layout."""
 
     vec: np.ndarray
 
 
-def _well_formed_outcomes(counts: dict, n: int, shots: int) -> tuple | None:
-    """(outcome indices, counts) when every key is n characters 0/1 and every count an int in [0, shots]; else None.
+def _counts_vector(counts: dict, n: int, shots: int) -> np.ndarray:
+    """The counts vector of a counts object, each outcome checked and placed in file order.
 
-    The keys are joined with a comma after each.  The text fills len(counts)
-    rows of n + 1 characters, 0/1 but for a final comma, exactly when every
-    key is n characters 0/1: the rows then hold as many commas as the join
-    put in, so no key holds one and every key ends where its row does.
+    The first outcome whose key is not n characters 0/1, or whose count is
+    not an int in [0, shots], is named.  The vector is allocated once, in
+    ``_counts_dtype(shots)``.
     """
-    k = len(counts)
-    text = ",".join(counts) + "," if k else ""
-    if len(text) != k * (n + 1) or not text.isascii() or operator.countOf(map(type, counts.values()), int) != k:
-        return None
-    rows = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(k, n + 1)
-    bits = rows[:, :n] - ord("0")
-    if (bits > 1).any() or (rows[:, n] != ord(",")).any():
-        return None
-    try:
-        values = np.fromiter(counts.values(), dtype=np.int64, count=k)
-    except OverflowError:
-        return None
-    if k and (values.min() < 0 or values.max() > shots):
-        return None
-    return bits @ (1 << np.arange(n - 1, -1, -1)), values
-
-
-def _raise_first_bad_outcome(counts: dict, n: int, shots: int) -> None:
-    """ValueError naming the first outcome, in file order, whose key or count _well_formed_outcomes refuses."""
+    vec = np.zeros(1 << n, dtype=_counts_dtype(shots))
     for key, c in counts.items():
-        if len(key) != n or not set(key) <= {"0", "1"}:
+        if len(key) != n or key.strip("01"):
             raise ValueError(f"bad outcome bitstring {key!r} for n={n}")
         if type(c) is not int or c < 0:
             raise ValueError(f"count {c!r} for outcome {key!r} is not a non-negative integer")
         if c > shots:
             raise ValueError(f"count {c} for outcome {key!r} exceeds the record's shots {shots}")
+        # length-n binary strings map one to one onto indices, and dict keys are unique
+        vec[int(key, 2)] = c
+    return vec
 
 
 def counts_from_dict(obj: dict, n: int, where: str = "record") -> CountsRecord:
     """One record from its JSON form; of several malformed outcomes the first in file order is reported.
 
-    Well-formed counts are checked and placed with whole-array operations:
-    the keys' character codes come from one join of the keys, the counts
-    from one int64 array of the listed outcomes, and the sum is exact.  The
-    counts vector is allocated once, in ``_counts_dtype(shots)``: int32 when
-    shots <= 2^31 - 1, int64 otherwise, so cast it before arithmetic that
-    can pass 2^31.  Only a malformed record is walked outcome by outcome, to
-    name its first bad outcome.  read_counts hands over counts objects laid
-    out as write_counts lays them out as _WrittenCounts, read here without
-    a Python object per outcome.  where names the record in the message for
-    a missing key ("records[3]", say).
+    The counts vector is ``_counts_dtype(shots)``: int32 when shots <=
+    2^31 - 1, int64 otherwise, so cast it before arithmetic that can pass
+    2^31.  read_counts hands over counts objects laid out as write_counts
+    lays them out as _WrittenCounts, already decoded.  Only their sum is
+    checked: a count above shots puts the sum above shots, and read_counts
+    then reads the file through json, which names that count.  where names
+    the record in the message for a missing key ("records[3]", say).
     """
     if exceeds_memory_bound(n, 1):
         raise ValueError(f"n={n} exceeds the memory bound for a counts vector")
@@ -471,23 +451,13 @@ def counts_from_dict(obj: dict, n: int, where: str = "record") -> CountsRecord:
         raise ValueError(f"record for basis {basis} has shots {shots} beyond the int64 range")
     counts = _require_key(obj, "counts", where)
     if isinstance(counts, _WrittenCounts):
-        # written in ascending outcome order, so the first outcome over shots is the first in the file
-        vec, over = counts.vec, np.flatnonzero(counts.vec > shots)
-        if over.size:
-            key = format(over[0], f"0{n}b")
-            raise ValueError(f"count {vec[over[0]]} for outcome {key!r} exceeds the record's shots {shots}")
-        # every count is now at most shots, so this cast narrows no value
-        vec = vec.astype(_counts_dtype(shots), copy=False)
+        vec = counts.vec
     else:
-        outcomes = _well_formed_outcomes(_require_json(counts, dict, "counts"), n, shots)
-        if outcomes is None:
-            _raise_first_bad_outcome(counts, n, shots)
-        # length-n binary strings map one to one onto indices, and dict keys are unique
-        vec = np.zeros(1 << n, dtype=_counts_dtype(shots))
-        vec[outcomes[0]] = outcomes[1]
+        vec = _counts_vector(_require_json(counts, dict, "counts"), n, shots)
     if (total := _exact_sum(vec)) != shots:
         raise ValueError(f"counts sum {total} does not match shots {shots}")
-    return CountsRecord(basis=basis, shots=shots, counts=vec)
+    # the counts are non-negative and sum to shots, so this cast narrows no value
+    return CountsRecord(basis=basis, shots=shots, counts=vec.astype(_counts_dtype(shots), copy=False))
 
 
 def counts_data_to_dict(data: CountsData) -> dict:
@@ -573,16 +543,17 @@ def write_counts(path: str, data: CountsData) -> None:
 
 
 def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
-    """The counts vector of a counts object's entries in write_counts' layout; _NotWritten for any other text.
+    """The counts vector of a counts object's entries in write_counts' layout; ValueError for any other text.
 
     body holds the entries' ASCII codes, one line per outcome, each ending
     in a newline: four spaces, the quoted key and ": " before the count,
     and a comma before every newline but the last.  Every character is
     checked: the fixed ones, n key characters 0/1, and 1 to 18 digits
     without a leading zero, so every count is a JSON integer in the int64
-    range.  The keys must ascend, so none repeats.  The vector is int32
-    when every count has at most 9 digits, so it fits, and int64 otherwise;
-    counts_from_dict casts it to its record's dtype once it has checked it.
+    range.  The keys must ascend, so none repeats.  So an object this
+    accepts is one json reads, as these counts.  The vector is int32 when
+    every count has at most 9 digits, so it fits, and int64 otherwise;
+    counts_from_dict casts it to its record's dtype once its sum matches.
     """
     ends = np.flatnonzero(body == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -592,7 +563,7 @@ def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
     head = np.frombuffer(indent + b"0" * n + b'": ', dtype=np.uint8)
     digits = stops - starts - head.size
     if digits.min() < 1 or digits.max() > len(str(_INT64_MAX)) - 1:
-        raise _NotWritten
+        raise ValueError(_NOT_WRITTEN)
     # key columns compare with their low bit set, so '0' and '1' both pass
     key = np.zeros(head.size, dtype=np.uint8)
     key[len(indent) : len(indent) + n] = 1
@@ -607,10 +578,10 @@ def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
         or (chars[is_digit] > 9).any()
         or ((first == 0) & (digits > 1)).any()
     ):
-        raise _NotWritten
+        raise ValueError(_NOT_WRITTEN)
     index = (lines[:, len(indent) : len(indent) + n] & 1) @ (1 << np.arange(n - 1, -1, -1))
     if (np.diff(index) <= 0).any():
-        raise _NotWritten
+        raise ValueError(_NOT_WRITTEN)
     dtype = np.int32 if width <= len(str(_INT32_MAX)) - 1 else np.int64
     vec = np.zeros(1 << n, dtype=dtype)
     vec[index] = (chars * is_digit) @ 10 ** np.arange(width - 1, -1, -1, dtype=dtype)
@@ -618,39 +589,37 @@ def _written_counts(body: np.ndarray, n: int) -> np.ndarray:
 
 
 def _read_written(text: str) -> CountsData:
-    """The data of a counts file whose nonempty counts objects are in write_counts' layout; _NotWritten otherwise.
+    """The data of a counts file whose nonempty counts objects are in write_counts' layout; ValueError otherwise.
 
     Each such object is cut out and its place taken by the JSON string
     holding one backslash, a value no string of a text without backslashes
     can hold; json then parses what is left, which is small.  When exactly
     the records hold those strings, and every cut-out object reads as
-    _written_counts reads it, counts_data_from_dict checks the data as it
-    checks json's parse of the whole text, which it equals: the same
-    records, or the same refusal.
+    _written_counts reads it, the parse equals json's parse of the whole
+    text, so data counts_data_from_dict takes are the data json's parse
+    gives.  This only reads: any ValueError, a refusal of the data too,
+    sends read_counts to json, which alone decides what is refused.  The
+    memory bound is checked before any counts vector is allocated.
     """
     if "\\" in text or not text.isascii():
-        raise _NotWritten
+        raise ValueError(_NOT_WRITTEN)
     opening, closing = '"counts": {\n', "\n   }"
     rest, spans, pos = [], [], 0
     while (start := text.find(opening, pos)) >= 0:
         end = text.find(closing, start + len(opening))
         if end < 0:
-            raise _NotWritten
+            raise ValueError(_NOT_WRITTEN)
         rest.append(text[pos:start])
         spans.append((start + len(opening), end + 1))
         pos = end + len(closing)
     rest.append(text[pos:])
-    try:
-        obj = json.loads('"counts": "\\\\"'.join(rest), object_pairs_hook=_unique_keys)
-    except ValueError:
-        raise _NotWritten from None
+    obj = json.loads('"counts": "\\\\"'.join(rest), object_pairs_hook=_unique_keys)
     records, n = (obj.get("records"), obj.get("n")) if type(obj) is dict else (None, None)
     if type(records) is not list or type(n) is not int or n < 1 or exceeds_memory_bound(n, len(records)):
-        raise _NotWritten
+        raise ValueError(_NOT_WRITTEN)
     slots = [r for r in records if type(r) is dict and r.get("counts") == "\\"]
     if len(slots) != len(spans):
-        raise _NotWritten
-    # every object is read before any check of counts_data_from_dict can refuse the file
+        raise ValueError(_NOT_WRITTEN)
     for record, (start, end) in zip(slots, spans):
         body = np.frombuffer(text[start:end].encode("ascii"), dtype=np.uint8)
         record["counts"] = _WrittenCounts(_written_counts(body, n))
@@ -660,12 +629,16 @@ def _read_written(text: str) -> CountsData:
 def read_counts(path: str) -> CountsData:
     """Read a counts file: as write_counts lays it out, without a Python object per outcome; otherwise through json.
 
-    Either way the data and every refusal are those of
-    counts_data_from_dict(json.load(fh)), with no key repeated in any object.
+    The data are those of counts_data_from_dict(json.load(fh)), with no key
+    repeated in any object.  A file the written-layout reader does not take,
+    for its layout or for a fault, is parsed by json as a whole, and every
+    refusal comes from that path.
     """
     with open(path) as fh:
         text = fh.read()
     try:
         return _read_written(text)
-    except _NotWritten:
-        return counts_data_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    except ValueError:
+        pass
+    # parsed once the except block has dropped the fast path's arrays
+    return counts_data_from_dict(json.loads(text, object_pairs_hook=_unique_keys))

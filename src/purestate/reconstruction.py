@@ -94,9 +94,10 @@ class ReconstructionOptions:
     product bases (a = 1..m, b = 1..n), "entangled" the ladder bases
     (a = 1..m); both need the computational record.  family defaults to the
     balanced phase family of size m and must match the one the records were
-    measured in.  use_extra_rows (local mode only) feeds every outcome of
-    each local basis into the phase systems, the estimator every subcommand
-    runs; False keeps the one canonical outcome per block, the only one an
+    measured in; its entries are kept as make_qubit_basis reduces them, as
+    a counts file holds them.  use_extra_rows (local mode only) feeds every
+    outcome of each local basis into the phase systems, the estimator every
+    subcommand runs; False keeps the one canonical outcome per block, the only one an
     entangled basis offers.  null_threshold of None picks 0.5/shots for
     sampled records (zero observed counts clamp to a null amplitude) and 0
     for exact ones.
@@ -124,15 +125,15 @@ class ReconstructionOptions:
         if self.family is not None:
             if not (isinstance(self.family, (tuple, list)) and all(isinstance(qb, QubitBasis) for qb in self.family)):
                 raise ValueError(f"family must be a tuple or list of QubitBasis, got {self.family!r}")
-            fam = tuple(self.family)
-            if len(fam) < self.m:
-                raise ValueError(f"family has {len(fam)} bases, need m={self.m}")
-            for i, qb in enumerate(fam):
+            if len(self.family) < self.m:
+                raise ValueError(f"family has {len(self.family)} bases, need m={self.m}")
+            fam = []
+            for i, qb in enumerate(self.family):
                 try:
-                    make_qubit_basis(qb.u, qb.v, qb.phi)
+                    fam.append(make_qubit_basis(qb.u, qb.v, qb.phi))
                 except ValueError as e:
                     raise ValueError(f"family entry {i} {qb!r}: {e}") from None
-            object.__setattr__(self, "family", fam)
+            object.__setattr__(self, "family", tuple(fam))
 
     def resolved_family(self) -> list[QubitBasis]:
         return list(self.family) if self.family is not None else default_family(self.m)

@@ -25,12 +25,18 @@ three never do.
 With --io the one digest covers the bytes write_counts and save_state
 write and the arrays read_counts and load_state return, over n = 1..n_max
 (default 16) x local and entangled bases (m = 2) x 8, 512 and 8,192 shots
-x white-noise weight 0 and 0.05, with one Haar state per n.
+x white-noise weight 0 and 0.05, with one Haar state per n.  Each counts
+data set is read twice: from write_counts' file, and from a foreign
+layout (compact json.dumps, outcome keys reversed) that read_counts
+reads through json, so both of its paths are covered.
 
 With --refusals the one digest covers what each boundary that takes
 counts records (reconstruct, bootstrap_ci, write_counts) raises for each
-case of a fixed malformed-record grid (malformed_records): the
-exception's type and message, or that it took the records.  A change
+case of a fixed malformed-record grid (malformed_records), and what
+read_counts raises for each file of a fixed one-fault counts-file grid
+(counts_files: every edit of EDITS, and every record of
+MALFORMED_OUTCOMES in write_counts' layout and in the compact one): the
+exception's type and message, or that it took the input.  A change
 that must refuse exactly what its parent refused prints the same line:
 
     PYTHONPATH=<checkout>/src python tests/digest.py --refusals
@@ -43,15 +49,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
 
-from purestate.bases import default_family, estimation_basis_ids, local_id
+from purestate.bases import default_family, estimation_basis_ids, family_to_dicts, local_id
 from purestate.benchmark import STATE_FAMILIES, bootstrap_ci, make_bench_state
 from purestate.measurement import (
     CountsData,
     born_tables,
+    counts_data_to_dict,
     exact_record,
     mix_white_noise,
     read_counts,
@@ -142,7 +150,7 @@ def io_digest(n_max: int = 16) -> tuple[str, int]:
     files = 0
     family = default_family(M)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "file.json")
+        path, foreign = os.path.join(tmp, "file.json"), os.path.join(tmp, "foreign.json")
         for n in range(1, n_max + 1):
             state = haar_random(n, n)
             save_state(state, path)
@@ -154,16 +162,101 @@ def io_digest(n_max: int = 16) -> tuple[str, int]:
                 ids = estimation_basis_ids(n, M, mode)
                 for shots in IO_SHOTS:
                     for lam in (0.0, NOISE):
-                        write_counts(path, simulate_counts(state, ids, family, shots, n, noise_lambda=lam))
+                        data = simulate_counts(state, ids, family, shots, n, noise_lambda=lam)
+                        write_counts(path, data)
                         with open(path, "rb") as fh:
                             h.update(fh.read())
-                        back = read_counts(path)
-                        h.update(repr((back.n, back.family)).encode())
-                        for rec in back.records:
-                            h.update(repr((rec.basis, rec.shots, rec.counts.dtype.str)).encode())
-                            h.update(rec.counts.tobytes())
-                        files += 1
+                        update_data(h, read_counts(path))
+                        with open(foreign, "w") as fh:
+                            fh.write(foreign_text(data))
+                        update_data(h, read_counts(foreign))
+                        files += 2
     return h.hexdigest(), files
+
+
+def update_data(h, data) -> None:
+    """Feed one read data set's n, family, and every record's basis, shots, dtype and counts to the hash h."""
+    h.update(repr((data.n, data.family)).encode())
+    for rec in data.records:
+        h.update(repr((rec.basis, rec.shots, rec.counts.dtype.str)).encode())
+        h.update(rec.counts.tobytes())
+
+
+def foreign_text(data) -> str:
+    """data as compact json.dumps text with every record's outcome keys reversed: a layout read_counts reads through json."""
+    obj = counts_data_to_dict(data)
+    for rec in obj["records"]:
+        rec["counts"] = dict(reversed(rec["counts"].items()))
+    return json.dumps(obj)
+
+
+def record(counts, shots=5) -> dict:
+    """The JSON form of a computational-basis record with these counts, at n = 2."""
+    return {"basis": {"tag": "computational"}, "shots": shots, "counts": counts}
+
+
+# (record, the message counts_from_dict names at n = 2): outcomes malformed one way or several, first in file order
+MALFORMED_OUTCOMES = [
+    (record({"0é": 5}), "bad outcome bitstring '0é' for n=2"),
+    (record({"\ud8000": 5}), "bad outcome bitstring '\\ud8000' for n=2"),
+    (record({"0\ud800": 5}), "bad outcome bitstring '0\\ud800' for n=2"),
+    (record({"\U0001f6000": 5}), "bad outcome bitstring '\U0001f6000' for n=2"),
+    (record({"0\x00": 5}), "bad outcome bitstring '0\\x00' for n=2"),
+    (record({"0,": 5}), "bad outcome bitstring '0,' for n=2"),
+    (record({"0": 2, "001": 3}), "bad outcome bitstring '0' for n=2"),
+    (record({"00": True}), "count True for outcome '00' is not a non-negative integer"),
+    (record({"00": 5.0}), "count 5.0 for outcome '00' is not a non-negative integer"),
+    (record({"00": 2**63}), "count 9223372036854775808 for outcome '00' exceeds the record's shots 5"),
+    (record({"00": -(2**63) - 1}), "count -9223372036854775809 for outcome '00' is not a non-negative integer"),
+    (record({"0x": 1.5, "00": 5}), "bad outcome bitstring '0x' for n=2"),
+    (record({"00": 1.5, "0x": 5}), "count 1.5 for outcome '00' is not a non-negative integer"),
+    (record({"00": 5, "0x": 1.5}), "bad outcome bitstring '0x' for n=2"),
+    (record({"10": 6, "0x": 1}), "count 6 for outcome '10' exceeds the record's shots 5"),
+    (record({"0x": 1, "10": 6}), "bad outcome bitstring '0x' for n=2"),
+    (
+        record({"11": 2**62, "10": 2**62, "01": 2**62}, shots=2**63 - 1),
+        "counts sum 13835058055282163712 does not match shots 9223372036854775807",
+    ),
+    (record({}), "counts sum 0 does not match shots 5"),
+]
+
+# one outcome line of a counts object in write_counts' layout: its key, then its count
+COUNT = r'(\n    "[01]+": )(\d+)'
+
+# edits of edited_data()'s written file, each to one counts object or to the whole file
+EDITS = {
+    "repeated outcome": lambda t: re.sub(r'(\n    "[01]+": \d+,)', r"\1\1", t, count=1),
+    "outcomes out of order": lambda t: re.sub(r'\n(    "[01]+": \d+),\n(    "[01]+": \d+)', r"\n\2,\n\1", t, count=1),
+    "leading zero": lambda t: re.sub(COUNT, r"\g<1>0\2", t, count=1),
+    "zero count": lambda t: re.sub(COUNT, r"\g<1>0", t, count=1),
+    "count one over shots": lambda t: re.sub(COUNT, r"\g<1>65", t, count=1),
+    "count over shots": lambda t: re.sub(COUNT, r"\g<1>99999", t, count=1),
+    "nineteen digits": lambda t: re.sub(COUNT, rf"\g<1>{2**63 - 1}", t, count=1),
+    "twenty digits": lambda t: re.sub(COUNT, rf"\g<1>{2**64}", t, count=1),
+    "float count": lambda t: re.sub(COUNT, r"\1\2.0", t, count=1),
+    "negative count": lambda t: re.sub(COUNT, r"\1-\2", t, count=1),
+    "short key": lambda t: re.sub(r'\n    "[01]', '\n    "', t, count=1),
+    "bad key character": lambda t: re.sub(r'\n    "[01]', '\n    "2', t, count=1),
+    "non-ASCII key": lambda t: re.sub(r'\n    "[01]', '\n    "é', t, count=1),
+    "escaped key": lambda t: re.sub(r'\n    "[01]', r'\n    "\\u0030', t, count=1),
+    "trailing comma": lambda t: t.replace("\n   }", ",\n   }", 1),
+    "missing comma": lambda t: re.sub(r"(\n    \"[01]+\": \d+),\n", r"\1\n", t, count=1),
+    "semicolon for colon": lambda t: re.sub(r'(\n    "[01]+"): ', r"\1; ", t, count=1),
+    "unclosed object": lambda t: t[: t.index('"counts": {\n') + 40] + "\n",
+    "other layout": lambda t: json.dumps(json.loads(t), indent=2),
+    "compact layout": lambda t: json.dumps(json.loads(t)),
+    "n not an integer": lambda t: t.replace('"n": 3', '"n": true', 1),
+    "n too large": lambda t: t.replace('"n": 3', '"n": 4', 1),
+    "bad n and a malformed object": lambda t: re.sub(r'(\n    "[01]+)"', r"\1]", t.replace('"n": 3', '"n": true', 1), count=1),
+    "counts as a string": lambda t: re.sub(r'"counts": \{\n[^}]*\}', '"counts": "\\\\\\\\"', t, count=1),
+    "counts as a string, and an object in its basis": lambda t: re.sub(
+        r'"counts": \{\n[^}]*\}', r'"counts": "\\\\"', t, count=1
+    ).replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 64\n   }', 1),
+    "counts in a basis": lambda t: t.replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 1\n   }', 1),
+    "shots not an integer": lambda t: t.replace('"shots": 64', '"shots": 64.0', 1),
+    "basis out of range": lambda t: t.replace('"a": 1', '"a": 9', 1),
+    "repeated record key": lambda t: t.replace('"shots": 64,', '"shots": 64,\n   "shots": 64,', 1),
+}
 
 
 def malformed_records() -> dict:
@@ -217,24 +310,53 @@ def boundaries(path: str) -> dict:
     }
 
 
-def outcome(call, records) -> tuple:
-    """(exception type name, message) of what call(records) raises; (None, None) when it takes the records."""
+def outcome(call, arg) -> tuple:
+    """(exception type name, message) of what call(arg) raises; (None, None) when it takes arg."""
     try:
-        call(records)
+        call(arg)
     except Exception as e:
         return type(e).__name__, str(e)
     return None, None
 
 
+def edited_data() -> CountsData:
+    """The data whose written file EDITS edit: haar_random(3, 3)'s local records (m = 2), 64 shots on seed 3."""
+    n = 3
+    return simulate_counts(haar_random(n, 3), estimation_basis_ids(n, M, "local"), default_family(M), 64, 3)
+
+
+def counts_files() -> dict:
+    """{case: text} of the fixed one-fault counts-file grid.
+
+    Each edit of EDITS on edited_data()'s file in write_counts' layout
+    (json.dumps(..., indent=1) and a newline, the text write_counts writes),
+    and each record of MALFORMED_OUTCOMES alone in an n = 2 file in that
+    layout and in json's compact one.
+    """
+    written = json.dumps(counts_data_to_dict(edited_data()), indent=1) + "\n"
+    files = {f"edit: {name}": edit(written) for name, edit in EDITS.items()}
+    for i, (rec, _) in enumerate(MALFORMED_OUTCOMES):
+        obj = {"n": 2, "family": family_to_dicts(default_family(M)), "records": [rec]}
+        files[f"outcome {i}, written layout"] = json.dumps(obj, indent=1) + "\n"
+        files[f"outcome {i}, compact layout"] = json.dumps(obj)
+    return files
+
+
 def refusals() -> dict:
-    """{(case, boundary): outcome} over the malformed-record grid."""
+    """{(case, boundary): outcome} over the malformed-record grid, and {(case, "read_counts"): outcome} over the counts files."""
     with tempfile.TemporaryDirectory() as tmp:
         calls = boundaries(os.path.join(tmp, "counts.json"))
-        return {
+        got = {
             (case, name): outcome(call, records)
             for case, records in malformed_records().items()
             for name, call in calls.items()
         }
+        path = os.path.join(tmp, "file.json")
+        for case, text in counts_files().items():
+            with open(path, "w") as fh:
+                fh.write(text)
+            got[case, "read_counts"] = outcome(read_counts, path)
+        return got
 
 
 def refusal_digest() -> tuple[str, int]:

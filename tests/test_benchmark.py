@@ -47,6 +47,12 @@ class TestBenchConfig:
             with pytest.raises(ValueError, match="n_range"):
                 BenchConfig(n_range=(2, bad))
 
+    @pytest.mark.parametrize("n_range", [(2, 2), (2, 2.0), (3, 2, np.int64(3))])
+    def test_a_repeated_system_size_is_refused(self, n_range):
+        # a repeated n ran its trials twice over and wrote each CSV row twice
+        with pytest.raises(ValueError, match="^n_range repeats a system size"):
+            BenchConfig(n_range=n_range)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(n_range=())

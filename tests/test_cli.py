@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 import purestate
+import purestate.benchmark
+import purestate.cli
 from purestate.states import fidelity, load_state, named_state
 from purestate.measurement import read_counts
 from purestate.reconstruction import ReconstructionOptions, reconstruct
@@ -326,6 +328,30 @@ class TestSimulateReconstruct:
             assert run_cli("simulate", "--state", "ghz", "--n", "2", "--noise-lambda", bad, "--out", str(counts)) == 2
             assert "noise_lambda" in capsys.readouterr().err
             assert not counts.exists()
+
+    @pytest.mark.parametrize("subcommand", ["reconstruct", "bootstrap"])
+    def test_a_target_of_another_size_is_refused_before_any_reconstruction(self, tmp_path, capsys, monkeypatch, subcommand):
+        # the target used to be loaded after reconstruct's summary line, or refused inside bootstrap_ci
+        counts, statef, est = tmp_path / "c.json", tmp_path / "s.json", tmp_path / "est.json"
+        run_cli("simulate", "--state", "ghz", "--n", "3", "--shots", "64", "--out", str(counts))
+        run_cli("simulate", "--state", "ghz", "--n", "4", "--out", str(tmp_path / "c4.json"), "--save-state", str(statef))
+        capsys.readouterr()
+        calls = []
+        for module in (purestate.cli, purestate.benchmark):
+            monkeypatch.setattr(module, "reconstruct", lambda *args, **kw: calls.append(args) or reconstruct(*args, **kw))
+        extra = ["--out", str(est)] if subcommand == "reconstruct" else ["--resamples", "10"]
+        assert run_cli(subcommand, "--in", str(counts), "--target", str(statef), *extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "data error: target file has n=4, counts file has n=3\n"
+        assert calls == [] and not est.exists()
+
+    def test_a_missing_target_is_refused_before_any_reconstruction(self, tmp_path, capsys):
+        counts, est = tmp_path / "c.json", tmp_path / "est.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts), "--target", str(tmp_path / "none.json"), "--out", str(est)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: target ") and not est.exists()
 
     def test_random_target_name_rejected(self, tmp_path, capsys):
         counts = tmp_path / "c.json"

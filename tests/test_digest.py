@@ -1,6 +1,9 @@
 """The digests of tests/digest.py: bit identity on their grids up to n = 4, and the record boundaries' refusals."""
 
+import dataclasses
 import hashlib
+import json
+import os
 import re
 
 import numpy as np
@@ -8,7 +11,7 @@ import numpy as np
 import digest
 from purestate.states import haar_random
 from purestate.bases import default_family, estimation_basis_ids
-from purestate.measurement import born_tables, exact_record
+from purestate.measurement import born_tables, counts_data_to_dict, exact_record
 from purestate.reconstruction import AmbiguityError, reconstruct
 
 
@@ -88,9 +91,31 @@ def test_a_raise_moved_to_another_block_changes_the_fail_digest(monkeypatch):
 def test_the_io_digest_is_reproducible_and_counts_every_file():
     first = digest.io_digest(n_max=4)
     assert first == digest.io_digest(n_max=4)
-    # per n one state file and 2 modes x 3 shot counts x 2 noise weights of counts files
-    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 4 * (1 + 2 * len(digest.IO_SHOTS) * 2)
+    # per n one state file and 2 modes x 3 shot counts x 2 noise weights of counts files, each in two layouts
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 4 * (1 + 2 * len(digest.IO_SHOTS) * 2 * 2)
     assert first[0] != digest.io_digest(n_max=3)[0]
+
+
+def test_the_io_digest_reads_every_data_set_from_the_foreign_layout_too(monkeypatch):
+    base = digest.io_digest(n_max=2)[0]
+    read_counts, paths = digest.read_counts, []
+
+    def drop_a_foreign_record(path):
+        paths.append(os.path.basename(path))
+        data = read_counts(path)
+        with open(path) as fh:
+            text = fh.read()
+        return data if "\n" in text else dataclasses.replace(data, records=data.records[:-1])
+
+    monkeypatch.setattr(digest, "read_counts", drop_a_foreign_record)
+    assert digest.io_digest(n_max=2)[0] != base
+    assert paths == ["file.json", "foreign.json"] * (2 * 2 * len(digest.IO_SHOTS) * 2)
+    # the foreign layout: compact, every record's outcome keys reversed
+    data = digest.edited_data()
+    text = digest.foreign_text(data)
+    assert "\n" not in text and json.loads(text) == counts_data_to_dict(data)
+    for rec, back in zip(counts_data_to_dict(data)["records"], json.loads(text)["records"], strict=True):
+        assert list(back["counts"]) == list(reversed(rec["counts"]))
 
 
 def test_the_script_prints_the_io_digest_with_io(capsys):
@@ -102,7 +127,20 @@ def test_the_refusal_digest_is_reproducible_and_covers_every_case_at_every_bound
     first = digest.refusal_digest()
     assert first == digest.refusal_digest()
     cases = len(digest.malformed_records())
-    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 3 * cases
+    files = len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES)
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 3 * cases + files
+
+
+def test_the_counts_files_hold_one_fault_each_in_both_layouts(tmp_path):
+    files = digest.counts_files()
+    assert len(files) == len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES)
+    digest.write_counts(tmp_path / "counts.json", digest.edited_data())
+    written = (tmp_path / "counts.json").read_text()
+    assert all(files[f"edit: {name}"] == edit(written) != written for name, edit in digest.EDITS.items())
+    for i, (rec, _) in enumerate(digest.MALFORMED_OUTCOMES):
+        indented, compact = files[f"outcome {i}, written layout"], files[f"outcome {i}, compact layout"]
+        assert indented.endswith("}\n") and "\n" not in compact
+        assert json.loads(indented) == json.loads(compact) and json.loads(compact)["records"] == [rec]
 
 
 def test_a_moved_refusal_changes_the_refusal_digest(monkeypatch):
@@ -123,7 +161,15 @@ def test_a_moved_refusal_changes_the_refusal_digest(monkeypatch):
     def takes_all(path, data):
         pass
 
-    for name, moved in (("bootstrap_ci", exact_first), ("reconstruct", another_type), ("write_counts", takes_all)):
+    def names_the_sum(path):  # the first outcome over shots refused by its sum instead
+        try:
+            return read_counts(path)
+        except ValueError as e:
+            raise ValueError(re.sub("^count .* exceeds", "counts sum exceeds", str(e))) from None
+
+    read_counts = digest.read_counts
+    moves = (("bootstrap_ci", exact_first), ("reconstruct", another_type), ("write_counts", takes_all), ("read_counts", names_the_sum))
+    for name, moved in moves:
         with monkeypatch.context() as patch:
             patch.setattr(digest, name, moved)
             assert digest.refusal_digest()[0] != base, name

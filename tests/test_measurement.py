@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from scipy import stats
 
 import digest
+from digest import record
 import purestate.measurement as measurement
 from purestate.states import (
     _unique_keys,
@@ -520,9 +521,8 @@ class TestCountsDtype:
         write_counts(path, CountsData(n=2, family=default_family(2), records=[rec]))
         path.write_text(path.read_text().replace(f'"shots": {2**31}', '"shots": 1000'))
         message = "count 2147483648 for outcome '00' exceeds the record's shots 1000"
-        for read in (measurement._read_written, json_read):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                read(path.read_text())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            json_read(path.read_text())
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_counts(path)
 
@@ -680,10 +680,6 @@ class TestCountsIO:
                 assert str(ra.basis) == str(rb.basis)
                 assert ra.shots == rb.shots
                 assert np.array_equal(ra.counts, rb.counts)
-
-
-def record(counts, shots=5):
-    return {"basis": {"tag": "computational"}, "shots": shots, "counts": counts}
 
 
 class TestMissingKeys:
@@ -910,10 +906,6 @@ def read_outcome(read, text):
     return data.n, data.family, [(r.basis, r.shots, r.counts.dtype.str, r.counts.tolist()) for r in data.records]
 
 
-# one outcome line of a counts object in write_counts' layout: its key, then its count
-COUNT = r'(\n    "[01]+": )(\d+)'
-
-
 def digit_boundary_records(n):
     """One record per count at a decimal digit boundary (9, 10, 99, 100, ..., int64 max), shots equal to the count."""
     values = sorted({v for d in range(1, 19) for v in (10**d - 1, 10**d)} | {np.iinfo(np.int64).max})
@@ -1020,32 +1012,7 @@ class TestCountsFileBytes:
 class TestCountsReadParity:
     """read_counts gives the data, or the refusal, that counts_data_from_dict gives for json's parse of the file."""
 
-    @pytest.mark.parametrize(
-        "obj, message",
-        [
-            (record({"0é": 5}), "bad outcome bitstring '0é' for n=2"),
-            (record({"\ud8000": 5}), "bad outcome bitstring '\\ud8000' for n=2"),
-            (record({"0\ud800": 5}), "bad outcome bitstring '0\\ud800' for n=2"),
-            (record({"\U0001f6000": 5}), "bad outcome bitstring '\U0001f6000' for n=2"),
-            (record({"0\x00": 5}), "bad outcome bitstring '0\\x00' for n=2"),
-            (record({"0,": 5}), "bad outcome bitstring '0,' for n=2"),
-            (record({"0": 2, "001": 3}), "bad outcome bitstring '0' for n=2"),
-            (record({"00": True}), "count True for outcome '00' is not a non-negative integer"),
-            (record({"00": 5.0}), "count 5.0 for outcome '00' is not a non-negative integer"),
-            (record({"00": 2**63}), "count 9223372036854775808 for outcome '00' exceeds the record's shots 5"),
-            (record({"00": -(2**63) - 1}), "count -9223372036854775809 for outcome '00' is not a non-negative integer"),
-            (record({"0x": 1.5, "00": 5}), "bad outcome bitstring '0x' for n=2"),
-            (record({"00": 1.5, "0x": 5}), "count 1.5 for outcome '00' is not a non-negative integer"),
-            (record({"00": 5, "0x": 1.5}), "bad outcome bitstring '0x' for n=2"),
-            (record({"10": 6, "0x": 1}), "count 6 for outcome '10' exceeds the record's shots 5"),
-            (record({"0x": 1, "10": 6}), "bad outcome bitstring '0x' for n=2"),
-            (
-                record({"11": 2**62, "10": 2**62, "01": 2**62}, shots=2**63 - 1),
-                "counts sum 13835058055282163712 does not match shots 9223372036854775807",
-            ),
-            (record({}), "counts sum 0 does not match shots 5"),
-        ],
-    )
+    @pytest.mark.parametrize("obj, message", digest.MALFORMED_OUTCOMES)
     def test_message_of_more_malformed_outcomes(self, obj, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             counts_from_dict(obj, 2)
@@ -1058,50 +1025,37 @@ class TestCountsReadParity:
             text = path.read_text()
             assert read_outcome(measurement._read_written, text) == read_outcome(json_read, text)
         text = path.read_text().replace('"counts": {\n', '"counts": {\n ', 1)
-        with pytest.raises(measurement._NotWritten):
+        with pytest.raises(ValueError):
             measurement._read_written(text)
 
-    # edits of a written file (n = 3, 64 shots per record), each to one counts object or to the whole file
-    EDITS = {
-        "repeated outcome": lambda t: re.sub(r'(\n    "[01]+": \d+,)', r"\1\1", t, count=1),
-        "outcomes out of order": lambda t: re.sub(r'\n(    "[01]+": \d+),\n(    "[01]+": \d+)', r"\n\2,\n\1", t, count=1),
-        "leading zero": lambda t: re.sub(COUNT, r"\g<1>0\2", t, count=1),
-        "zero count": lambda t: re.sub(COUNT, r"\g<1>0", t, count=1),
-        "count one over shots": lambda t: re.sub(COUNT, r"\g<1>65", t, count=1),
-        "count over shots": lambda t: re.sub(COUNT, r"\g<1>99999", t, count=1),
-        "nineteen digits": lambda t: re.sub(COUNT, rf"\g<1>{2**63 - 1}", t, count=1),
-        "twenty digits": lambda t: re.sub(COUNT, rf"\g<1>{2**64}", t, count=1),
-        "float count": lambda t: re.sub(COUNT, r"\1\2.0", t, count=1),
-        "negative count": lambda t: re.sub(COUNT, r"\1-\2", t, count=1),
-        "short key": lambda t: re.sub(r'\n    "[01]', '\n    "', t, count=1),
-        "bad key character": lambda t: re.sub(r'\n    "[01]', '\n    "2', t, count=1),
-        "non-ASCII key": lambda t: re.sub(r'\n    "[01]', '\n    "é', t, count=1),
-        "escaped key": lambda t: re.sub(r'\n    "[01]', r'\n    "\\u0030', t, count=1),
-        "trailing comma": lambda t: t.replace("\n   }", ",\n   }", 1),
-        "missing comma": lambda t: re.sub(r"(\n    \"[01]+\": \d+),\n", r"\1\n", t, count=1),
-        "semicolon for colon": lambda t: re.sub(r'(\n    "[01]+"): ', r"\1; ", t, count=1),
-        "unclosed object": lambda t: t[: t.index('"counts": {\n') + 40] + "\n",
-        "other layout": lambda t: json.dumps(json.loads(t), indent=2),
-        "compact layout": lambda t: json.dumps(json.loads(t)),
-        "n not an integer": lambda t: t.replace('"n": 3', '"n": true', 1),
-        "n too large": lambda t: t.replace('"n": 3', '"n": 4', 1),
-        "bad n and a malformed object": lambda t: re.sub(r'(\n    "[01]+)"', r"\1]", t.replace('"n": 3', '"n": true', 1), count=1),
-        "counts as a string": lambda t: re.sub(r'"counts": \{\n[^}]*\}', '"counts": "\\\\\\\\"', t, count=1),
-        "counts as a string, and an object in its basis": lambda t: re.sub(
-            r'"counts": \{\n[^}]*\}', r'"counts": "\\\\"', t, count=1
-        ).replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 64\n   }', 1),
-        "counts in a basis": lambda t: t.replace('"tag": "computational"', '"tag": "computational", "counts": {\n    "000": 1\n   }', 1),
-        "shots not an integer": lambda t: t.replace('"shots": 64', '"shots": 64.0', 1),
-        "basis out of range": lambda t: t.replace('"a": 1', '"a": 9', 1),
-        "repeated record key": lambda t: t.replace('"shots": 64,', '"shots": 64,\n   "shots": 64,', 1),
-    }
+    @pytest.mark.parametrize("mode", ["local", "entangled"])
+    def test_every_written_file_is_read_without_the_json_path(self, tmp_path, monkeypatch, mode):
+        # a fault in the written-layout reader would fall back to json unseen, at about 0.1 s per n=16 file
+        def refuse(*args, **kwargs):
+            raise AssertionError("the json path ran")
 
-    @pytest.mark.parametrize("edit", sorted(EDITS))
+        loads = json.loads
+        texts = []
+        monkeypatch.setattr(measurement, "_counts_vector", refuse)
+        monkeypatch.setattr(measurement.json, "loads", lambda s, **kw: refuse() if s in texts else loads(s, **kw))
+        path = tmp_path / "counts.json"
+        for n in range(1, 9):
+            for shots in (8, 512, 8192):
+                data = random_counts_data(n, mode, 2, shots, seed=n)
+                write_counts(path, data)
+                texts[:] = [path.read_text()]
+                back = read_counts(path)
+                assert (back.n, back.family) == (data.n, data.family)
+                for ra, rb in zip(back.records, data.records, strict=True):
+                    assert (ra.basis, ra.shots, ra.counts.dtype) == (rb.basis, rb.shots, rb.counts.dtype)
+                    assert np.array_equal(ra.counts, rb.counts)
+
+    @pytest.mark.parametrize("edit", sorted(digest.EDITS))
     def test_an_edited_file_reads_as_json_reads_it(self, tmp_path, edit):
-        data = random_counts_data(3, "local", 2, 64, seed=3)
+        data = digest.edited_data()
         path = tmp_path / "counts.json"
         write_counts(path, data)
-        text = self.EDITS[edit](path.read_text())
+        text = digest.EDITS[edit](path.read_text())
         assert text != path.read_text()
         path.write_text(text)
         assert read_outcome(lambda _: read_counts(path), None) == read_outcome(json_read, text)

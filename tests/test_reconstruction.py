@@ -34,6 +34,7 @@ from purestate.measurement import (
     born_probs,
     counts_to_dict,
     exact_record,
+    read_counts,
     seeded_rng,
     simulate_counts,
     to_empirical,
@@ -963,6 +964,21 @@ class TestOptionsValidation:
         s = np.sqrt(0.5)
         family = (QubitBasis(s, s, 0.0), QubitBasis(s * (1 + 1e-14), s, 1.0))
         assert ReconstructionOptions(family=family).family == family
+
+    def test_family_entries_are_kept_reduced_so_a_file_round_trip_reconstructs_alike(self, tmp_path):
+        # the entries were validated, then kept as given: phi 7.0 and the 0.7168... a file holds
+        # reconstructed the same records 2.1e-15 apart
+        s = np.sqrt(0.5)
+        family = (QubitBasis(s, s, 7.0), QubitBasis(s, s, 1.0))
+        opts = ReconstructionOptions(mode="local", m=2, family=family)
+        assert opts.family == (make_qubit_basis(s, s, 7.0), family[1])
+        data = simulate_counts(haar_random(5, 1), estimation_basis_ids(5, 2, "local"), family, 1000, seed=0)
+        path = tmp_path / "counts.json"
+        write_counts(path, data)
+        back = read_counts(path)
+        est = reconstruct(data.records, 5, opts)[0]
+        est_back = reconstruct(back.records, 5, ReconstructionOptions(mode="local", m=2, family=tuple(back.family)))[0]
+        assert np.array_equal(est.amps, est_back.amps)
 
     def test_family_arrays_are_built_once_per_options(self, monkeypatch):
         built = []
