@@ -4,9 +4,9 @@ A single-qubit basis is the pair
 
     |+_a> = u|0> + v e^{i phi}|1>,      |-_a> = v|0> - u e^{i phi}|1>,
 
-with u, v >= 0, u^2 + v^2 = 1 and u*v > 0 (never the computational basis).
-From a family of m such bases three kinds of n-qubit measurement bases are
-derived:
+with u, v, phi finite, u, v >= 0, u^2 + v^2 = 1 and u*v > 0 (never the
+computational basis).  From a family of m such bases three kinds of
+n-qubit measurement bases are derived:
 
 * ``computational`` -- the plain bit readout;
 * ``local`` L_ab    -- top n-b qubits computational, bottom b qubits rotated
@@ -40,18 +40,32 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .states import PureState, _is_real, _require_int, _require_json, _require_key, _require_qubits
+from .states import PureState, _as_float, _require_int, _require_json, _require_key, _require_qubits
 
 BASIS_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class QubitBasis:
-    """Parameters (u, v, phi) of a single-qubit basis distinct from the computational one."""
+    """Parameters (u, v, phi) of a single-qubit basis, checked by the module's rule when made; phi kept in [0, 2 pi)."""
 
     u: float
     v: float
     phi: float
+
+    def __post_init__(self):
+        u, v, phi = values = [_as_float(x) for x in (self.u, self.v, self.phi)]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"u, v and phi must be finite real numbers, got {(self.u, self.v, self.phi)!r}")
+        phi %= 2 * np.pi
+        if u < 0 or v < 0:
+            raise ValueError("u and v must be non-negative")
+        if abs(u * u + v * v - 1.0) > BASIS_NORM_TOL:
+            raise ValueError(f"u^2 + v^2 = {u * u + v * v} is not normalized")
+        if u * v == 0.0:
+            raise ValueError("u*v must be positive: basis must differ from the computational one")
+        # a phi just below 0 leaves a remainder that rounds to 2 pi itself, which a second reduction maps to 0.0
+        self.__dict__.update(u=u, v=v, phi=phi if phi < 2 * np.pi else 0.0)  # frozen: set past __setattr__
 
     def plus_ket(self) -> np.ndarray:
         return np.array([self.u, self.v * np.exp(1j * self.phi)])
@@ -118,21 +132,6 @@ class OutcomeRole:
         return self.sign0 == 1 and all(s == -1 for s in self.tail)
 
 
-def make_qubit_basis(u: float, v: float, phi: float) -> QubitBasis:
-    """Validated basis constructor, phi reduced into [0, 2 pi); rejects the computational basis (u*v = 0), non-finite input."""
-    if not all(_is_real(x) and math.isfinite(x) for x in (u, v, phi)):
-        raise ValueError(f"u, v and phi must be finite real numbers, got {(u, v, phi)!r}")
-    u, v, phi = float(u), float(v), float(phi) % (2 * np.pi)
-    if u < 0 or v < 0:
-        raise ValueError("u and v must be non-negative")
-    if abs(u * u + v * v - 1.0) > BASIS_NORM_TOL:
-        raise ValueError(f"u^2 + v^2 = {u * u + v * v} is not normalized")
-    if u * v == 0.0:
-        raise ValueError("u*v must be positive: basis must differ from the computational one")
-    # a phi just below 0 leaves a remainder that rounds to 2 pi itself, which a second reduction maps to 0.0
-    return QubitBasis(u=u, v=v, phi=phi if phi < 2 * np.pi else 0.0)
-
-
 def default_family(m: int) -> list[QubitBasis]:
     """Balanced family u = v = 1/sqrt(2), phi_a = (a-1)*pi/m.
 
@@ -142,7 +141,7 @@ def default_family(m: int) -> list[QubitBasis]:
     """
     _require_family_size(m)
     s = 1.0 / np.sqrt(2)
-    return [make_qubit_basis(s, s, (a - 1) * np.pi / m) for a in range(1, m + 1)]
+    return [QubitBasis(s, s, (a - 1) * np.pi / m) for a in range(1, m + 1)]
 
 
 def family_to_dicts(family: list[QubitBasis]) -> list[dict]:
@@ -151,10 +150,7 @@ def family_to_dicts(family: list[QubitBasis]) -> list[dict]:
 
 def family_from_dicts(objs: list[dict]) -> list[QubitBasis]:
     family = [_require_json(o, dict, "family entry") for o in _require_json(objs, list, "family")]
-    return [
-        make_qubit_basis(*(_require_key(o, key, f"family[{i}]") for key in ("u", "v", "phi")))
-        for i, o in enumerate(family)
-    ]
+    return [QubitBasis(*(_require_key(o, k, f"family[{i}]") for k in ("u", "v", "phi"))) for i, o in enumerate(family)]
 
 
 def _require_family_size(m) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .bases import ESTIMATION_MODES, _require_family_size, default_family, estimation_basis_ids
 from .measurement import (
+    _INT64_MAX,
     R_ENTANGLING,
     R_LOCAL,
     CountsRecord,
@@ -95,6 +96,8 @@ class BenchConfig:
             raise ValueError(f"n_range repeats a system size: {list(self.n_range)}")
         if _require_int(self.trials, "trials") < 1 or _require_int(self.shots, "shots") < 1:
             raise ValueError("trials and shots must be >= 1")
+        if self.shots > _INT64_MAX:
+            raise ValueError(f"shots {self.shots} beyond the int64 range")
         if _require_int(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         _require_family_size(self.m)

@@ -61,12 +61,11 @@ from .bases import (
     circuit_gates,
     family_from_dicts,
     family_to_dicts,
-    make_qubit_basis,
     rotate_qubit,
 )
 from .states import (
     PureState,
-    _is_real,
+    _as_float,
     _require_int,
     _require_json,
     _require_key,
@@ -199,9 +198,9 @@ def born_probs(state: PureState, id: BasisId, family: list[QubitBasis]) -> ProbT
 
 def check_noise_weight(lam, what: str = "noise weight") -> float:
     """lam as a float when it is a real number in [0, 1]; ValueError for NaN, infinities, bools and the rest."""
-    if not _is_real(lam) or not 0.0 <= lam <= 1.0:
+    if not 0.0 <= (weight := _as_float(lam)) <= 1.0:
         raise ValueError(f"{what} must be a real number in [0, 1], got {lam!r}")
-    return float(lam)
+    return weight
 
 
 def mix_white_noise(table: ProbTable, lam: float) -> ProbTable:
@@ -255,13 +254,15 @@ def _counts_dtype(shots: int) -> type:
 
 
 def sample_counts(table: ProbTable, shots: int, rng: np.random.Generator) -> CountsRecord:
-    """Multinomial draw of ``shots`` outcomes from a probability table; shots must be a positive integer.
+    """Multinomial draw of ``shots`` outcomes from a probability table; shots must be an integer in [1, 2^63 - 1].
 
     The counts are int32 when shots <= 2^31 - 1 and int64 otherwise
     (``_counts_dtype``); cast them before arithmetic that can pass 2^31.
     """
     if _require_int(shots, "shots") <= 0:
         raise ValueError("shots must be positive")
+    if shots > _INT64_MAX:
+        raise ValueError(f"shots {shots} beyond the int64 range")
     counts = rng.multinomial(shots, sampling_distribution(table.probs)).astype(_counts_dtype(shots), copy=False)
     return CountsRecord(basis=table.basis, shots=shots, counts=counts)
 
@@ -351,7 +352,7 @@ def _exact_sum(vec: np.ndarray) -> int | None:
 def check_records(records: list[CountsRecord], n: int) -> dict:
     """The records keyed by str(basis), once each obeys the rule every boundary applies, one message per fault.
 
-    - shots are an integer >= 0;
+    - shots are an integer in [0, 2^63 - 1];
     - the counts have shape (2^n,);
     - shots 0 marks an exact record, which holds finite, non-negative reals;
     - a sampled record holds integers in [0, 2^63 - 1] summing exactly to its shots;
@@ -363,6 +364,8 @@ def check_records(records: list[CountsRecord], n: int) -> dict:
         shots = _require_int(rec.shots, f"shots of record {key}")
         if shots < 0:
             raise ValueError(f"record {key} has negative shots {shots}")
+        if shots > _INT64_MAX:
+            raise ValueError(f"record {key} has shots {shots} beyond the int64 range")
         vec = np.asarray(rec.counts)
         if vec.shape != (1 << n,):
             raise ValueError(f"record {key} holds counts of shape {vec.shape}, not ({1 << n},)")
@@ -461,6 +464,7 @@ def counts_from_dict(obj: dict, n: int, where: str = "record") -> CountsRecord:
 
 
 def counts_data_to_dict(data: CountsData) -> dict:
+    """JSON form of a data set: the family as each QubitBasis holds it (phi in [0, 2 pi)), records as in counts_to_dict."""
     return {
         "n": data.n,
         "family": family_to_dicts(data.family),
@@ -482,12 +486,10 @@ def counts_data_from_dict(obj: dict) -> CountsData:
     return CountsData(n=n, family=family, records=records)
 
 
-def _check_data(n: int, family: list, records: list) -> list[QubitBasis]:
-    """The family as make_qubit_basis reduces it, once no entry is refused and every record's basis is in range."""
-    family = [make_qubit_basis(qb.u, qb.v, qb.phi) for qb in family]
+def _check_data(n: int, family: list, records: list) -> None:
+    """ValueError unless every record's basis id is in range for n and the family, whose entries need no check."""
     for rec in records:
         _check_id(rec.basis, n, len(family))
-    return family
 
 
 def _counts_text(counts: np.ndarray, n: int) -> str:
@@ -520,18 +522,18 @@ def write_counts(path: str, data: CountsData) -> None:
     """Write data in json.dump(..., indent=1)'s layout, and a newline, one record at a time.
 
     The records go through check_records and exact ones are refused, then
-    the family and the basis ids are checked, all before the file is opened,
-    so refused data leaves an existing file as it was.  Family entries are
-    written as make_qubit_basis reduces them, as read_counts reads them
-    back (counts_data_to_dict keeps them as given), the records as in
-    counts_to_dict.  Each record's counts object is built from its counts
-    vector by ``_counts_text`` in one numpy pass, and written in its place.
+    the basis ids are checked, all before the file is opened, so refused
+    data leaves an existing file as it was.  The family and the records are
+    written as in counts_data_to_dict, phi reduced as every QubitBasis holds
+    it, so the file reads back as written.  Each record's counts object is
+    built from its counts vector by ``_counts_text`` in one numpy pass, and
+    written in its place.
     """
     vecs = _counts_vectors(data.records, data.n)
-    family = _check_data(data.n, data.family, data.records)
+    _check_data(data.n, data.family, data.records)
     layout = {
         "n": data.n,
-        "family": family_to_dicts(family),
+        "family": family_to_dicts(data.family),
         "records": [{"basis": basis_id_to_dict(r.basis), "shots": int(r.shots), "counts": {}} for r in data.records],
     }
     pieces = json.dumps(layout, indent=1).split(_EMPTY_COUNTS)

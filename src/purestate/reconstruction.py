@@ -63,11 +63,10 @@ from .bases import (
     _require_family_size,
     default_family,
     estimation_basis_ids,
-    make_qubit_basis,
     rotate_qubit,
 )
 from .measurement import CountsRecord, ProbTable, check_records, exact_record, to_empirical
-from .states import PureState, _freeze, _is_real, global_phase_normalize, state_to_dict
+from .states import PureState, _as_float, _freeze, global_phase_normalize, state_to_dict
 
 # Least-squares solutions shorter than this carry no phase direction.
 ZERO_SOLUTION_EPS = 1e-15
@@ -92,13 +91,13 @@ class ReconstructionOptions:
 
     mode selects which measurement records are consumed: "local" needs the
     product bases (a = 1..m, b = 1..n), "entangled" the ladder bases
-    (a = 1..m); both need the computational record.  family defaults to the
-    balanced phase family of size m and must match the one the records were
-    measured in; its entries are kept as make_qubit_basis reduces them, as
-    a counts file holds them.  use_extra_rows (local mode only) feeds every
-    outcome of each local basis into the phase systems, the estimator every
-    subcommand runs; False keeps the one canonical outcome per block, the only one an
-    entangled basis offers.  null_threshold of None picks 0.5/shots for
+    (a = 1..m); both need the computational record.  family is kept as the
+    tuple of bases in use: None stands for default_family(m), the balanced
+    family, and a family given must match the one the records were measured
+    in.  use_extra_rows (local mode only) feeds every outcome of each local
+    basis into the phase systems, the estimator every subcommand runs; False
+    keeps the one canonical outcome per block, the only one an entangled
+    basis offers.  null_threshold of None picks 0.5/shots for
     sampled records (zero observed counts clamp to a null amplitude) and 0
     for exact ones.
     """
@@ -116,27 +115,18 @@ class ReconstructionOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
         _require_family_size(self.m)
         null, cond = self.null_threshold, self.cond_threshold
-        if null is not None and not (_is_real(null) and 0 < null < np.inf):
+        if null is not None and not 0 < _as_float(null) < np.inf:
             raise ValueError(f"null_threshold must be a positive finite real number, got {null!r}")
-        if not (_is_real(cond) and cond > 0):
+        if not _as_float(cond) > 0:  # NaN, so refused, for an int beyond the float range: reconstruct could not use it
             raise ValueError(f"cond_threshold must be a positive real number or inf, got {cond!r}")
         if self.ambiguity_policy not in AMBIGUITY_POLICIES:
             raise ValueError(f"unknown ambiguity_policy {self.ambiguity_policy!r}")
-        if self.family is not None:
-            if not (isinstance(self.family, (tuple, list)) and all(isinstance(qb, QubitBasis) for qb in self.family)):
-                raise ValueError(f"family must be a tuple or list of QubitBasis, got {self.family!r}")
-            if len(self.family) < self.m:
-                raise ValueError(f"family has {len(self.family)} bases, need m={self.m}")
-            fam = []
-            for i, qb in enumerate(self.family):
-                try:
-                    fam.append(make_qubit_basis(qb.u, qb.v, qb.phi))
-                except ValueError as e:
-                    raise ValueError(f"family entry {i} {qb!r}: {e}") from None
-            object.__setattr__(self, "family", tuple(fam))
-
-    def resolved_family(self) -> list[QubitBasis]:
-        return list(self.family) if self.family is not None else default_family(self.m)
+        family = default_family(self.m) if self.family is None else self.family
+        if not (isinstance(family, (tuple, list)) and all(isinstance(qb, QubitBasis) for qb in family)):
+            raise ValueError(f"family must be a tuple or list of QubitBasis, got {family!r}")
+        if len(family) < self.m:
+            raise ValueError(f"family has {len(family)} bases, need m={self.m}")
+        object.__setattr__(self, "family", tuple(family))
 
     def _basis_keys(self, n: int) -> list:
         """str() of each basis a run at n measures, in estimation_basis_ids order.
@@ -151,7 +141,7 @@ class ReconstructionOptions:
     @cached_property
     def _family_arrays(self) -> _FamilyArrays:
         """The constants of the m bases reconstruct uses, built on first use and kept with these options."""
-        return _FamilyArrays(self.resolved_family()[: self.m])
+        return _FamilyArrays(self.family[: self.m])
 
 
 class Level(NamedTuple):

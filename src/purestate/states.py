@@ -71,9 +71,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_real(value) -> bool:
-    """True for a real number; booleans are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _as_float(value) -> float:
+    """float(value) for a real number float() converts; otherwise NaN, which every range check refuses (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return np.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return np.nan
 
 
 def _require_int(value, what: str) -> int:
@@ -229,7 +234,10 @@ def state_from_dict(obj: dict) -> PureState:
         raise ValueError("amps must be a list of [re, im] pairs of numbers")
     if len(pairs) != 1 << n:
         raise ValueError(f"state dict claims n={n} but has {len(pairs)} amplitudes")
-    amps = np.array(flat, dtype=np.float64).view(np.complex128)
+    try:
+        amps = np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("amplitude vector has non-finite entries") from None
     state = make_state(amps)
     # make_state's renormalization can move the last bit, so unit-norm input is kept as written
     return PureState(n=n, amps=_freeze(amps)) if abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL else state

@@ -28,16 +28,20 @@ write and the arrays read_counts and load_state return, over n = 1..n_max
 x white-noise weight 0 and 0.05, with one Haar state per n.  Each counts
 data set is read twice: from write_counts' file, and from a foreign
 layout (compact json.dumps, outcome keys reversed) that read_counts
-reads through json, so both of its paths are covered.
+reads through json, so both of its paths are covered.  Two more data
+sets, n = 3 at 512 shots in local and entangled bases, are measured in
+PHI_FAMILY, whose phi 7.0 every checkout holds reduced into [0, 2 pi).
 
 With --refusals the one digest covers what each boundary that takes
 counts records (reconstruct, bootstrap_ci, write_counts) raises for each
 case of a fixed malformed-record grid (malformed_records), and what
 read_counts raises for each file of a fixed one-fault counts-file grid
-(counts_files: every edit of EDITS, and every record of
-MALFORMED_OUTCOMES in write_counts' layout and in the compact one): the
-exception's type and message, or that it took the input.  A change
-that must refuse exactly what its parent refused prints the same line:
+(counts_files: every edit of EDITS, every record of MALFORMED_OUTCOMES
+in write_counts' layout and in the compact one, and every family entry
+of BAD_FAMILY_ENTRIES), and what load_state raises for a state file
+holding a 401-digit integer: the exception's type and message, or that
+it took the input.  A change that must refuse exactly what its parent
+refused prints the same line:
 
     PYTHONPATH=<checkout>/src python tests/digest.py --refusals
 """
@@ -54,6 +58,7 @@ import tempfile
 
 import numpy as np
 
+from purestate import bases
 from purestate.bases import default_family, estimation_basis_ids, family_to_dicts, local_id
 from purestate.benchmark import STATE_FAMILIES, bootstrap_ci, make_bench_state
 from purestate.measurement import (
@@ -87,6 +92,10 @@ FAIL_VARIANTS = {
     name: dataclasses.replace(opts, cond_threshold=FAIL_THRESHOLD, ambiguity_policy="fail")
     for name, opts in VARIANTS.items()
 }
+# (u, v, phi) of the family of io_digest's last data sets: phi 7.0 is held reduced, by the basis
+# constructor of a checkout without make_qubit_basis and by make_qubit_basis where it exists
+PHI_FAMILY = ((0.6, 0.8, 7.0), (0.6, 0.8, 1.0))
+make_basis = getattr(bases, "make_qubit_basis", bases.QubitBasis)
 
 
 def update(h, state, diag) -> None:
@@ -162,16 +171,25 @@ def io_digest(n_max: int = 16) -> tuple[str, int]:
                 ids = estimation_basis_ids(n, M, mode)
                 for shots in IO_SHOTS:
                     for lam in (0.0, NOISE):
-                        data = simulate_counts(state, ids, family, shots, n, noise_lambda=lam)
-                        write_counts(path, data)
-                        with open(path, "rb") as fh:
-                            h.update(fh.read())
-                        update_data(h, read_counts(path))
-                        with open(foreign, "w") as fh:
-                            fh.write(foreign_text(data))
-                        update_data(h, read_counts(foreign))
+                        update_written(h, simulate_counts(state, ids, family, shots, n, noise_lambda=lam), path, foreign)
                         files += 2
+        phi_family = [make_basis(*entry) for entry in PHI_FAMILY]
+        for mode in ("local", "entangled"):
+            data = simulate_counts(haar_random(3, 3), estimation_basis_ids(3, M, mode), phi_family, 512, 3)
+            update_written(h, data, path, foreign)
+            files += 2
     return h.hexdigest(), files
+
+
+def update_written(h, data, path: str, foreign: str) -> None:
+    """Feed to h the bytes write_counts writes for data at path, and the data read back from it and from foreign."""
+    write_counts(path, data)
+    with open(path, "rb") as fh:
+        h.update(fh.read())
+    update_data(h, read_counts(path))
+    with open(foreign, "w") as fh:
+        fh.write(foreign_text(data))
+    update_data(h, read_counts(foreign))
 
 
 def update_data(h, data) -> None:
@@ -259,6 +277,20 @@ EDITS = {
 }
 
 
+# family entries that break the basis rule, one way each, for counts_files
+BAD_FAMILY_ENTRIES = {
+    "NaN u": {"u": float("nan"), "v": 0.5, "phi": 0.0},
+    "not normalized": {"u": 0.5, "v": 0.5, "phi": 0.0},
+    "negative u": {"u": -np.sqrt(0.5), "v": np.sqrt(0.5), "phi": 0.0},
+    "computational": {"u": 1.0, "v": 0.0, "phi": 0.0},
+    "infinite phi": {"u": np.sqrt(0.5), "v": np.sqrt(0.5), "phi": float("inf")},
+    "string phi": {"u": np.sqrt(0.5), "v": np.sqrt(0.5), "phi": "0"},
+    "401-digit u": {"u": 10**400, "v": np.sqrt(0.5), "phi": 0.0},
+}
+# a state file whose first amplitude is an integer beyond the float range
+HUGE_STATE = '{"n": 1, "amps": [[1%s, 0], [0, 0]]}\n' % ("0" * 400)
+
+
 def malformed_records() -> dict:
     """{case: records} of the fixed malformed-record grid, each case one fault in local:1:3 or in the list.
 
@@ -330,20 +362,27 @@ def counts_files() -> dict:
 
     Each edit of EDITS on edited_data()'s file in write_counts' layout
     (json.dumps(..., indent=1) and a newline, the text write_counts writes),
-    and each record of MALFORMED_OUTCOMES alone in an n = 2 file in that
-    layout and in json's compact one.
+    each record of MALFORMED_OUTCOMES alone in an n = 2 file in that
+    layout and in json's compact one, and edited_data()'s file in that
+    layout with its second family entry replaced by each of
+    BAD_FAMILY_ENTRIES.
     """
-    written = json.dumps(counts_data_to_dict(edited_data()), indent=1) + "\n"
+    obj = counts_data_to_dict(edited_data())
+    written = json.dumps(obj, indent=1) + "\n"
     files = {f"edit: {name}": edit(written) for name, edit in EDITS.items()}
     for i, (rec, _) in enumerate(MALFORMED_OUTCOMES):
-        obj = {"n": 2, "family": family_to_dicts(default_family(M)), "records": [rec]}
-        files[f"outcome {i}, written layout"] = json.dumps(obj, indent=1) + "\n"
-        files[f"outcome {i}, compact layout"] = json.dumps(obj)
+        one = {"n": 2, "family": family_to_dicts(default_family(M)), "records": [rec]}
+        files[f"outcome {i}, written layout"] = json.dumps(one, indent=1) + "\n"
+        files[f"outcome {i}, compact layout"] = json.dumps(one)
+    for name, entry in BAD_FAMILY_ENTRIES.items():
+        bad = {**obj, "family": [obj["family"][0], entry]}
+        files[f"family entry: {name}"] = json.dumps(bad, indent=1) + "\n"
     return files
 
 
 def refusals() -> dict:
-    """{(case, boundary): outcome} over the malformed-record grid, and {(case, "read_counts"): outcome} over the counts files."""
+    """{(case, boundary): outcome} over the malformed-record grid, {(case, "read_counts"): outcome} over the counts
+    files, and what load_state makes of HUGE_STATE."""
     with tempfile.TemporaryDirectory() as tmp:
         calls = boundaries(os.path.join(tmp, "counts.json"))
         got = {
@@ -356,6 +395,9 @@ def refusals() -> dict:
             with open(path, "w") as fh:
                 fh.write(text)
             got[case, "read_counts"] = outcome(read_counts, path)
+        with open(path, "w") as fh:
+            fh.write(HUGE_STATE)
+        got["401-digit amplitude", "load_state"] = outcome(load_state, path)
         return got
 
 

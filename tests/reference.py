@@ -176,7 +176,7 @@ def reference_reconstruct(records, n, opts):
     block's B half takes its phase, and after the level every block goes
     through rotate_qubit on its top qubit on its own.
     """
-    family = opts.resolved_family()
+    family = opts.family
     extra = opts.mode == "local" and opts.use_extra_rows
     u_dagger = np.array([qb.unitary().conj().T for qb in family[: opts.m]])
     rotation = u_dagger if extra else u_dagger[:, 1:]

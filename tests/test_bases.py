@@ -1,5 +1,7 @@
 """Tests for basis families, outcome bookkeeping, and circuit emission."""
 
+import dataclasses
+import re
 from functools import reduce
 
 import numpy as np
@@ -9,6 +11,7 @@ import purestate.bases as bases
 from purestate.bases import (
     COMPUTATIONAL,
     Gate,
+    QubitBasis,
     apply_gates,
     basis_id_from_dict,
     basis_id_to_dict,
@@ -22,7 +25,6 @@ from purestate.bases import (
     family_from_dicts,
     family_to_dicts,
     local_id,
-    make_qubit_basis,
     outcome_role,
     rotate_qubit,
 )
@@ -34,18 +36,18 @@ from reference import entangled_index_map, projector, run_circuit
 def random_basis(seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.05, np.pi / 2 - 0.05)
-    return make_qubit_basis(np.cos(theta), np.sin(theta), rng.uniform(0, 2 * np.pi))
+    return QubitBasis(np.cos(theta), np.sin(theta), rng.uniform(0, 2 * np.pi))
 
 
-class TestMakeQubitBasis:
+class TestQubitBasis:
     def test_balanced_zero_phase_gives_plus_minus(self):
-        qb = make_qubit_basis(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
+        qb = QubitBasis(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
         s = 1 / np.sqrt(2)
         assert np.allclose(qb.plus_ket(), [s, s], atol=1e-15)
         assert np.allclose(qb.minus_ket(), [s, -s], atol=1e-15)
 
     def test_balanced_quarter_phase_gives_circular_pair(self):
-        qb = make_qubit_basis(1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 2)
+        qb = QubitBasis(1 / np.sqrt(2), 1 / np.sqrt(2), np.pi / 2)
         s = 1 / np.sqrt(2)
         assert np.allclose(qb.plus_ket(), [s, 1j * s], atol=1e-15)
         assert np.allclose(qb.minus_ket(), [s, -1j * s], atol=1e-15)
@@ -66,32 +68,55 @@ class TestMakeQubitBasis:
 
     def test_rejects_computational_basis(self):
         with pytest.raises(ValueError):
-            make_qubit_basis(1.0, 0.0, 0.0)
+            QubitBasis(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            make_qubit_basis(0.0, 1.0, 0.5)
+            QubitBasis(0.0, 1.0, 0.5)
 
     def test_rejects_negative_or_unnormalized(self):
         with pytest.raises(ValueError):
-            make_qubit_basis(-0.6, 0.8, 0.0)
+            QubitBasis(-0.6, 0.8, 0.0)
         with pytest.raises(ValueError):
-            make_qubit_basis(0.6, 0.7, 0.0)
+            QubitBasis(0.6, 0.7, 0.0)
 
     def test_rejects_non_finite_or_non_numeric(self):
         s = 1 / np.sqrt(2)
         for args in ((0.6, 0.8, np.inf), (0.6, 0.8, np.nan), (np.nan, s, 0.0), (s, s, "0"), (s, s, True)):
             with pytest.raises(ValueError):
-                make_qubit_basis(*args)
+                QubitBasis(*args)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.6, 0.8, np.nan), "u, v and phi must be finite real numbers, got (0.6, 0.8, nan)"),
+            ((10**400, 0.8, 0.0), "u, v and phi must be finite real numbers, got (1000"),
+            ((-0.6, 0.8, 0.0), "u and v must be non-negative"),
+            ((0.6, 0.7, 0.0), f"u^2 + v^2 = {0.6 * 0.6 + 0.7 * 0.7} is not normalized"),
+            ((1.0, 0.0, 0.0), "u*v must be positive: basis must differ from the computational one"),
+        ],
+        ids=["not finite", "int beyond the float range", "negative", "not normalized", "computational"],
+    )
+    def test_every_basis_obeys_the_rule_when_made(self, args, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            QubitBasis(*args)
+        # dataclasses.replace makes a new basis, so it is checked too
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            dataclasses.replace(QubitBasis(0.6, 0.8, 0.0), u=args[0], v=args[1], phi=args[2])
+
+    def test_a_basis_holds_floats(self):
+        qb = QubitBasis(np.float64(0.6), 0.8, 7)
+        assert [type(x) for x in (qb.u, qb.v, qb.phi)] == [float] * 3
+        assert qb == QubitBasis(0.6, 0.8, 7 - 2 * np.pi)
 
     def test_phase_is_wrapped(self):
-        qb = make_qubit_basis(0.6, 0.8, 2 * np.pi + 0.5)
+        qb = QubitBasis(0.6, 0.8, 2 * np.pi + 0.5)
         assert np.isclose(qb.phi, 0.5, atol=1e-12)
 
     def test_a_phi_whose_remainder_rounds_to_two_pi_wraps_to_zero(self):
         # -1e-17 % (2 pi) is 2 pi itself in floating point; a second reduction would give 0.0
         assert -1e-17 % (2 * np.pi) == 2 * np.pi
-        qb = make_qubit_basis(0.6, 0.8, -1e-17)
+        qb = QubitBasis(0.6, 0.8, -1e-17)
         assert qb.phi == 0.0
-        assert make_qubit_basis(0.6, 0.8, qb.phi) == qb
+        assert QubitBasis(0.6, 0.8, qb.phi) == qb
 
 
 class TestDefaultFamily:
@@ -155,7 +180,7 @@ class TestFamilySizeRule:
 
 class TestProjector:
     def test_single_qubit_plus(self):
-        qb = make_qubit_basis(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
+        qb = QubitBasis(1 / np.sqrt(2), 1 / np.sqrt(2), 0.0)
         st = projector(1, 1, 0, qb)
         assert np.allclose(st.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
@@ -458,7 +483,7 @@ class TestQasm:
         )
 
     def test_rotation_parameters_reproduce_u_dagger(self):
-        qb = make_qubit_basis(0.6, 0.8, 1.234)
+        qb = QubitBasis(0.6, 0.8, 1.234)
         theta = 2.0 * np.arctan2(qb.v, qb.u)
         emitted = self.u3(-theta, -np.pi, -qb.phi)
         assert np.allclose(emitted, qb.unitary().conj().T, atol=1e-12)

@@ -90,6 +90,12 @@ class TestBenchConfig:
                 with pytest.raises(ValueError, match=field):
                     BenchConfig(n_range=(2,), **{field: bad})
 
+    def test_shots_must_fit_in_int64(self):
+        # they were taken, and the first trial's multinomial draw raised OverflowError
+        assert BenchConfig(n_range=(2,), shots=2**63 - 1).shots == 2**63 - 1
+        with pytest.raises(ValueError, match=f"^shots {2**63} beyond the int64 range$"):
+            BenchConfig(n_range=(2,), shots=2**63)
+
     @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
     def test_seed_must_be_a_non_negative_integer(self, bad):
         with pytest.raises(ValueError, match="seed"):

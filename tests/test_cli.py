@@ -259,6 +259,37 @@ class TestSimulateReconstruct:
         assert run_cli("reconstruct", "--in", str(counts), "--target", str(statef)) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "reconstruct", "bootstrap"])
+    def test_a_state_file_int_beyond_the_float_range_is_data_error(self, tmp_path, capsys, subcommand):
+        # it escaped as OverflowError: a traceback and exit 1
+        counts, statef = tmp_path / "c.json", tmp_path / "s.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        statef.write_text('{"n": 2, "amps": [[1%s, 0], [0, 0], [0, 0], [0, 0]]}' % ("0" * 400))
+        capsys.readouterr()
+        if subcommand == "simulate":
+            argv = ("simulate", "--state", str(statef), "--n", "2", "--out", str(tmp_path / "out.json"))
+        else:
+            argv = (subcommand, "--in", str(counts), "--target", str(statef))
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "data error: amplitude vector has non-finite entries\n"
+
+    def test_a_family_int_beyond_the_float_range_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "c.json"
+        run_cli("simulate", "--state", "ghz", "--n", "2", "--shots", "64", "--out", str(counts))
+        huge = "1" + "0" * 400
+        counts.write_text(counts.read_text().replace('"u": 0.7071067811865475', f'"u": {huge}', 1))
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--in", str(counts)) == 2
+        want = f"data error: u, v and phi must be finite real numbers, got ({huge}, 0.7071067811865475, 0.0)\n"
+        assert capsys.readouterr().err == want
+
+    def test_shots_beyond_the_int64_range_are_data_error(self, tmp_path, capsys):
+        # the multinomial draw raised OverflowError: a traceback and exit 1
+        counts = tmp_path / "c.json"
+        assert run_cli("simulate", "--state", "haar", "--n", "2", "--shots", str(10**20), "--out", str(counts)) == 2
+        assert capsys.readouterr().err == f"data error: shots {10**20} beyond the int64 range\n"
+        assert not counts.exists()
+
     def test_repeated_outcome_key_is_data_error(self, tmp_path, capsys):
         # json keeps the last of repeated keys, which would read these 10 counts as [5, 0]
         counts = tmp_path / "c.json"
@@ -387,6 +418,10 @@ class TestBench:
     def test_negative_seed_is_data_error(self, capsys):
         assert run_cli("bench", "--n", "2", "--trials", "1", "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_shots_beyond_the_int64_range_are_data_error(self, capsys):
+        assert run_cli("bench", "--n", "2", "--trials", "1", "--shots", str(10**20)) == 2
+        assert capsys.readouterr().err == f"data error: shots {10**20} beyond the int64 range\n"
 
     def test_reversed_range_is_usage_error(self, capsys):
         assert run_cli("bench", "--n", "5..2", "--trials", "1") == 1

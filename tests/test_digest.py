@@ -91,8 +91,9 @@ def test_a_raise_moved_to_another_block_changes_the_fail_digest(monkeypatch):
 def test_the_io_digest_is_reproducible_and_counts_every_file():
     first = digest.io_digest(n_max=4)
     assert first == digest.io_digest(n_max=4)
-    # per n one state file and 2 modes x 3 shot counts x 2 noise weights of counts files, each in two layouts
-    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 4 * (1 + 2 * len(digest.IO_SHOTS) * 2 * 2)
+    # per n one state file and 2 modes x 3 shot counts x 2 noise weights of counts files, each in two layouts,
+    # then PHI_FAMILY's two data sets, each in two layouts
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 4 * (1 + 2 * len(digest.IO_SHOTS) * 2 * 2) + 2 * 2
     assert first[0] != digest.io_digest(n_max=3)[0]
 
 
@@ -109,13 +110,30 @@ def test_the_io_digest_reads_every_data_set_from_the_foreign_layout_too(monkeypa
 
     monkeypatch.setattr(digest, "read_counts", drop_a_foreign_record)
     assert digest.io_digest(n_max=2)[0] != base
-    assert paths == ["file.json", "foreign.json"] * (2 * 2 * len(digest.IO_SHOTS) * 2)
+    assert paths == ["file.json", "foreign.json"] * (2 * 2 * len(digest.IO_SHOTS) * 2 + 2)
     # the foreign layout: compact, every record's outcome keys reversed
     data = digest.edited_data()
     text = digest.foreign_text(data)
     assert "\n" not in text and json.loads(text) == counts_data_to_dict(data)
     for rec, back in zip(counts_data_to_dict(data)["records"], json.loads(text)["records"], strict=True):
         assert list(back["counts"]) == list(reversed(rec["counts"]))
+
+
+def test_the_io_digest_writes_the_phi_family_reduced(monkeypatch):
+    written = []
+    write_counts = digest.write_counts
+    monkeypatch.setattr(digest, "write_counts", lambda path, data: written.append(data) or write_counts(path, data))
+    base = digest.io_digest(n_max=1)[0]
+    phi_sets = [data for data in written if data.family != default_family(2)]
+    assert [(data.n, data.records[-1].basis.tag, data.records[0].shots) for data in phi_sets] == [
+        (3, "local", 512),
+        (3, "entangled", 512),
+    ]
+    reduced = [(0.6, 0.8, 7.0 - 2 * np.pi), (0.6, 0.8, 1.0)]
+    assert all([(qb.u, qb.v, qb.phi) for qb in data.family] == reduced for data in phi_sets)
+    # the family is hashed: another phi moves the digest
+    monkeypatch.setattr(digest, "PHI_FAMILY", ((0.6, 0.8, 0.5), (0.6, 0.8, 1.0)))
+    assert digest.io_digest(n_max=1)[0] != base
 
 
 def test_the_script_prints_the_io_digest_with_io(capsys):
@@ -127,13 +145,14 @@ def test_the_refusal_digest_is_reproducible_and_covers_every_case_at_every_bound
     first = digest.refusal_digest()
     assert first == digest.refusal_digest()
     cases = len(digest.malformed_records())
-    files = len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES)
-    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 3 * cases + files
+    files = len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES) + len(digest.BAD_FAMILY_ENTRIES)
+    # one more pair: load_state on HUGE_STATE
+    assert re.fullmatch("[0-9a-f]{64}", first[0]) and first[1] == 3 * cases + files + 1
 
 
 def test_the_counts_files_hold_one_fault_each_in_both_layouts(tmp_path):
     files = digest.counts_files()
-    assert len(files) == len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES)
+    assert len(files) == len(digest.EDITS) + 2 * len(digest.MALFORMED_OUTCOMES) + len(digest.BAD_FAMILY_ENTRIES)
     digest.write_counts(tmp_path / "counts.json", digest.edited_data())
     written = (tmp_path / "counts.json").read_text()
     assert all(files[f"edit: {name}"] == edit(written) != written for name, edit in digest.EDITS.items())
@@ -141,6 +160,13 @@ def test_the_counts_files_hold_one_fault_each_in_both_layouts(tmp_path):
         indented, compact = files[f"outcome {i}, written layout"], files[f"outcome {i}, compact layout"]
         assert indented.endswith("}\n") and "\n" not in compact
         assert json.loads(indented) == json.loads(compact) and json.loads(compact)["records"] == [rec]
+    want = json.loads(written)
+    for name, entry in digest.BAD_FAMILY_ENTRIES.items():
+        # the second family entry alone is replaced; the JSON text tells NaN and the 401-digit integer apart
+        got = json.loads(files[f"family entry: {name}"])
+        assert json.dumps(got.pop("family")) == json.dumps([want["family"][0], entry])
+        assert got == {k: v for k, v in want.items() if k != "family"}
+        assert files[f"family entry: {name}"].endswith("}\n")
 
 
 def test_a_moved_refusal_changes_the_refusal_digest(monkeypatch):
@@ -174,6 +200,13 @@ def test_a_moved_refusal_changes_the_refusal_digest(monkeypatch):
             patch.setattr(digest, name, moved)
             assert digest.refusal_digest()[0] != base, name
     assert digest.refusal_digest()[0] == base
+
+
+def test_every_bad_family_entry_and_the_huge_state_are_refused_as_value_errors():
+    outcomes = digest.refusals()
+    for name in digest.BAD_FAMILY_ENTRIES:
+        assert outcomes[f"family entry: {name}", "read_counts"][0] == "ValueError", name
+    assert outcomes["401-digit amplitude", "load_state"] == ("ValueError", "amplitude vector has non-finite entries")
 
 
 def test_the_script_prints_the_refusal_digest_with_refusals(capsys):

@@ -30,8 +30,8 @@ from purestate.bases import (
     default_family,
     entangled_id,
     estimation_basis_ids,
+    family_to_dicts,
     local_id,
-    make_qubit_basis,
 )
 from purestate.measurement import (
     CountsData,
@@ -145,7 +145,7 @@ class TestBornChain:
         built = []
         unitary = QubitBasis.unitary
         monkeypatch.setattr(QubitBasis, "unitary", lambda qb: built.append(qb) or unitary(qb))
-        fam = [make_qubit_basis(0.6, 0.8, 0.3), make_qubit_basis(0.8, 0.6, 1.9)]
+        fam = [QubitBasis(0.6, 0.8, 0.3), QubitBasis(0.8, 0.6, 1.9)]
         st = haar_random(5, seed=10)
         ids = estimation_basis_ids(5, 2, "local") + estimation_basis_ids(5, 2, "entangled")[1:]
         self.check(st, ids, fam)
@@ -172,7 +172,7 @@ class TestEntangledContraction:
                         assert np.array_equal(t.probs, from_scratch(st, id, fam)), (n, m, id)
 
     def test_one_id_equals_its_table_from_the_batched_pass(self):
-        fam = [make_qubit_basis(0.6, 0.8, 0.3), make_qubit_basis(0.8, 0.6, 1.9), make_qubit_basis(0.28, 0.96, 4.0)]
+        fam = [QubitBasis(0.6, 0.8, 0.3), QubitBasis(0.8, 0.6, 1.9), QubitBasis(0.28, 0.96, 4.0)]
         for n in (1, 4, 7):
             st = haar_random(n, seed=60 + n)
             ids = [entangled_id(3), COMPUTATIONAL, entangled_id(1), local_id(2, 1), entangled_id(2), entangled_id(1)]
@@ -286,6 +286,15 @@ class TestSampling:
         table = ProbTable(n=1, basis=COMPUTATIONAL, probs=np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="shots"):
             sample_counts(table, shots, seeded_rng(0))
+
+    def test_shots_beyond_the_int64_range_are_refused(self):
+        # rng.multinomial raised OverflowError for them
+        table = ProbTable(n=2, basis=COMPUTATIONAL, probs=np.full(4, 0.25))
+        assert sample_counts(table, 2**63 - 1, seeded_rng(0)).counts.sum() == 2**63 - 1
+        with pytest.raises(ValueError, match=f"^shots {2**63} beyond the int64 range$"):
+            sample_counts(table, 2**63, seeded_rng(0))
+        with pytest.raises(ValueError, match=f"^shots {10**20} beyond the int64 range$"):
+            simulate_counts(make_state([1.0, 0.0]), [COMPUTATIONAL], default_family(2), 10**20, seed=0)
 
     @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
     def test_master_seed_must_be_a_non_negative_integer(self, bad):
@@ -442,6 +451,18 @@ class TestOneRecordRule:
     def test_the_grid_covers_every_fault_and_exact_records(self):
         assert list(digest.malformed_records()) == [*RECORD_FAULTS, "exact records"]
 
+    def test_shots_beyond_the_int64_range_are_refused_as_read_counts_refuses_them(self, tmp_path):
+        # uint64 counts summing to 2^64 were taken, and write_counts wrote a file read_counts refuses
+        record = CountsRecord(COMPUTATIONAL, 2**64, np.full(4, 2**62, dtype=np.uint64))
+        with pytest.raises(ValueError, match=f"^record computational has shots {2**64} beyond the int64 range$"):
+            check_records([record], 2)
+        path = tmp_path / "counts.json"
+        counts = dict.fromkeys(["00", "01", "10", "11"], 2**62)
+        obj = {"basis": {"tag": "computational"}, "shots": 2**64, "counts": counts}
+        path.write_text(json.dumps({"n": 2, "family": family_to_dicts(default_family(2)), "records": [obj]}, indent=1))
+        with pytest.raises(ValueError, match=f"^record for basis computational has shots {2**64} beyond the int64 range$"):
+            read_counts(path)
+
     def test_records_come_back_keyed_by_basis(self):
         data = random_counts_data(3, "entangled", 3, 100, seed=1)
         by_id = check_records(data.records, 3)
@@ -579,10 +600,11 @@ class TestCountsIO:
         s = 1 / np.sqrt(2)
         data = random_counts_data(3, "local", 2, 1000, seed=6)
         family = [QubitBasis(s, s, phi), data.family[1]]
+        assert family[0].phi == {7.0: 7.0 - 2 * np.pi, -1e-17: 0.0}[phi]
         path = tmp_path / "counts.json"
         write_counts(path, CountsData(data.n, family, data.records))
         back = read_counts(path)
-        assert back.family == [make_qubit_basis(s, s, phi), data.family[1]]
+        assert back.family == family
         assert [entry["phi"] for entry in json.loads(path.read_text())["family"]] == [qb.phi for qb in back.family]
         again = tmp_path / "again.json"
         write_counts(again, back)
@@ -963,8 +985,12 @@ class TestCountsFileBytes:
             (lambda r: CountsRecord(r.basis, r.shots, r.counts - 1), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts.astype(np.uint64) + 2**63), "not integers in"),
             (lambda r: CountsRecord(r.basis, r.shots, r.counts + 2000 * (np.arange(8) == 0)), "summing to 2064, not its shots 64"),
+            (lambda r: CountsRecord(r.basis, 2**64, np.full(8, 2**61, dtype=np.uint64)), "has shots 18446744073709551616 beyond"),
         ],
-        ids=["wrong shape", "exact record", "negative shots", "float shots", "float counts", "negative count", "beyond int64", "sum off shots"],
+        ids=[
+            "wrong shape", "exact record", "negative shots", "float shots", "float counts", "negative count", "beyond int64",
+            "sum off shots", "shots beyond int64",
+        ],
     )
     def test_a_refused_write_leaves_an_existing_file_as_it_was(self, tmp_path, bad, message):
         data = random_counts_data(3, "local", 2, 64, seed=5)
@@ -984,27 +1010,30 @@ class TestCountsFileBytes:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: CountsData(d.n, d.family, d.records + [d.records[1]]),
-            lambda d: CountsData(d.n, d.family, d.records + [CountsRecord(local_id(3, 1), 1000, d.records[1].counts)]),
-            lambda d: CountsData(d.n, d.family, d.records + [CountsRecord(local_id(1, 4), 1000, d.records[1].counts)]),
-            lambda d: CountsData(d.n, [d.family[0], QubitBasis(1.0, 0.0, 0.0)], d.records),
+            lambda obj: obj["records"].append(obj["records"][1]),
+            lambda obj: obj["records"].append({**obj["records"][1], "basis": {"tag": "local", "a": 3, "b": 1}}),
+            lambda obj: obj["records"].append({**obj["records"][1], "basis": {"tag": "local", "a": 1, "b": 4}}),
+            lambda obj: obj["family"].__setitem__(1, {"u": 1.0, "v": 0.0, "phi": 0.0}),
         ],
         ids=["duplicate basis", "basis beyond the family", "qubit beyond n", "computational family entry"],
     )
     def test_data_read_counts_refuses_is_not_written(self, tmp_path, edit):
         # each record is well formed, but read_counts refuses the data as a whole: write_counts
-        # refuses it too, with the same message, before it opens the file
+        # refuses it too, with the same message, before it opens the file, or no QubitBasis can
+        # hold the family entry it refuses
         data = simulate_counts(haar_random(3, 1), estimation_basis_ids(3, 2, "local"), default_family(2), 1000, seed=0)
-        bad = edit(data)
+        obj = counts_data_to_dict(data)
+        edit(obj)
         dumped = tmp_path / "dumped.json"
-        dumped.write_text(json.dumps(counts_data_to_dict(bad), indent=1) + "\n")
+        dumped.write_text(json.dumps(obj, indent=1) + "\n")
         with pytest.raises(ValueError) as refused:
             read_counts(dumped)
         path = tmp_path / "counts.json"
         write_counts(path, data)
         before = path.read_bytes()
         with pytest.raises(ValueError) as err:
-            write_counts(path, bad)
+            family = [QubitBasis(**entry) for entry in obj["family"]]
+            write_counts(path, CountsData(data.n, family, [counts_from_dict(r, data.n) for r in obj["records"]]))
         assert str(err.value) == str(refused.value)
         assert path.read_bytes() == before
 

@@ -1,6 +1,7 @@
 """Tests for amplitude extraction, phase systems, solving, and full reconstruction."""
 
 import json
+import re
 import tracemalloc
 from functools import reduce
 
@@ -24,7 +25,6 @@ from purestate.bases import (
     default_family,
     estimation_basis_ids,
     local_id,
-    make_qubit_basis,
 )
 from purestate.benchmark import bootstrap_ci
 from purestate.measurement import (
@@ -94,9 +94,9 @@ def build_from_children(j, beta, childA, childB, probs, family):
 
 
 UNBALANCED = (
-    make_qubit_basis(0.6, 0.8, 0.4),
-    make_qubit_basis(0.8, 0.6, 2.0),
-    make_qubit_basis(np.sqrt(0.3), np.sqrt(0.7), 4.1),
+    QubitBasis(0.6, 0.8, 0.4),
+    QubitBasis(0.8, 0.6, 2.0),
+    QubitBasis(np.sqrt(0.3), np.sqrt(0.7), 4.1),
 )
 
 
@@ -925,6 +925,13 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match=f"{name} must be a positive"):
             ReconstructionOptions(**{name: value})
 
+    @pytest.mark.parametrize("name", ["cond_threshold", "null_threshold"])
+    def test_a_threshold_beyond_the_float_range_is_refused(self, name):
+        # it was taken, and reconstruct then raised OverflowError converting it to a float
+        with pytest.raises(ValueError, match=f"{name} must be a positive"):
+            ReconstructionOptions(**{name: 10**400})
+        assert getattr(ReconstructionOptions(**{name: 10**300}), name) == 10**300
+
     def test_threshold_values_at_the_edges(self):
         assert ReconstructionOptions(cond_threshold=np.inf).cond_threshold == np.inf
         assert ReconstructionOptions(null_threshold=None).null_threshold is None
@@ -943,22 +950,20 @@ class TestOptionsValidation:
             ReconstructionOptions(family=family)
 
     @pytest.mark.parametrize(
-        "entry",
+        "entry, message",
         [
-            QubitBasis(np.nan, 0.5, 0.0),
-            QubitBasis(0.5, 0.5, 0.0),  # u^2 + v^2 = 1/2
-            QubitBasis(-np.sqrt(0.5), np.sqrt(0.5), 0.0),
-            QubitBasis(1.0, 0.0, 0.0),  # the computational basis
-            QubitBasis(np.sqrt(0.5), np.sqrt(0.5), np.inf),
-            QubitBasis(np.sqrt(0.5), np.sqrt(0.5), "0"),
+            ((np.nan, 0.5, 0.0), "u, v and phi must be finite real numbers"),
+            ((0.5, 0.5, 0.0), "u^2 + v^2 = 0.5 is not normalized"),
+            ((-np.sqrt(0.5), np.sqrt(0.5), 0.0), "u and v must be non-negative"),
+            ((1.0, 0.0, 0.0), "u*v must be positive: basis must differ from the computational one"),
+            ((np.sqrt(0.5), np.sqrt(0.5), np.inf), "u, v and phi must be finite real numbers"),
+            ((np.sqrt(0.5), np.sqrt(0.5), "0"), "u, v and phi must be finite real numbers"),
         ],
     )
-    def test_family_entries_obey_the_basis_rules(self, entry):
-        family = (default_family(2)[0], entry)
-        with pytest.raises(ValueError, match=r"family entry 1 QubitBasis"):
-            ReconstructionOptions(family=family)
-        with pytest.raises(ValueError, match=r"family entry 1 QubitBasis"):
-            ReconstructionOptions(m=3, family=default_family(3)[:1] + [entry, default_family(3)[2]])
+    def test_family_entries_obey_the_basis_rules(self, entry, message):
+        # no QubitBasis breaks the rule, so no family entry can: the entry is refused when it is made
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            ReconstructionOptions(family=(default_family(2)[0], QubitBasis(*entry)))
 
     def test_family_entries_within_the_norm_tolerance_are_kept(self):
         s = np.sqrt(0.5)
@@ -966,12 +971,13 @@ class TestOptionsValidation:
         assert ReconstructionOptions(family=family).family == family
 
     def test_family_entries_are_kept_reduced_so_a_file_round_trip_reconstructs_alike(self, tmp_path):
-        # the entries were validated, then kept as given: phi 7.0 and the 0.7168... a file holds
-        # reconstructed the same records 2.1e-15 apart
+        # entries once kept as given, phi 7.0 against the 0.7168... a file holds, reconstructed the
+        # same records 2.1e-15 apart; a QubitBasis now holds phi reduced from the start
         s = np.sqrt(0.5)
         family = (QubitBasis(s, s, 7.0), QubitBasis(s, s, 1.0))
+        assert family[0].phi == 7.0 % (2 * np.pi)
         opts = ReconstructionOptions(mode="local", m=2, family=family)
-        assert opts.family == (make_qubit_basis(s, s, 7.0), family[1])
+        assert opts.family == family
         data = simulate_counts(haar_random(5, 1), estimation_basis_ids(5, 2, "local"), family, 1000, seed=0)
         path = tmp_path / "counts.json"
         write_counts(path, data)
@@ -995,9 +1001,9 @@ class TestOptionsValidation:
 
     def test_default_family_resolution(self):
         opts = ReconstructionOptions(m=3)
-        fam = opts.resolved_family()
-        assert len(fam) == 3
-        assert fam[1].phi == pytest.approx(np.pi / 3, abs=1e-15)
+        assert opts.family == tuple(default_family(3))
+        assert opts.family[1].phi == pytest.approx(np.pi / 3, abs=1e-15)
+        assert ReconstructionOptions(m=2, family=default_family(3)).family == tuple(default_family(3))
 
 
 def assert_matches_reference(records, n, opts):
@@ -1283,7 +1289,7 @@ class TestDiagnosticsViews:
     def test_zero_row_default_phase_keeps_an_infinite_cond(self):
         # level 1 leaves childA orthogonal to |-_1> and childB to |-_2>, exactly:
         # every level-2 row is zero, so block (2, 0) gets the default phase with cond inf
-        fam = (make_qubit_basis(np.sqrt(0.5), np.sqrt(0.5), 0.0), make_qubit_basis(0.6, 0.8, 0.0))
+        fam = (QubitBasis(np.sqrt(0.5), np.sqrt(0.5), 0.0), QubitBasis(0.6, 0.8, 0.0))
         comp = np.array([0.375, 0.375, (0.5 * 0.6) ** 2, (0.5 * 0.8) ** 2])
         records = [
             CountsRecord(basis=id, shots=0, counts=comp if id == COMPUTATIONAL else np.full(4, 0.9))
@@ -1348,7 +1354,7 @@ class TestCarriedTransforms:
         est, diag = reconstruct(records, n, opts)
         assert fidelity(st, est) > 1 - 1e-10
         assert len(seen) == n
-        family = opts.resolved_family()
+        family = opts.family
         work = amplitudes_from_counts(records[0], n).astype(np.complex128)
         for lv, got in zip(diag.levels, seen):
             blocks = work.reshape(-1, 2, 1 << (lv.j - 1))[lv.betas]

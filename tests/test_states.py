@@ -362,9 +362,9 @@ class TestStateFileBytes:
             ({"0": [1.0, 0.0]}, "amps must be a list of [re, im] pairs of numbers"),
             ([[1.0, 0.0]], "state dict claims n=1 but has 1 amplitudes"),
             ([], "state dict claims n=1 but has 0 amplitudes"),
-            ([[1, 0], [0, 2**1100]], "int too large to convert to float"),
+            ([[1, 0], [0, 2**1100]], "amplitude vector has non-finite entries"),
         ],
     )
     def test_ill_formed_amps_messages(self, amps, message):
-        with pytest.raises((ValueError, OverflowError), match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             state_from_dict({"n": 1, "amps": amps})
